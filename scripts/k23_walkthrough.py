@@ -9,9 +9,9 @@ import argparse
 
 from oblot.graphs import Configuration, Graph
 from oblot.hypergraph import build
-from oblot.problems import ProblemSpec, resolve_final_set
+from oblot.problems import ProblemSpec
 from oblot.simulate import AdversaryStrategy, run_fsync
-from oblot.solver import plan, solve
+from oblot.solver import solution
 
 K23 = Graph(n=5, edges=((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)), name="K23")
 
@@ -32,16 +32,14 @@ def main() -> None:
         print(f"  C{arc.source} -> {{{delta}}}  ({len(arc.moves)} move(s))")
 
     spec = ProblemSpec(kind="gathering")
-    fin = resolve_final_set(spec, h)
-    result = solve(h, fin)
-    entries = plan(h, fin, result)
+    sol = solution(h, spec)
     print("\ngathering:")
-    print(f"  final classes: {sorted(fin)}")
-    print(f"  solvable classes: {sorted(result.solvable)}")
-    for i in sorted(entries):
-        if i in fin:
+    print(f"  final classes: {sorted(sol.final)}")
+    print(f"  solvable classes: {sorted(sol.result.solvable)}")
+    for i in sorted(sol.entries):
+        if i in sol.final:
             continue
-        entry = entries[i]
+        entry = sol.entries[i]
         print(f"  C{i}: distance {entry.distance}, move {entry.move.to_json_obj()}")
 
     mixed = Configuration(K23, (1, 0, 1, 0, 0))

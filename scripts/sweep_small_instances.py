@@ -15,9 +15,9 @@ import time
 from oblot.canonical import canonical_form
 from oblot.graphs import Graph
 from oblot.hypergraph import build
-from oblot.problems import ProblemSpec, resolve_final_set
+from oblot.problems import ProblemSpec
 from oblot.simulate import enumerate_adversary_plays
-from oblot.solver import plan, solve
+from oblot.solver import solution
 
 
 def _connected(g: Graph) -> bool:
@@ -53,20 +53,17 @@ def connected_graph_corpus(max_n: int) -> list[Graph]:
 
 def sweep_one(g: Graph, k: int) -> tuple[int, int, int]:
     """Returns (classes, solvable, worst-case distance bound checked)."""
-    h = build(g, k)
     spec = ProblemSpec(kind="gathering")
-    fin = resolve_final_set(spec, h)
-    result = solve(h, fin)
-    entries = plan(h, fin, result)
+    sol = solution(build(g, k), spec)
     checked = 0
-    for i, entry in enumerate(h.configs):
-        if i not in result.solvable or i in fin:
+    for i, entry in enumerate(sol.h.configs):
+        if i not in sol.result.solvable or i in sol.final:
             continue
         summary = enumerate_adversary_plays(entry.rep, spec)
         assert summary.all_reach_final, (g.name, k, i)
-        assert summary.max_rounds_used == entries[i].distance, (g.name, k, i)
+        assert summary.max_rounds_used == sol.entries[i].distance, (g.name, k, i)
         checked += 1
-    return len(h.configs), len(result.solvable), checked
+    return len(sol.h.configs), len(sol.result.solvable), checked
 
 
 def main() -> None:

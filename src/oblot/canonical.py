@@ -17,8 +17,9 @@ also used to prune branches that are equivalent to ones already explored.
 Orbits are the connected components of the vertex set under the generators.
 
 Configurations are canonized by treating robot counts as vertex colors.  The
-pendant-vertex encoding in :func:`oblot.graphs.configuration_graph` yields the
-same equivalence and serves as an independent oracle in the test suite.
+pendant-vertex encoding ``configuration_graph`` in ``tests/bruteforce.py``
+yields the same equivalence and serves as an independent oracle in the test
+suite.
 """
 
 from __future__ import annotations

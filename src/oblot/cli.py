@@ -13,15 +13,17 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+from . import __version__
 from .canonical import automorphism_orbits, canonical_form, occupied_orbits
 from .errors import InputError
 from .graphs import Configuration, Graph, load_configuration_file, load_graph_file, total_robots
-from .hypergraph import ConfigHypergraph, build, export, loads
-from .problems import load_problem_file, resolve_final_set
+from .hypergraph import FORMAT_VERSION, ConfigHypergraph, build, export, loads
+from .problems import load_problem_file
 from .simulate import MAX_ROUNDS_EXCEEDED, parse_adversary, run_fsync
-from .solver import UNSOLVABLE, decide, plan, solve
+from .solver import UNSOLVABLE, solution
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -47,7 +49,12 @@ def _cache_path(cache_dir: str | None, g: Graph, k: int, scheduler: str) -> Path
         cache_dir = os.environ.get("OBLOT_CACHE")
     if cache_dir is None:
         return None
-    key_material = _dump(g.to_json_obj()) + f"k={k};scheduler={scheduler}"
+    # The decorative name stays out of the key: equal graphs share one entry.
+    shape = {"n": g.n, "edges": [list(e) for e in g.edges]}
+    key_material = (
+        _dump(shape)
+        + f"k={k};scheduler={scheduler};format={FORMAT_VERSION};version={__version__}"
+    )
     digest = hashlib.sha256(key_material.encode()).hexdigest()
     return Path(cache_dir) / f"{digest}.json"
 
@@ -56,18 +63,29 @@ def _get_hypergraph(g: Graph, k: int, scheduler: str, cache_dir: str | None) -> 
     """Build the hypergraph, going through the cache file when one is configured.
 
     The cache is observationally transparent: a hit is trusted only if it
-    deserializes cleanly; anything else falls back to a fresh build.
+    deserializes cleanly into the requested (graph, k, scheduler), and it
+    answers with the requested graph so that its name is the caller's.
+    Anything else is rebuilt and written over, through a temporary file in
+    the same directory so that readers never see a partial entry.
     """
     path = _cache_path(cache_dir, g, k, scheduler)
     if path is not None and path.is_file():
         try:
-            return loads(path.read_text())
+            h = loads(path.read_text())
         except (InputError, OSError):
             pass
+        else:
+            if (h.graph, h.k, h.scheduler) == (g, k, scheduler):
+                return replace(h, graph=g)
     h = build(g, k, scheduler)
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(export(h, "json"))
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(export(h, "json"))
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
     return h
 
 
@@ -108,21 +126,18 @@ def cmd_solve(args) -> int:
     if args.k < 1:
         raise InputError(f"robot count must be at least 1, got {args.k}")
     spec = load_problem_file(args.problem)
-    h = _get_hypergraph(g, args.k, "fsync", args.cache)
-    fin = resolve_final_set(spec, h)
-    result = solve(h, fin)
-    entries = plan(h, fin, result)
-    for i, entry in enumerate(h.configs):
-        solvable = i in result.solvable
+    sol = solution(_get_hypergraph(g, args.k, "fsync", args.cache), spec)
+    for i, config in enumerate(sol.h.configs):
+        entry = sol.entries.get(i)
         line = {
             "index": i,
-            "lambda": list(entry.rep.lam),
-            "final": i in fin,
-            "solvable": solvable,
-            "distance": entries[i].distance if solvable else None,
+            "lambda": list(config.rep.lam),
+            "final": i in sol.final,
+            "solvable": entry is not None,
+            "distance": entry.distance if entry is not None else None,
             "move": (
-                entries[i].move.to_json_obj()
-                if solvable and entries[i].move is not None
+                entry.move.to_json_obj()
+                if entry is not None and entry.move is not None
                 else None
             ),
         }
@@ -134,10 +149,7 @@ def cmd_move(args) -> int:
     c = load_configuration_file(args.config)
     spec = load_problem_file(args.problem)
     h = _get_hypergraph(c.graph, total_robots(c), "fsync", args.cache)
-    fin = resolve_final_set(spec, h)
-    result = solve(h, fin)
-    entries = plan(h, fin, result)
-    decision = decide(h, fin, result, entries, h.index_of(c))
+    decision = solution(h, spec).decision(h.index_of(c))
     sys.stdout.write(_dump(decision.to_json_obj()))
     return EXIT_UNSOLVABLE if decision.status == UNSOLVABLE else EXIT_OK
 

@@ -15,10 +15,6 @@ from pathlib import Path
 
 from .errors import InputError
 
-# Color-per-vertex carrier used by the canonizer; robot counts double as colors.
-VertexColoring = "tuple[int, ...]"
-
-
 @dataclass(frozen=True)
 class Graph:
     """Finite undirected graph with vertices ``0..n-1``.
@@ -102,24 +98,9 @@ def total_robots(c: Configuration) -> int:
     return sum(c.lam)
 
 
-def configuration_graph(c: Configuration) -> Graph:
-    """Encode ``c`` as an uncolored graph by attaching pendant vertices.
-
-    Each vertex ``v`` receives ``lam(v) + 1`` fresh pendant neighbors, so the
-    result has ``2n + k`` vertices and ``|E| + n + k`` edges.  Occupied and
-    empty vertices stay distinguishable because every vertex gets at least one
-    pendant.  Original vertices keep their indices; pendants are appended in
-    vertex order.
-    """
-    validate_configuration(c, require_robots=False)
-    g = c.graph
-    edges = list(g.edges)
-    nxt = g.n
-    for v in range(g.n):
-        for _ in range(c.lam[v] + 1):
-            edges.append((v, nxt))
-            nxt += 1
-    return Graph(n=nxt, edges=tuple(edges))
+def is_json_int(x: object) -> bool:
+    """Whether a parsed JSON value is an integer (``true``/``false`` are not)."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _warn_unknown_fields(obj: dict, known: set[str], what: str) -> None:
@@ -145,7 +126,7 @@ def load_graph(text: str) -> Graph:
             raise InputError(f"graph document missing field {req!r}")
     _warn_unknown_fields(obj, {"name", "n", "edges"}, "graph")
     n = obj["n"]
-    if not isinstance(n, int):
+    if not is_json_int(n):
         raise InputError(f"field 'n' must be an integer, got {n!r}")
     edges = obj["edges"]
     if not isinstance(edges, list):
@@ -155,7 +136,7 @@ def load_graph(text: str) -> Graph:
         raise InputError("field 'name' must be a string")
     pairs = []
     for e in edges:
-        if not isinstance(e, list) or len(e) != 2 or not all(isinstance(x, int) for x in e):
+        if not isinstance(e, list) or len(e) != 2 or not all(is_json_int(x) for x in e):
             raise InputError(f"edge must be a pair of integers, got {e!r}")
         pairs.append((e[0], e[1]))
     return Graph(n=n, edges=tuple(pairs), name=name)
@@ -197,7 +178,7 @@ def load_configuration(text: str, base_dir: str | Path | None = None) -> Configu
     else:
         raise InputError("field 'graph' must be an object or a file path string")
     lam = obj["lambda"]
-    if not isinstance(lam, list) or not all(isinstance(x, int) for x in lam):
+    if not isinstance(lam, list) or not all(is_json_int(x) for x in lam):
         raise InputError("field 'lambda' must be a list of integers")
     c = Configuration(graph=graph, lam=tuple(lam))
     validate_configuration(c)

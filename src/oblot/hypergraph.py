@@ -16,7 +16,7 @@ from functools import cached_property
 
 from .canonical import CanonicalForm, automorphism_orbits, canonical_form
 from .errors import InputError, InternalError
-from .graphs import Configuration, Graph, load_graph
+from .graphs import Configuration, Graph, is_json_int, load_graph
 from .moves import Move, enumerate_moves, fsync_outcomes, move_from_json_obj, ssync_outcomes
 
 FORMAT_VERSION = 1
@@ -211,7 +211,7 @@ def loads(document: str) -> ConfigHypergraph:
         _require(req in obj, f"hypergraph document missing field {req!r}")
     g = load_graph(json.dumps(obj["graph"]))
     k = obj["k"]
-    _require(isinstance(k, int) and k >= 1, f"field 'k' must be a positive integer, got {k!r}")
+    _require(is_json_int(k) and k >= 1, f"field 'k' must be a positive integer, got {k!r}")
     scheduler = obj["scheduler"]
     _require(scheduler in SCHEDULERS, f"unknown scheduler {scheduler!r}")
     raw_configs = obj["configs"]
@@ -222,7 +222,7 @@ def loads(document: str) -> ConfigHypergraph:
         _require(isinstance(rc, dict) and "lambda" in rc, "config entry must carry 'lambda'")
         lam = rc["lambda"]
         _require(
-            isinstance(lam, list) and all(isinstance(x, int) for x in lam),
+            isinstance(lam, list) and all(is_json_int(x) for x in lam),
             "config 'lambda' must be a list of integers",
         )
         _require(sum(lam) == k, f"config lambda {lam} does not sum to k={k}")
@@ -241,14 +241,15 @@ def loads(document: str) -> ConfigHypergraph:
             _require(req in ra, f"hyperarc entry missing field {req!r}")
         source = ra["source"]
         _require(
-            isinstance(source, int) and 0 <= source < len(entries),
+            is_json_int(source) and 0 <= source < len(entries),
             f"hyperarc source {source!r} out of range",
         )
         delta_list = ra["delta"]
         _require(
             isinstance(delta_list, list)
-            and all(isinstance(d, int) and 0 <= d < len(entries) for d in delta_list),
-            f"hyperarc delta {delta_list!r} must list config indices",
+            and delta_list
+            and all(is_json_int(d) and 0 <= d < len(entries) for d in delta_list),
+            f"hyperarc delta {delta_list!r} must be a non-empty list of config indices",
         )
         delta = tuple(sorted(set(delta_list)))
         _require(len(delta) == len(delta_list), f"hyperarc delta {delta_list!r} has duplicates")

@@ -19,7 +19,7 @@ from functools import cached_property
 
 from .canonical import CanonicalForm, OrbitPartition, canonical_form
 from .errors import InputError, InternalError
-from .graphs import Configuration, Graph
+from .graphs import Configuration, Graph, is_json_int
 
 # Sort key for a target: nil precedes every orbit rank.
 _NIL_KEY = -1
@@ -69,24 +69,10 @@ def move_from_json_obj(obj: object) -> Move:
         if not isinstance(item, list) or len(item) != 2:
             raise InputError(f"move assignment must be a pair, got {item!r}")
         s, t = item
-        if not isinstance(s, int) or not (t is None or isinstance(t, int)):
+        if not is_json_int(s) or not (t is None or is_json_int(t)):
             raise InputError(f"move assignment must be [int, int|null], got {item!r}")
         pairs.append((s, t))
     return Move(assignments=tuple(pairs))
-
-
-def compare_moves(m1: Move, m2: Move) -> int:
-    """Lexicographic order on assignment sequences, nil below every rank.
-
-    Returns -1, 0 or 1.  Only moves over the same occupied-orbit sequence are
-    comparable.
-    """
-    if m1.sources != m2.sources:
-        raise InputError(
-            f"incomparable moves: occupied orbits {m1.sources} vs {m2.sources}"
-        )
-    k1, k2 = m1.sort_key(), m2.sort_key()
-    return (k1 > k2) - (k1 < k2)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .canonical import canonical_form
 from .errors import InputError
-from .graphs import Configuration, total_robots
+from .graphs import Configuration, is_json_int, total_robots
 from .hypergraph import ConfigHypergraph
 
 KINDS = ("gathering", "pattern", "explicit", "geodesic_mutual_visibility")
@@ -140,7 +140,7 @@ def load_problem(text: str) -> ProblemSpec:
     Accepted forms: ``{"type":"gathering"}``,
     ``{"type":"pattern","targets":[[...], ...]}``,
     ``{"type":"explicit","final":[[...], ...]}``,
-    ``{"type":"geodesic-mutual-visibility"}``.
+    ``{"type":"geodesic_mutual_visibility"}`` (also spelled with hyphens).
     """
     try:
         obj = json.loads(text)
@@ -151,7 +151,7 @@ def load_problem(text: str) -> ProblemSpec:
     kind_field = obj["type"]
     if kind_field == "gathering":
         return ProblemSpec(kind="gathering")
-    if kind_field == "geodesic-mutual-visibility":
+    if kind_field in ("geodesic-mutual-visibility", "geodesic_mutual_visibility"):
         return ProblemSpec(kind="geodesic_mutual_visibility")
     if kind_field in ("pattern", "explicit"):
         field = "targets" if kind_field == "pattern" else "final"
@@ -159,7 +159,7 @@ def load_problem(text: str) -> ProblemSpec:
             raise InputError(f"{kind_field} problem requires field {field!r}")
         raw = obj[field]
         ok = isinstance(raw, list) and all(
-            isinstance(t, list) and all(isinstance(x, int) for x in t) for t in raw
+            isinstance(t, list) and all(is_json_int(x) for x in t) for t in raw
         )
         if not ok:
             raise InputError(f"field {field!r} must be a list of integer lists")

@@ -12,25 +12,15 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .canonical import automorphism_orbits, canonical_form
 from .errors import BudgetExceededError, InputError
 from .graphs import Configuration, total_robots, validate_configuration
 from .hypergraph import ConfigHypergraph, build
-from .moves import fsync_outcomes, raw_fsync_outcomes
-from .problems import ProblemSpec, resolve_final_set
-from .solver import (
-    FINAL,
-    STEP,
-    UNSOLVABLE,
-    MoveDecision,
-    PlanEntry,
-    SolvabilityResult,
-    decide,
-    plan,
-    solve,
-)
+from .moves import raw_fsync_outcomes
+from .problems import ProblemSpec
+from .solver import FINAL, STEP, UNSOLVABLE, MoveDecision, Solution, solution
 
 REACHED_FINAL = "reached_final"
 MAX_ROUNDS_EXCEEDED = "max_rounds_exceeded"
@@ -98,32 +88,12 @@ class ExecutionTrace:
         return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-@dataclass(frozen=True)
-class _SolverState:
-    """Hypergraph and solver tables computed once per execution."""
-
-    h: ConfigHypergraph
-    final: frozenset[int]
-    result: SolvabilityResult
-    entries: dict[int, PlanEntry] = field(compare=False)
-
-    def index_of(self, lam: tuple[int, ...]) -> int:
-        return self.h.index[canonical_form(self.h.graph, lam).encoding]
-
-    def remaining_distance(self, lam: tuple[int, ...]) -> int:
-        return self.entries[self.index_of(lam)].distance
-
-
-def _solver_state(c0: Configuration, spec: ProblemSpec) -> _SolverState:
-    h = build(c0.graph, total_robots(c0), "fsync")
-    fin = resolve_final_set(spec, h)
-    result = solve(h, fin)
-    entries = plan(h, fin, result)
-    return _SolverState(h=h, final=fin, result=result, entries=entries)
+def _class_index(h: ConfigHypergraph, lam: tuple[int, ...]) -> int:
+    return h.index[canonical_form(h.graph, lam).encoding]
 
 
 def _pick_outcome(
-    state: _SolverState,
+    sol: Solution,
     outcomes: tuple[tuple[int, ...], ...],
     adversary: AdversaryStrategy,
     rng: random.Random | None,
@@ -137,8 +107,8 @@ def _pick_outcome(
     # canonical encoding, then the smallest raw placement, so runs replay
     # byte-identically.
     def key(lam: tuple[int, ...]) -> tuple[int, bytes, tuple[int, ...]]:
-        enc = canonical_form(state.h.graph, lam).encoding
-        return (-state.remaining_distance(lam), enc, lam)
+        idx = _class_index(sol.h, lam)
+        return (-sol.entries[idx].distance, sol.h.configs[idx].form.encoding, lam)
 
     return min(outcomes, key=key)
 
@@ -159,20 +129,19 @@ def run_fsync(
     so an overrun always signals a planner defect rather than a slow run.
     """
     validate_configuration(c0)
-    state = _solver_state(c0, spec)
+    sol = solution(build(c0.graph, total_robots(c0), "fsync"), spec)
     rng = random.Random(adversary.seed) if adversary.kind == "random" else None
-    idx0 = state.index_of(c0.lam)
+    idx0 = _class_index(sol.h, c0.lam)
     if max_rounds is None:
-        solvable0 = idx0 in state.result.solvable
-        max_rounds = state.entries[idx0].distance + 1 if solvable0 else 1
+        solvable0 = idx0 in sol.result.solvable
+        max_rounds = sol.entries[idx0].distance + 1 if solvable0 else 1
     if max_rounds < 1:
         raise InputError(f"max_rounds must be positive, got {max_rounds}")
     records: list[RoundRecord] = []
     cur = c0.lam
     t = 0
     while True:
-        idx = state.index_of(cur)
-        decision = decide(state.h, state.final, state.result, state.entries, idx)
+        decision = sol.decision(_class_index(sol.h, cur))
         if decision.status == FINAL:
             records.append(RoundRecord(round=t, lam=cur, decision=decision, outcome_lam=cur))
             return ExecutionTrace(status=REACHED_FINAL, rounds=tuple(records))
@@ -182,10 +151,10 @@ def run_fsync(
         if t >= max_rounds:
             return ExecutionTrace(status=MAX_ROUNDS_EXCEEDED, rounds=tuple(records))
         assert decision.status == STEP and decision.move is not None
-        conf = Configuration(graph=state.h.graph, lam=cur)
+        conf = Configuration(graph=sol.h.graph, lam=cur)
         p = automorphism_orbits(conf)
         outcomes = raw_fsync_outcomes(conf, p, decision.move)
-        chosen = _pick_outcome(state, outcomes, adversary, rng)
+        chosen = _pick_outcome(sol, outcomes, adversary, rng)
         records.append(RoundRecord(round=t, lam=cur, decision=decision, outcome_lam=chosen))
         cur = chosen
         t += 1
@@ -206,20 +175,21 @@ def enumerate_adversary_plays(
 ) -> PlaySummary:
     """Exhaust every adversary resolution under optimal robot play.
 
-    Decision and outcomes depend only on the class, so the recursion memoizes
-    per class; planned moves strictly decrease the distance, which bounds the
+    Decision and outcomes depend only on the class (the outcome classes of
+    the planned move are the plan entry's Δ), so the recursion memoizes per
+    class; planned moves strictly decrease the distance, which bounds the
     depth.  ``bound``, when given, must be at least the plan distance of the
     start; ``node_cap`` aborts pathologically large explorations loudly
     instead of truncating them.
     """
     validate_configuration(c0)
-    state = _solver_state(c0, spec)
-    idx0 = state.index_of(c0.lam)
-    if idx0 not in state.result.solvable:
+    sol = solution(build(c0.graph, total_robots(c0), "fsync"), spec)
+    idx0 = _class_index(sol.h, c0.lam)
+    if idx0 not in sol.result.solvable:
         raise InputError("start configuration is unsolvable; nothing to enumerate")
-    if bound is not None and bound < state.entries[idx0].distance:
+    if bound is not None and bound < sol.entries[idx0].distance:
         raise InputError(
-            f"bound {bound} is below the plan distance {state.entries[idx0].distance}"
+            f"bound {bound} is below the plan distance {sol.entries[idx0].distance}"
         )
     memo: dict[int, PlaySummary] = {}
     visited = 0
@@ -233,19 +203,11 @@ def enumerate_adversary_plays(
             raise BudgetExceededError(
                 f"adversary-play enumeration exceeded the node cap of {node_cap}"
             )
-        if idx in state.final:
+        if idx in sol.final:
             summary = PlaySummary(0, 0, True)
             memo[idx] = summary
             return summary
-        entry = state.entries[idx]
-        assert entry.move is not None
-        rep = state.h.configs[idx].rep
-        p = automorphism_orbits(rep)
-        children = sorted(
-            state.h.index[enc]
-            for enc in fsync_outcomes(rep, p, entry.move).encodings
-        )
-        subs = [explore(ch) for ch in children]
+        subs = [explore(ch) for ch in sol.entries[idx].delta]
         summary = PlaySummary(
             max_rounds_used=1 + max(s.max_rounds_used for s in subs),
             min_rounds_used=1 + min(s.min_rounds_used for s in subs),

@@ -1,27 +1,30 @@
-"""Solvability fixed point, worst-case-optimal planning, round dispatch.
+"""Backward attractor: solvability, worst-case-optimal plan, round dispatch.
 
 A configuration class is solvable when some move guarantees progress toward F
-no matter how the adversary resolves it: the least fixed point containing F
-and closed under "some hyperarc's Δ lies inside the set".  The plan assigns
-each solvable class its worst-case-optimal distance and the move realizing
-it.
+no matter how the adversary resolves it: the least set containing F and
+closed under "some hyperarc's Δ lies inside the set", i.e. the robots'
+attractor of F in the reachability game on the hypergraph (Grädel, Thomas &
+Wilke, *Automata, Logics, and Infinite Games*, 2002).
 
-Distances are computed bottom-up by level rather than by recursion: level 0
-is F, and a class enters level r when some hyperarc has every Δ member
-already assigned with maximum distance r-1.  At the round a class is first
-assignable, every newly eligible hyperarc attains the same (minimal) worst
-case, so the move tie-break reduces to the minimum move among those
-hyperarcs' per-arc minimal moves.
+One pass computes it together with the plan.  Every hyperarc counts its Δ
+members that have no distance yet, and a reverse index lists the hyperarcs
+whose Δ contains each class.  Classes receive distances level by level,
+starting with F at level 0: assigning the classes of level r decrements the
+counters of their incoming hyperarcs, and an arc whose counter reaches zero
+makes its source eligible at level r + 1 unless the source already has a
+distance.  Such an arc's worst case is exactly r + 1, the least any arc of an
+unassigned source can achieve, so the worst-case-optimal choice reduces to
+the move tie-break: the source takes the minimal representative move among
+the arcs completed for it at that level.  Each Δ membership is visited once,
+so the pass runs in O(|hyperarcs| + Σ|Δ|).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .canonical import canonical_form
 from .errors import InputError, InternalError
-from .graphs import Configuration, total_robots, validate_configuration
-from .hypergraph import ConfigHypergraph, build
+from .hypergraph import ConfigHypergraph, Hyperarc
 from .moves import Move
 from .problems import ProblemSpec, resolve_final_set
 
@@ -31,20 +34,26 @@ STEP = "step"
 
 
 @dataclass(frozen=True)
-class SolvabilityResult:
-    solvable: frozenset[int]
-    final: frozenset[int]
-
-
-@dataclass(frozen=True)
 class PlanEntry:
-    """Worst-case distance to F and the first move to perform.
+    """Worst-case distance to F, the first move to perform, and its Δ.
 
-    ``move`` is None exactly for final classes (the nil move, distance 0).
+    ``move`` is None and ``delta`` empty exactly for final classes (the nil
+    move, distance 0); otherwise ``delta`` is the outcome set of the chosen
+    hyperarc, the classes the adversary can answer ``move`` with.
     """
 
     distance: int
     move: Move | None
+    delta: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class SolvabilityResult:
+    """The attractor of ``final``; ``plan`` holds every solvable class's entry."""
+
+    solvable: frozenset[int]
+    final: frozenset[int]
+    plan: dict[int, PlanEntry] = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -73,84 +82,51 @@ def _check_final_indices(h: ConfigHypergraph, final) -> frozenset[int]:
 
 
 def solve(h: ConfigHypergraph, final) -> SolvabilityResult:
-    """Least fixed point of solvability over the hypergraph.
-
-    Start from F; add a class whenever one of its hyperarcs has its whole Δ
-    inside the current set.  Classes are never removed, so the loop stabilizes
-    within one pass per added class.
-    """
-    fin = _check_final_indices(h, final)
-    solvable = set(fin)
-    changed = True
-    while changed:
-        changed = False
-        for arc in h.hyperarcs:
-            if arc.source not in solvable and all(d in solvable for d in arc.delta):
-                solvable.add(arc.source)
-                changed = True
-    return SolvabilityResult(solvable=frozenset(solvable), final=fin)
-
-
-def plan(h: ConfigHypergraph, final, solvability: SolvabilityResult) -> dict[int, PlanEntry]:
-    """Distance and first move for every solvable class.
+    """Solvable classes, distances and moves from one backward-attractor pass.
 
     Tie-break, fully specified so that all robots agree: within a hyperarc
     the minimal move under the lexicographic move order represents the arc;
     across hyperarcs the minimal (worst-case distance, move) pair wins.
     """
     fin = _check_final_indices(h, final)
+    unassigned = [len(arc.delta) for arc in h.hyperarcs]
+    arcs_into: list[list[int]] = [[] for _ in h.configs]
+    for j, arc in enumerate(h.hyperarcs):
+        for d in arc.delta:
+            arcs_into[d].append(j)
+    entries = {i: PlanEntry(distance=0, move=None, delta=()) for i in sorted(fin)}
+    frontier = list(entries)
+    level = 0
+    while frontier:
+        level += 1
+        chosen: dict[int, Hyperarc] = {}
+        for c in frontier:
+            for j in arcs_into[c]:
+                unassigned[j] -= 1
+                if unassigned[j]:
+                    continue
+                arc = h.hyperarcs[j]
+                if arc.source in entries:
+                    continue
+                best = chosen.get(arc.source)
+                if best is None or arc.moves[0].sort_key() < best.moves[0].sort_key():
+                    chosen[arc.source] = arc
+        for s, arc in chosen.items():
+            entries[s] = PlanEntry(distance=level, move=arc.moves[0], delta=arc.delta)
+        frontier = list(chosen)
+    return SolvabilityResult(solvable=frozenset(entries), final=fin, plan=entries)
+
+
+def plan(h: ConfigHypergraph, final, solvability: SolvabilityResult) -> dict[int, PlanEntry]:
+    """Distance, first move and Δ for every solvable class.
+
+    The table was computed by :func:`solve`; this checks that it belongs to
+    ``final`` and returns it (shared, not copied).
+    """
+    fin = _check_final_indices(h, final)
     if fin != solvability.final:
         raise InputError("solvability result was computed for a different final set")
-    solvable = solvability.solvable
-    entries: dict[int, PlanEntry] = {i: PlanEntry(distance=0, move=None) for i in fin}
-    pending = set(solvable) - set(fin)
-    level = 0
-    while pending:
-        level += 1
-        added: dict[int, PlanEntry] = {}
-        for c in sorted(pending):
-            best: tuple[int, tuple, Move] | None = None
-            for arc in h.arcs_by_source.get(c, ()):
-                if not all(d in solvable for d in arc.delta):
-                    continue
-                if not all(d in entries for d in arc.delta):
-                    continue
-                worst = 1 + max(entries[d].distance for d in arc.delta)
-                move = arc.moves[0]
-                key = (worst, move.sort_key(), move)
-                if best is None or key[:2] < best[:2]:
-                    best = key
-            if best is None:
-                continue
-            distance, _, move = best
-            if distance != level:
-                raise InternalError(
-                    f"level computation out of order: class {c} assignable at "
-                    f"distance {distance} but first reached at level {level}"
-                )
-            added[c] = PlanEntry(distance=distance, move=move)
-        if not added:
-            raise InternalError(
-                f"plan cannot reach classes {sorted(pending)} marked solvable"
-            )
-        entries.update(added)
-        pending -= set(added)
-    return entries
-
-
-def move_to(c: Configuration, spec: ProblemSpec) -> MoveDecision:
-    """Round dispatch: what the robots seeing configuration ``c`` should do.
-
-    Builds the hypergraph for (G, k), resolves F, and answers final,
-    unsolvable (stay put forever), or the planned step.  Pure function of the
-    configuration's class and the problem.
-    """
-    validate_configuration(c)
-    h = build(c.graph, total_robots(c), "fsync")
-    fin = resolve_final_set(spec, h)
-    result = solve(h, fin)
-    idx = h.index[canonical_form(c.graph, c.lam).encoding]
-    return decide(h, fin, result, plan(h, fin, result), idx)
+    return solvability.plan
 
 
 def decide(
@@ -169,3 +145,24 @@ def decide(
     if entry.move is None or entry.distance < 1:
         raise InternalError(f"non-final solvable class {idx} has no planned move")
     return MoveDecision(status=STEP, move=entry.move, distance=entry.distance)
+
+
+@dataclass(frozen=True)
+class Solution:
+    """A hypergraph solved for one problem: final set, attractor and plan."""
+
+    h: ConfigHypergraph
+    final: frozenset[int]
+    result: SolvabilityResult
+    entries: dict[int, PlanEntry] = field(compare=False)
+
+    def decision(self, idx: int) -> MoveDecision:
+        """What the robots seeing a configuration of class ``idx`` should do."""
+        return decide(self.h, self.final, self.result, self.entries, idx)
+
+
+def solution(h: ConfigHypergraph, spec: ProblemSpec) -> Solution:
+    """Resolve the problem's final set on ``h``, solve it and plan it."""
+    fin = resolve_final_set(spec, h)
+    result = solve(h, fin)
+    return Solution(h=h, final=fin, result=result, entries=plan(h, fin, result))

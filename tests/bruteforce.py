@@ -14,7 +14,7 @@ import math
 from collections import deque
 from functools import lru_cache
 
-from oblot.graphs import Configuration, Graph
+from oblot.graphs import Configuration, Graph, validate_configuration
 
 
 def _edge_set(edges) -> frozenset[tuple[int, int]]:
@@ -71,6 +71,26 @@ def brute_orbits(g: Graph, colors: tuple[int, ...]) -> set[frozenset[int]]:
     for v in range(g.n):
         groups.setdefault(find(v), set()).add(v)
     return {frozenset(s) for s in groups.values()}
+
+
+def configuration_graph(c: Configuration) -> Graph:
+    """Encode ``c`` as an uncolored graph by attaching pendant vertices.
+
+    Each vertex ``v`` receives ``lam(v) + 1`` fresh pendant neighbors, so the
+    result has ``2n + k`` vertices and ``|E| + n + k`` edges.  Occupied and
+    empty vertices stay distinguishable because every vertex gets at least one
+    pendant.  Original vertices keep their indices; pendants are appended in
+    vertex order.
+    """
+    validate_configuration(c, require_robots=False)
+    g = c.graph
+    edges = list(g.edges)
+    nxt = g.n
+    for v in range(g.n):
+        for _ in range(c.lam[v] + 1):
+            edges.append((v, nxt))
+            nxt += 1
+    return Graph(n=nxt, edges=tuple(edges))
 
 
 def config_isomorphic(c1: Configuration, c2: Configuration) -> bool:
@@ -262,7 +282,7 @@ def game_solve(g: Graph, k: int, is_final) -> tuple[set[tuple[int, ...]], dict[t
 
 # ---------------------------------------------------------------------------
 # Literal recursive planner with a visited set, memoized on (class, visited).
-# The production planner is the bottom-up level computation; this transcription
+# The production planner is the backward-attractor pass; this transcription
 # is its equivalence oracle.  Memoization is sound because the function is pure
 # in both arguments.
 

@@ -18,7 +18,7 @@ from oblot.canonical import (
     canonical_form,
     occupied_orbits,
 )
-from oblot.graphs import Configuration, Graph, configuration_graph
+from oblot.graphs import Configuration, Graph
 from oblot.hypergraph import build, export
 from oblot.moves import Move, enumerate_moves, fsync_outcomes, ssync_outcomes
 from oblot.problems import ProblemSpec, resolve_final_set
@@ -32,6 +32,7 @@ from oblot.solver import plan, solve
 from bruteforce import (
     all_placements,
     color_isomorphic,
+    configuration_graph,
     connected_graph_corpus,
     game_solve,
     random_graph,

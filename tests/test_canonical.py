@@ -47,7 +47,7 @@ def test_defining_property_small_corpus():
 def test_pendant_encoding_is_equivalent_oracle():
     # canonizing the colored graph directly and canonizing the uncolored
     # pendant expansion must induce the same partition into classes
-    from oblot.graphs import configuration_graph
+    from bruteforce import configuration_graph
 
     direct: dict[bytes, set[int]] = {}
     pendant: dict[bytes, set[int]] = {}

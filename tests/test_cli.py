@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -211,6 +212,50 @@ def test_cache_round_trip(files, tmp_path):
     assert r3.returncode == 0
     assert r3.stdout == "configs=5 hyperarcs=9\n"
     assert cached[0].read_text() == first
+
+
+def test_cache_key_ignores_graph_name(files, tmp_path):
+    cache = tmp_path / "cache"
+    k23 = json.loads(Path(files["k23"]).read_text())
+    outs = []
+    for name in ("first", "second"):
+        graph = tmp_path / f"{name}.json"
+        graph.write_text(json.dumps({**k23, "name": name}))
+        out = tmp_path / f"{name}.hg.json"
+        r = run_cli(
+            "build", "--graph", str(graph), "-k", "2",
+            "--out", str(out), "--cache", str(cache),
+        )
+        assert r.returncode == 0
+        outs.append(json.loads(out.read_text()))
+    assert len(list(cache.iterdir())) == 1
+    # a hit answers with the requested graph, decorative name included
+    assert [o["graph"]["name"] for o in outs] == ["first", "second"]
+
+
+def test_cache_rebuilds_over_export_of_another_graph(files, tmp_path):
+    cache = tmp_path / "cache"
+    out = tmp_path / "h.json"
+    build_k23 = (
+        "build", "--graph", files["k23"], "-k", "2",
+        "--out", str(out), "--cache", str(cache),
+    )
+    assert run_cli(*build_k23).returncode == 0
+    (entry,) = cache.iterdir()
+    genuine = entry.read_text()
+
+    # plant a valid export of a different (graph, k) under K23's key
+    p3 = tmp_path / "p3.json"
+    p3.write_text(json.dumps({"n": 3, "edges": [[0, 1], [1, 2]]}))
+    other = tmp_path / "p3.hg.json"
+    assert run_cli("build", "--graph", str(p3), "-k", "2", "--out", str(other)).returncode == 0
+    entry.write_text(other.read_text())
+
+    r = run_cli(*build_k23)
+    assert r.returncode == 0
+    assert r.stdout == "configs=5 hyperarcs=9\n"
+    assert entry.read_text() == genuine
+    assert sorted(p.name for p in cache.iterdir()) == [entry.name]
 
 
 def test_cache_env_var(files, tmp_path):

@@ -8,12 +8,13 @@ from oblot.errors import InputError
 from oblot.graphs import (
     Configuration,
     Graph,
-    configuration_graph,
     load_configuration,
     load_graph,
     total_robots,
     validate_configuration,
 )
+
+from bruteforce import configuration_graph
 
 
 def test_edges_normalized_regardless_of_input_order():

@@ -5,7 +5,7 @@ import pytest
 
 from oblot.canonical import automorphism_orbits, canonical_form
 from oblot.errors import InputError
-from oblot.graphs import Configuration, Graph
+from oblot.graphs import Configuration, Graph, load_configuration, load_graph
 from oblot.hypergraph import (
     build,
     enumerate_configurations,
@@ -14,7 +14,8 @@ from oblot.hypergraph import (
     to_dot,
     to_json_obj,
 )
-from oblot.moves import enumerate_moves, fsync_outcomes
+from oblot.moves import enumerate_moves, fsync_outcomes, move_from_json_obj
+from oblot.problems import load_problem
 
 from bruteforce import all_placements, config_isomorphic, connected_graph_corpus
 
@@ -202,6 +203,58 @@ def test_loads_rejects_bad_documents(k23_h):
         loads(_tampered(k23_h, lambda o: o["hyperarcs"][0].update(source=99)))
     with pytest.raises(InputError, match="must be non-empty"):
         loads(_tampered(k23_h, lambda o: o["hyperarcs"][0].update(moves=[])))
+    with pytest.raises(InputError, match="non-empty list of config indices"):
+        loads(_tampered(k23_h, lambda o: o["hyperarcs"][0].update(delta=[])))
+
+
+def _p3_one_robot(mutate):
+    """The export of P3 with one robot (two classes), altered by ``mutate``."""
+    obj = to_json_obj(build(Graph(n=3, edges=((0, 1), (1, 2))), 1))
+    mutate(obj)
+    return json.dumps(obj)
+
+
+def _true_for_one(values):
+    return [True if x == 1 else x for x in values]
+
+
+def _load_move(text):
+    return move_from_json_obj(json.loads(text))
+
+
+def _set_source_true(obj):
+    next(a for a in obj["hyperarcs"] if a["source"] == 1)["source"] = True
+
+
+def _set_delta_true(obj):
+    arc = next(a for a in obj["hyperarcs"] if 1 in a["delta"])
+    arc["delta"] = _true_for_one(arc["delta"])
+
+
+@pytest.mark.parametrize(
+    "load, text",
+    [
+        (load_graph, '{"n": true, "edges": []}'),
+        (load_graph, '{"n": 2, "edges": [[0, true]]}'),
+        (load_configuration, '{"graph": {"n": 2, "edges": [[0, 1]]}, "lambda": [true, 1]}'),
+        (load_problem, '{"type": "pattern", "targets": [[true, 1]]}'),
+        (load_problem, '{"type": "explicit", "final": [[true, 1]]}'),
+        (_load_move, "[[true, null]]"),
+        (_load_move, "[[0, true]]"),
+        (loads, _p3_one_robot(lambda o: o.update(k=True))),
+        (loads, _p3_one_robot(lambda o: o["configs"][0].update(
+            {"lambda": _true_for_one(o["configs"][0]["lambda"])}))),
+        (loads, _p3_one_robot(_set_source_true)),
+        (loads, _p3_one_robot(_set_delta_true)),
+    ],
+    ids=["graph-n", "graph-edge", "config-lambda", "pattern-targets", "explicit-final",
+         "move-source", "move-target", "hypergraph-k", "hypergraph-lambda",
+         "hypergraph-source", "hypergraph-delta"],
+)
+def test_loaders_reject_json_booleans(load, text):
+    # JSON true/false are Python ints; every integer field must refuse them
+    with pytest.raises(InputError):
+        load(text)
 
 
 def test_arc_sources_cover_only_movable_classes():

@@ -7,7 +7,6 @@ from oblot.errors import InputError, InternalError
 from oblot.graphs import Configuration, Graph
 from oblot.moves import (
     Move,
-    compare_moves,
     enumerate_moves,
     fsync_outcomes,
     move_from_json_obj,
@@ -100,9 +99,9 @@ def test_fsync_subset_of_ssync():
 def test_compare_moves_nil_below_rank():
     a = Move(assignments=((1, None), (2, 1)))
     b = Move(assignments=((1, 2), (2, 1)))
-    assert compare_moves(a, b) == -1
-    assert compare_moves(b, a) == 1
-    assert compare_moves(a, a) == 0
+    assert a.sort_key() < b.sort_key()
+    assert sorted([b, a], key=Move.sort_key) == [a, b]
+    assert Move(assignments=a.assignments).sort_key() == a.sort_key()
 
 
 def test_compare_moves_swap_is_least_without_nil():
@@ -114,13 +113,6 @@ def test_compare_moves_swap_is_least_without_nil():
     ]
     least = min(both_move, key=Move.sort_key)
     assert least == Move(assignments=((1, 2), (2, 1)))
-
-
-def test_compare_moves_incomparable():
-    a = Move(assignments=((1, None),))
-    b = Move(assignments=((2, None),))
-    with pytest.raises(InputError, match="incomparable"):
-        compare_moves(a, b)
 
 
 def test_move_json_round_trip():

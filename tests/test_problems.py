@@ -148,7 +148,8 @@ def test_resolve_final_set_k23_gathering(k23):
 
 def test_load_problem_forms():
     assert load_problem('{"type": "gathering"}') == GATHER
-    assert load_problem('{"type": "geodesic-mutual-visibility"}') == GMV
+    for gmv_type in ("geodesic-mutual-visibility", "geodesic_mutual_visibility"):
+        assert load_problem(f'{{"type": "{gmv_type}"}}') == GMV
     pat = load_problem('{"type": "pattern", "targets": [[1, 0, 1]]}')
     assert pat == ProblemSpec(kind="pattern", targets=((1, 0, 1),))
     exp = load_problem('{"type": "explicit", "final": [[2, 0], [1, 1]]}')

@@ -1,14 +1,15 @@
+import itertools
 import math
 import random
 
 import pytest
 
 from oblot.errors import InputError
-from oblot.graphs import Configuration, Graph
+from oblot.graphs import Configuration, Graph, total_robots
 from oblot.hypergraph import build
 from oblot.moves import Move
 from oblot.problems import ProblemSpec, resolve_final_set
-from oblot.solver import MoveDecision, decide, move_to, plan, solve
+from oblot.solver import MoveDecision, decide, plan, solution, solve
 
 from bruteforce import (
     all_placements,
@@ -20,6 +21,7 @@ from bruteforce import (
 )
 
 GATHER = ProblemSpec(kind="gathering")
+GMV = ProblemSpec(kind="geodesic_mutual_visibility")
 
 
 def _gather_setup(g, k):
@@ -55,7 +57,7 @@ def test_k23_gathering_plan(k23):
     mult3 = h.index_of(Configuration(k23, (0, 0, 2, 0, 0)))
     arcs = {a.moves: a.delta for a in h.arcs_by_source[mixed]}
     chosen = next(d for ms, d in arcs.items() if e.move in ms)
-    assert chosen == (mult3,)
+    assert chosen == (mult3,) == e.delta
 
 
 def test_all_final_means_all_distance_zero(k23):
@@ -177,13 +179,23 @@ def test_matches_recursive_transcription_k23(k23):
 
 
 def test_matches_recursive_transcription_corpus():
-    for g in connected_graph_corpus(4):
-        for k in (1, 2):
-            h, fin, result = _gather_setup(g, k)
-            entries = plan(h, fin, result)
-            for i in sorted(result.solvable):
-                d, m = mtf_recursive(h, fin, result.solvable, i)
-                assert (d, m) == (entries[i].distance, entries[i].move)
+    cases = itertools.product(
+        ("fsync", "ssync"), (GATHER, GMV), connected_graph_corpus(4), (1, 2)
+    )
+    for scheduler, spec, g, k in cases:
+        h = build(g, k, scheduler)
+        fin = resolve_final_set(spec, h)
+        result = solve(h, fin)
+        entries = plan(h, fin, result)
+        for i in range(len(h.configs)):
+            d, m = mtf_recursive(h, fin, result.solvable, i)
+            if i not in result.solvable:
+                assert d == math.inf
+                continue
+            assert (d, m) == (entries[i].distance, entries[i].move)
+            # the planned Δ is the outcome set of the arc carrying the move
+            arcs = [a for a in h.arcs_by_source.get(i, ()) if m in a.moves]
+            assert entries[i].delta == (arcs[0].delta if arcs else ())
 
 
 def test_plan_deterministic(k23):
@@ -203,16 +215,21 @@ def test_final_indices_validated(k23):
         solve(h, {99})
 
 
+def _decision(c, spec):
+    sol = solution(build(c.graph, total_robots(c), "fsync"), spec)
+    return sol.decision(sol.h.index_of(c))
+
+
 def test_move_to_statuses(k23, c4_cycle):
-    final = move_to(Configuration(k23, (0, 2, 0, 0, 0)), GATHER)
+    final = _decision(Configuration(k23, (0, 2, 0, 0, 0)), GATHER)
     assert final == MoveDecision(status="final")
     assert final.to_json_obj() == {"status": "final"}
 
-    stuck = move_to(Configuration(c4_cycle, (1, 0, 1, 0)), GATHER)
+    stuck = _decision(Configuration(c4_cycle, (1, 0, 1, 0)), GATHER)
     assert stuck == MoveDecision(status="unsolvable")
     assert stuck.to_json_obj() == {"status": "unsolvable"}
 
-    step = move_to(Configuration(k23, (0, 1, 1, 0, 0)), GATHER)
+    step = _decision(Configuration(k23, (0, 1, 1, 0, 0)), GATHER)
     assert step.status == "step"
     assert step.distance == 1
     assert step.to_json_obj() == {

@@ -3,7 +3,9 @@
 Subcommands: canon, orbits, build, solve, move, simulate.  All JSON output is
 emitted with sorted keys and compact separators, one trailing newline, so
 identical inputs give byte-identical outputs.  Exit codes: 0 success, 2 input
-error, 3 unsolvable, 4 round budget exceeded.
+error, 3 unsolvable, 4 round budget exceeded, 5 internal error (a violated
+invariant of the engine), 6 a computation budget exceeded.  Errors print one
+``error: ...`` line on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .canonical import automorphism_orbits, canonical_form, occupied_orbits
-from .errors import InputError
+from .errors import BudgetExceededError, InputError, InternalError
 from .graphs import Configuration, Graph, load_configuration_file, load_graph_file, total_robots
 from .hypergraph import FORMAT_VERSION, ConfigHypergraph, build, export, loads
 from .problems import load_problem_file
@@ -29,6 +31,8 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_UNSOLVABLE = 3
 EXIT_MAX_ROUNDS = 4
+EXIT_INTERNAL = 5
+EXIT_BUDGET = 6
 
 
 def _dump(obj) -> str:
@@ -228,12 +232,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as e:
+    except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except OSError as e:
+    except InternalError as e:
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_INTERNAL
+    except BudgetExceededError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 def entry() -> None:

@@ -6,18 +6,26 @@ reachable from C; the hyperarc carries every move whose outcome set is
 exactly Δ.  Building is deterministic: configurations are sorted by canonical
 encoding, hyperarcs by (source index, Δ index tuple), moves in lexicographic
 move order.
+
+Building canonizes every one of the C(n+k-1, k) placements exactly once and
+keeps the result as the class table ``class_of``, a map from placement λ to
+class index.  Every later class question is a lookup in that table: the Δ of
+a move is the set of table entries of its raw outcome placements, and
+``index_of`` reads the table before it falls back to the canonizer.  A
+hypergraph rebuilt by ``loads`` knows only its representatives' placements,
+so only there does ``index_of`` canonize.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .canonical import CanonicalForm, automorphism_orbits, canonical_form
 from .errors import InputError, InternalError
 from .graphs import Configuration, Graph, is_json_int, load_graph
-from .moves import Move, enumerate_moves, fsync_outcomes, move_from_json_obj, ssync_outcomes
+from .moves import Move, _raw_outcomes, enumerate_moves, move_from_json_obj
 
 FORMAT_VERSION = 1
 
@@ -52,32 +60,34 @@ class ConfigHypergraph:
     scheduler: str
     configs: tuple[ConfigEntry, ...]
     hyperarcs: tuple[Hyperarc, ...]
+    # Placement λ -> class index.  ``build`` lists every placement, ``loads``
+    # only the representatives.
+    class_of: dict[tuple[int, ...], int] = field(compare=False, repr=False)
 
     @cached_property
     def index(self) -> dict[bytes, int]:
         return {entry.form.encoding: i for i, entry in enumerate(self.configs)}
 
     def index_of(self, c: Configuration) -> int:
-        if len(c.lam) != self.graph.n:
-            raise InputError(
-                "configuration does not belong to this hypergraph "
-                f"(n={self.graph.n}, k={self.k})"
-            )
-        enc = canonical_form(self.graph, c.lam).encoding
+        """Class index of ``c``, which must be a k-robot placement on this graph."""
+        if c.graph is not self.graph and c.graph != self.graph:
+            raise self._foreign()
+        lam = c.lam
+        idx = self.class_of.get(lam)
+        if idx is not None:
+            return idx
+        if len(lam) != self.graph.n or sum(lam) != self.k or any(x < 0 for x in lam):
+            raise self._foreign()
         try:
-            return self.index[enc]
+            return self.index[canonical_form(self.graph, lam).encoding]
         except KeyError:
-            raise InputError(
-                "configuration does not belong to this hypergraph "
-                f"(n={self.graph.n}, k={self.k})"
-            ) from None
+            raise self._foreign() from None
 
-    @cached_property
-    def arcs_by_source(self) -> dict[int, tuple[Hyperarc, ...]]:
-        out: dict[int, list[Hyperarc]] = {}
-        for arc in self.hyperarcs:
-            out.setdefault(arc.source, []).append(arc)
-        return {s: tuple(arcs) for s, arcs in out.items()}
+    def _foreign(self) -> InputError:
+        return InputError(
+            "configuration does not belong to this hypergraph "
+            f"(n={self.graph.n}, k={self.k})"
+        )
 
 
 def _weak_compositions(total: int, parts: int):
@@ -94,45 +104,52 @@ def _weak_compositions(total: int, parts: int):
             yield (head, *rest)
 
 
-def enumerate_configurations(g: Graph, k: int) -> tuple[ConfigEntry, ...]:
-    """One entry per isomorphism class of k-robot placements on g.
+def enumerate_configurations(
+    g: Graph, k: int
+) -> tuple[tuple[ConfigEntry, ...], dict[tuple[int, ...], int]]:
+    """One entry per isomorphism class of k-robot placements on g, plus the
+    class table mapping every placement to its entry's index.
 
     All C(n+k-1, k) placements are generated in ascending lexicographic
-    order and deduplicated by canonical encoding, so the representative of a
-    class is its lexicographically smallest member.  Entries are sorted by
-    encoding bytes.
+    order and canonized once each, so the representative of a class is its
+    lexicographically smallest member.  Entries are sorted by encoding bytes.
     """
     if k < 1:
         raise InputError(f"robot count must be at least 1, got {k}")
     by_encoding: dict[bytes, ConfigEntry] = {}
+    placements: list[tuple[tuple[int, ...], bytes]] = []
     for lam in _weak_compositions(k, g.n):
         form = canonical_form(g, lam)
+        placements.append((lam, form.encoding))
         if form.encoding not in by_encoding:
             by_encoding[form.encoding] = ConfigEntry(
                 form=form, rep=Configuration(graph=g, lam=lam)
             )
-    return tuple(entry for _, entry in sorted(by_encoding.items()))
+    entries = tuple(entry for _, entry in sorted(by_encoding.items()))
+    index = {entry.form.encoding: i for i, entry in enumerate(entries)}
+    return entries, {lam: index[enc] for lam, enc in placements}
 
 
 def build(g: Graph, k: int, scheduler: str = "fsync") -> ConfigHypergraph:
     """Construct the full configuration hypergraph for (g, k).
 
     For every configuration class and every one of its moves, the scheduler's
-    outcome set Δ is computed; moves with identical (source, Δ) merge into one
-    hyperarc.
+    outcome set Δ is the set of classes of the move's raw outcome placements,
+    read from the class table; moves with identical (source, Δ) merge into
+    one hyperarc.
     """
     if scheduler not in SCHEDULERS:
         raise InputError(f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}")
-    outcomes = fsync_outcomes if scheduler == "fsync" else ssync_outcomes
-    entries = enumerate_configurations(g, k)
-    index = {entry.form.encoding: i for i, entry in enumerate(entries)}
+    ssync = scheduler == "ssync"
+    entries, class_of = enumerate_configurations(g, k)
     arcs: dict[tuple[int, tuple[int, ...]], list[Move]] = {}
     for i, entry in enumerate(entries):
         p = automorphism_orbits(entry.rep)
         for m in enumerate_moves(entry.rep, p):
-            oset = outcomes(entry.rep, p, m)
             try:
-                delta = tuple(sorted(index[enc] for enc in oset.encodings))
+                delta = tuple(sorted(
+                    {class_of[lam] for lam in _raw_outcomes(entry.rep, p, m, ssync)}
+                ))
             except KeyError:
                 raise InternalError(
                     "move outcome escapes the configuration set; "
@@ -144,7 +161,8 @@ def build(g: Graph, k: int, scheduler: str = "fsync") -> ConfigHypergraph:
         for (s, d), ms in sorted(arcs.items())
     )
     return ConfigHypergraph(
-        graph=g, k=k, scheduler=scheduler, configs=entries, hyperarcs=hyperarcs
+        graph=g, k=k, scheduler=scheduler, configs=entries, hyperarcs=hyperarcs,
+        class_of=class_of,
     )
 
 
@@ -217,6 +235,7 @@ def loads(document: str) -> ConfigHypergraph:
     raw_configs = obj["configs"]
     _require(isinstance(raw_configs, list) and raw_configs, "field 'configs' must be a non-empty list")
     entries: list[ConfigEntry] = []
+    class_of: dict[tuple[int, ...], int] = {}
     seen: set[bytes] = set()
     for rc in raw_configs:
         _require(isinstance(rc, dict) and "lambda" in rc, "config entry must carry 'lambda'")
@@ -225,11 +244,16 @@ def loads(document: str) -> ConfigHypergraph:
             isinstance(lam, list) and all(is_json_int(x) for x in lam),
             "config 'lambda' must be a list of integers",
         )
+        _require(
+            len(lam) == g.n and all(x >= 0 for x in lam),
+            f"config lambda {lam} is not a placement on {g.n} vertices",
+        )
         _require(sum(lam) == k, f"config lambda {lam} does not sum to k={k}")
         rep = Configuration(graph=g, lam=tuple(lam))
         form = canonical_form(g, rep.lam)
         _require(form.encoding not in seen, f"duplicate configuration class for lambda {lam}")
         seen.add(form.encoding)
+        class_of[rep.lam] = len(entries)
         entries.append(ConfigEntry(form=form, rep=rep))
     raw_arcs = obj["hyperarcs"]
     _require(isinstance(raw_arcs, list), "field 'hyperarcs' must be a list")
@@ -261,5 +285,6 @@ def loads(document: str) -> ConfigHypergraph:
         moves = tuple(move_from_json_obj(rm) for rm in raw_moves)
         arcs.append(Hyperarc(source=source, delta=delta, moves=moves))
     return ConfigHypergraph(
-        graph=g, k=k, scheduler=scheduler, configs=tuple(entries), hyperarcs=tuple(arcs)
+        graph=g, k=k, scheduler=scheduler, configs=tuple(entries), hyperarcs=tuple(arcs),
+        class_of=class_of,
     )

@@ -5,7 +5,9 @@ Robots sharing an orbit are indistinguishable, so they all receive the same
 orbit-level instruction; the adversary then decides, robot by robot, which
 neighbor inside the target orbit is actually reached.  Outcome enumeration
 sweeps those per-robot choices (as destination multisets per vertex, which is
-equivalent and smaller) and deduplicates the results by canonical form.
+equivalent and smaller) and returns the raw placements they produce, on the
+input graph's own vertex indices.  Grouping them into configuration classes
+is a lookup in the hypergraph's class table.
 
 The SSYNC variant additionally lets the adversary idle any subset of the
 robots that were instructed to move, as long as at least one robot moves.
@@ -17,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .canonical import CanonicalForm, OrbitPartition, canonical_form
+from .canonical import OrbitPartition
 from .errors import InputError, InternalError
 from .graphs import Configuration, Graph, is_json_int
 
@@ -73,21 +75,6 @@ def move_from_json_obj(obj: object) -> Move:
             raise InputError(f"move assignment must be [int, int|null], got {item!r}")
         pairs.append((s, t))
     return Move(assignments=tuple(pairs))
-
-
-@dataclass(frozen=True)
-class OutcomeSet:
-    """Configurations reachable by one move, up to isomorphism."""
-
-    forms: frozenset[CanonicalForm]
-
-    def __post_init__(self) -> None:
-        if not self.forms:
-            raise InternalError("outcome set of a move cannot be empty")
-
-    @cached_property
-    def encodings(self) -> tuple[bytes, ...]:
-        return tuple(sorted(f.encoding for f in self.forms))
 
 
 def adjacent_orbits(p: OrbitPartition, g: Graph, o: int) -> set[int]:
@@ -191,21 +178,3 @@ def raw_ssync_outcomes(c: Configuration, p: OrbitPartition, m: Move) -> tuple[tu
     instructed robots is activated."""
     return tuple(sorted(_raw_outcomes(c, p, m, ssync=True)))
 
-
-def _canonical_outcomes(c: Configuration, lams) -> OutcomeSet:
-    forms = {canonical_form(c.graph, lam) for lam in lams}
-    return OutcomeSet(forms=frozenset(forms))
-
-
-def fsync_outcomes(c: Configuration, p: OrbitPartition, m: Move) -> OutcomeSet:
-    """Classes reachable from ``c`` by ``m`` when every robot is activated."""
-    return _canonical_outcomes(c, raw_fsync_outcomes(c, p, m))
-
-
-def ssync_outcomes(c: Configuration, p: OrbitPartition, m: Move) -> OutcomeSet:
-    """Classes reachable from ``c`` by ``m`` under adversarial activation.
-
-    Always a superset of the FSYNC outcomes: full activation is one of the
-    adversary's choices.
-    """
-    return _canonical_outcomes(c, raw_ssync_outcomes(c, p, m))

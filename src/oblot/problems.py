@@ -43,8 +43,7 @@ class ProblemSpec:
         )
 
 
-def _check_target_dims(spec: ProblemSpec, c: Configuration) -> None:
-    n, k = c.graph.n, total_robots(c)
+def _check_target_dims(spec: ProblemSpec, n: int, k: int) -> None:
     for t in spec.targets:
         if len(t) != n:
             raise InputError(
@@ -110,7 +109,7 @@ def is_final(spec: ProblemSpec, c: Configuration) -> bool:
         # the predicate is simply that some count equals k.
         return k > 0 and any(x == k for x in c.lam)
     if spec.kind in ("pattern", "explicit"):
-        _check_target_dims(spec, c)
+        _check_target_dims(spec, c.graph.n, k)
         mine = canonical_form(c.graph, c.lam)
         return any(
             canonical_form(c.graph, t) == mine for t in spec.targets
@@ -128,7 +127,18 @@ def is_final(spec: ProblemSpec, c: Configuration) -> bool:
 
 
 def resolve_final_set(spec: ProblemSpec, h: ConfigHypergraph) -> frozenset[int]:
-    """Indices of the hypergraph classes that are final for the problem."""
+    """Indices of the hypergraph classes that are final for the problem.
+
+    Pattern and explicit targets are canonized once each and compared with
+    the canonical forms the hypergraph already stores; every other kind is
+    decided by :func:`is_final` on the class representative.
+    """
+    if spec.kind in ("pattern", "explicit"):
+        _check_target_dims(spec, h.graph.n, h.k)
+        targets = {canonical_form(h.graph, t).encoding for t in spec.targets}
+        return frozenset(
+            i for i, entry in enumerate(h.configs) if entry.form.encoding in targets
+        )
     return frozenset(
         i for i, entry in enumerate(h.configs) if is_final(spec, entry.rep)
     )

@@ -14,10 +14,10 @@ import json
 import random
 from dataclasses import dataclass
 
-from .canonical import automorphism_orbits, canonical_form
+from .canonical import automorphism_orbits
 from .errors import BudgetExceededError, InputError
 from .graphs import Configuration, total_robots, validate_configuration
-from .hypergraph import ConfigHypergraph, build
+from .hypergraph import build
 from .moves import raw_fsync_outcomes
 from .problems import ProblemSpec
 from .solver import FINAL, STEP, UNSOLVABLE, MoveDecision, Solution, solution
@@ -88,10 +88,6 @@ class ExecutionTrace:
         return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _class_index(h: ConfigHypergraph, lam: tuple[int, ...]) -> int:
-    return h.index[canonical_form(h.graph, lam).encoding]
-
-
 def _pick_outcome(
     sol: Solution,
     outcomes: tuple[tuple[int, ...], ...],
@@ -107,7 +103,7 @@ def _pick_outcome(
     # canonical encoding, then the smallest raw placement, so runs replay
     # byte-identically.
     def key(lam: tuple[int, ...]) -> tuple[int, bytes, tuple[int, ...]]:
-        idx = _class_index(sol.h, lam)
+        idx = sol.h.class_of[lam]
         return (-sol.entries[idx].distance, sol.h.configs[idx].form.encoding, lam)
 
     return min(outcomes, key=key)
@@ -123,15 +119,17 @@ def run_fsync(
 
     The hypergraph is computed once and reused across rounds, which is
     observationally identical to recomputing it (the decision is a pure
-    function of the class).  An unsolvable start records a single nil round
-    and stops: the robots never move.  ``max_rounds`` bounds the number of
-    executed steps and defaults to plan distance + 1 when solvable, else 1,
-    so an overrun always signals a planner defect rather than a slow run.
+    function of the class); each round reads its class from the hypergraph's
+    class table, which lists every placement.  An unsolvable start records a
+    single nil round and stops: the robots never move.  ``max_rounds`` bounds
+    the number of executed steps and defaults to plan distance + 1 when
+    solvable, else 1, so an overrun always signals a planner defect rather
+    than a slow run.
     """
     validate_configuration(c0)
     sol = solution(build(c0.graph, total_robots(c0), "fsync"), spec)
     rng = random.Random(adversary.seed) if adversary.kind == "random" else None
-    idx0 = _class_index(sol.h, c0.lam)
+    idx0 = sol.h.index_of(c0)
     if max_rounds is None:
         solvable0 = idx0 in sol.result.solvable
         max_rounds = sol.entries[idx0].distance + 1 if solvable0 else 1
@@ -141,7 +139,7 @@ def run_fsync(
     cur = c0.lam
     t = 0
     while True:
-        decision = sol.decision(_class_index(sol.h, cur))
+        decision = sol.decision(sol.h.class_of[cur])
         if decision.status == FINAL:
             records.append(RoundRecord(round=t, lam=cur, decision=decision, outcome_lam=cur))
             return ExecutionTrace(status=REACHED_FINAL, rounds=tuple(records))
@@ -184,7 +182,7 @@ def enumerate_adversary_plays(
     """
     validate_configuration(c0)
     sol = solution(build(c0.graph, total_robots(c0), "fsync"), spec)
-    idx0 = _class_index(sol.h, c0.lam)
+    idx0 = sol.h.index_of(c0)
     if idx0 not in sol.result.solvable:
         raise InputError("start configuration is unsolvable; nothing to enumerate")
     if bound is not None and bound < sol.entries[idx0].distance:

@@ -5,6 +5,11 @@ orbits, cartesian products for move outcomes, and a literal recursive game
 solver.  These implementations are independent of the package internals and
 exist only to check the fast algorithms on small instances (n <= 8 for the
 permutation sweeps).
+
+The one exception is the canonizer-based outcome oracle (``fsync_outcomes``,
+``ssync_outcomes``): it canonizes every raw outcome placement, which is what
+the hypergraph's class table replaces with a lookup, so it is the slow
+counterpart the table is checked against.
 """
 
 from __future__ import annotations
@@ -12,9 +17,13 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
+from oblot.canonical import CanonicalForm, OrbitPartition, canonical_form
+from oblot.errors import InternalError
 from oblot.graphs import Configuration, Graph, validate_configuration
+from oblot.moves import Move, raw_fsync_outcomes, raw_ssync_outcomes
 
 
 def _edge_set(edges) -> frozenset[tuple[int, int]]:
@@ -229,6 +238,44 @@ def raw_ssync_move_outcomes(
 
 
 # ---------------------------------------------------------------------------
+# Canonizer-based outcome classes: the slow path behind the class table.
+
+
+@dataclass(frozen=True)
+class OutcomeSet:
+    """Configurations reachable by one move, up to isomorphism."""
+
+    forms: frozenset[CanonicalForm]
+
+    def __post_init__(self) -> None:
+        if not self.forms:
+            raise InternalError("outcome set of a move cannot be empty")
+
+    @cached_property
+    def encodings(self) -> tuple[bytes, ...]:
+        return tuple(sorted(f.encoding for f in self.forms))
+
+
+def _canonical_outcomes(c: Configuration, lams) -> OutcomeSet:
+    forms = {canonical_form(c.graph, lam) for lam in lams}
+    return OutcomeSet(forms=frozenset(forms))
+
+
+def fsync_outcomes(c: Configuration, p: OrbitPartition, m: Move) -> OutcomeSet:
+    """Classes reachable from ``c`` by ``m`` when every robot is activated."""
+    return _canonical_outcomes(c, raw_fsync_outcomes(c, p, m))
+
+
+def ssync_outcomes(c: Configuration, p: OrbitPartition, m: Move) -> OutcomeSet:
+    """Classes reachable from ``c`` by ``m`` under adversarial activation.
+
+    Always a superset of the FSYNC outcomes: full activation is one of the
+    adversary's choices.
+    """
+    return _canonical_outcomes(c, raw_ssync_outcomes(c, p, m))
+
+
+# ---------------------------------------------------------------------------
 # Minimax game solving on raw placements.
 
 
@@ -287,35 +334,46 @@ def game_solve(g: Graph, k: int, is_final) -> tuple[set[tuple[int, ...]], dict[t
 # in both arguments.
 
 
-def mtf_recursive(h, final: frozenset[int], solvable: frozenset[int], c: int,
-                  visited: frozenset[int] = frozenset(), memo=None):
+def arcs_by_source(h) -> dict:
+    """The hyperarcs of ``h`` grouped by source class index, in arc order."""
+    out: dict = {}
+    for arc in h.hyperarcs:
+        out.setdefault(arc.source, []).append(arc)
+    return {s: tuple(arcs) for s, arcs in out.items()}
+
+
+def mtf_recursive(h, final: frozenset[int], solvable: frozenset[int], c: int):
     """Returns (distance, move or None) for class index c."""
-    if memo is None:
-        memo = {}
-    key = (c, visited)
-    if key in memo:
+    arcs = arcs_by_source(h)
+    memo: dict = {}
+
+    def rec(c: int, visited: frozenset[int]):
+        key = (c, visited)
+        if key in memo:
+            return memo[key]
+        if c in final:
+            memo[key] = (0, None)
+            return memo[key]
+        visited = visited | {c}
+        candidates = []
+        for arc in arcs.get(c, ()):
+            delta = set(arc.delta)
+            if not delta <= set(solvable) or delta & visited:
+                continue
+            d_max = -1
+            for child in arc.delta:
+                d, _ = rec(child, visited)
+                if d > d_max:
+                    d_max = d
+            candidates.append((d_max, arc.moves[0]))
+        if not candidates:
+            memo[key] = (math.inf, None)
+            return memo[key]
+        d_star, m_star = min(candidates, key=lambda dm: (dm[0], dm[1].sort_key()))
+        memo[key] = (d_star + 1, m_star)
         return memo[key]
-    if c in final:
-        memo[key] = (0, None)
-        return memo[key]
-    visited = visited | {c}
-    candidates = []
-    for arc in h.arcs_by_source.get(c, ()):
-        delta = set(arc.delta)
-        if not delta <= set(solvable) or delta & visited:
-            continue
-        d_max = -1
-        for child in arc.delta:
-            d, _ = mtf_recursive(h, final, solvable, child, visited, memo)
-            if d > d_max:
-                d_max = d
-        candidates.append((d_max, arc.moves[0]))
-    if not candidates:
-        memo[key] = (math.inf, None)
-        return memo[key]
-    d_star, m_star = min(candidates, key=lambda dm: (dm[0], dm[1].sort_key()))
-    memo[key] = (d_star + 1, m_star)
-    return memo[key]
+
+    return rec(c, frozenset())
 
 
 # ---------------------------------------------------------------------------

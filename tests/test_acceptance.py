@@ -20,7 +20,7 @@ from oblot.canonical import (
 )
 from oblot.graphs import Configuration, Graph
 from oblot.hypergraph import build, export
-from oblot.moves import Move, enumerate_moves, fsync_outcomes, ssync_outcomes
+from oblot.moves import Move, enumerate_moves
 from oblot.problems import ProblemSpec, resolve_final_set
 from oblot.simulate import (
     AdversaryStrategy,
@@ -31,11 +31,14 @@ from oblot.solver import plan, solve
 
 from bruteforce import (
     all_placements,
+    arcs_by_source,
     color_isomorphic,
     configuration_graph,
     connected_graph_corpus,
+    fsync_outcomes,
     game_solve,
     random_graph,
+    ssync_outcomes,
 )
 
 K23 = Graph(n=5, edges=((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)), name="K23")
@@ -86,7 +89,7 @@ def test_criterion_2():
     5 hyperarcs carry 8 moves in total."""
     h = build(K23, 2)
     mixed = h.index_of(Configuration(K23, MIXED))
-    arcs = h.arcs_by_source[mixed]
+    arcs = arcs_by_source(h)[mixed]
     assert len(arcs) == 5
     self_loop = [a for a in arcs if a.delta == (mixed,)]
     assert len(self_loop) == 1

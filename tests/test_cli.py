@@ -6,6 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from oblot import cli
+from oblot.errors import BudgetExceededError, InternalError
+
 
 def run_cli(*args, env_extra=None):
     env = os.environ.copy()
@@ -290,3 +293,21 @@ def test_input_errors_exit_two(files, tmp_path):
 
     r4 = run_cli("frobnicate")
     assert r4.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [(InternalError("robot conservation is violated"), 5),
+     (BudgetExceededError("node cap exceeded"), 6)],
+    ids=["internal", "budget"],
+)
+def test_engine_errors_map_to_exit_codes(files, tmp_path, capsys, monkeypatch, error, code):
+    def failing_build(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "build", failing_build)
+    argv = ["build", "--graph", files["k23"], "-k", "2", "--out", str(tmp_path / "h.json")]
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"

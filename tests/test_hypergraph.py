@@ -14,10 +14,17 @@ from oblot.hypergraph import (
     to_dot,
     to_json_obj,
 )
-from oblot.moves import enumerate_moves, fsync_outcomes, move_from_json_obj
+from oblot.moves import enumerate_moves, move_from_json_obj
 from oblot.problems import load_problem
 
-from bruteforce import all_placements, config_isomorphic, connected_graph_corpus
+from bruteforce import (
+    all_placements,
+    arcs_by_source,
+    config_isomorphic,
+    connected_graph_corpus,
+    fsync_outcomes,
+    ssync_outcomes,
+)
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +84,7 @@ def test_k2_single_robot(k2):
 def test_class_counts_match_bruteforce():
     for g in connected_graph_corpus(4):
         for k in (1, 2):
-            entries = enumerate_configurations(g, k)
+            entries, _ = enumerate_configurations(g, k)
             reps: list[tuple[int, ...]] = []
             for lam in all_placements(g.n, k):
                 if not any(
@@ -93,7 +100,7 @@ def test_representative_is_lex_min_member():
         buckets: dict[bytes, list[tuple[int, ...]]] = {}
         for lam in all_placements(g.n, 2):
             buckets.setdefault(canonical_form(g, lam).encoding, []).append(lam)
-        for e in enumerate_configurations(g, 2):
+        for e in enumerate_configurations(g, 2)[0]:
             assert e.rep.lam == min(buckets[e.form.encoding])
 
 
@@ -102,7 +109,7 @@ def test_every_move_in_exactly_one_arc(k23_h):
         p = automorphism_orbits(entry.rep)
         all_moves = list(enumerate_moves(entry.rep, p))
         arc_moves = [
-            m for a in k23_h.arcs_by_source.get(i, ()) for m in a.moves
+            m for a in arcs_by_source(k23_h).get(i, ()) for m in a.moves
         ]
         assert sorted(m.sort_key() for m in arc_moves) == sorted(
             m.sort_key() for m in all_moves
@@ -164,6 +171,16 @@ def test_index_of_foreign_configuration(k23_h, p3):
         k23_h.index_of(Configuration(p3, (1, 1, 0)))
     with pytest.raises(InputError, match="does not belong"):
         k23_h.index_of(Configuration(k23_h.graph, (1, 1, 1, 0, 0)))
+    # same vertex count, another graph
+    p5 = Graph(n=5, edges=((0, 1), (1, 2), (2, 3), (3, 4)))
+    with pytest.raises(InputError, match="does not belong"):
+        k23_h.index_of(Configuration(p5, (1, 0, 0, 0, 1)))
+    # negative counts, summing to k
+    with pytest.raises(InputError, match="does not belong"):
+        k23_h.index_of(Configuration(k23_h.graph, (-1, 0, 0, 0, 3)))
+    # an equal graph that is another object is accepted
+    twin = Graph(n=5, edges=k23_h.graph.edges)
+    assert k23_h.index_of(Configuration(twin, (0, 2, 0, 0, 0))) == 0
 
 
 def test_enumerate_configurations_rejects_zero_robots(k2):
@@ -197,6 +214,10 @@ def test_loads_rejects_bad_documents(k23_h):
         loads(_tampered(k23_h, lambda o: o["configs"].append({"lambda": [2, 0, 0, 0, 0]})))
     with pytest.raises(InputError, match="does not sum"):
         loads(_tampered(k23_h, lambda o: o["configs"].append({"lambda": [1, 0, 0, 0, 0]})))
+    with pytest.raises(InputError, match="not a placement"):
+        loads(_tampered(k23_h, lambda o: o["configs"].append({"lambda": [-1, 0, 0, 0, 3]})))
+    with pytest.raises(InputError, match="not a placement"):
+        loads(_tampered(k23_h, lambda o: o["configs"].append({"lambda": [1, 1, 0, 0]})))
     with pytest.raises(InputError, match="duplicate hyperarc"):
         loads(_tampered(k23_h, lambda o: o["hyperarcs"].append(dict(o["hyperarcs"][0]))))
     with pytest.raises(InputError, match="out of range"):
@@ -287,3 +308,38 @@ def test_build_agrees_with_independent_class_walk(p4):
             delta = tuple(sorted(h.index[enc] for enc in oset.encodings))
             seen_pairs.add((i, delta))
     assert seen_pairs == {(a.source, a.delta) for a in h.hyperarcs}
+
+
+def test_class_table_matches_canonizer():
+    # the fast path (class table) against its slow counterpart (canonizer)
+    for g in connected_graph_corpus(5):
+        for k in (1, 2, 3):
+            h = build(g, k)
+            placements = all_placements(g.n, k)
+            assert set(h.class_of) == set(placements)
+            for lam in placements:
+                assert h.class_of[lam] == h.index[canonical_form(g, lam).encoding]
+
+            # loads keeps only the representatives; the rest goes through the
+            # canonizer fallback of index_of, which must agree with the table
+            again = loads(export(h, "json"))
+            assert again.class_of == {e.rep.lam: i for i, e in enumerate(h.configs)}
+            for lam in placements:
+                assert again.index_of(Configuration(again.graph, lam)) == h.index_of(
+                    Configuration(g, lam)
+                )
+
+
+@pytest.mark.parametrize("scheduler, oracle", [("fsync", fsync_outcomes), ("ssync", ssync_outcomes)])
+def test_build_deltas_match_canonizer_oracle(scheduler, oracle):
+    for g in connected_graph_corpus(5):
+        for k in (1, 2, 3):
+            h = build(g, k, scheduler)
+            got = {(a.source, m, a.delta) for a in h.hyperarcs for m in a.moves}
+            want = set()
+            for i, entry in enumerate(h.configs):
+                p = automorphism_orbits(entry.rep)
+                for m in enumerate_moves(entry.rep, p):
+                    oset = oracle(entry.rep, p, m)
+                    want.add((i, m, tuple(sorted(h.index[enc] for enc in oset.encodings))))
+            assert got == want

@@ -8,20 +8,20 @@ from oblot.graphs import Configuration, Graph
 from oblot.moves import (
     Move,
     enumerate_moves,
-    fsync_outcomes,
     move_from_json_obj,
     raw_fsync_outcomes,
     raw_ssync_outcomes,
-    ssync_outcomes,
 )
 
 from bruteforce import (
     all_placements,
     connected_graph_corpus,
+    fsync_outcomes,
     orbit_of,
     raw_move_outcomes,
     raw_moves,
     raw_ssync_move_outcomes,
+    ssync_outcomes,
 )
 
 

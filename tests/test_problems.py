@@ -146,6 +146,22 @@ def test_resolve_final_set_k23_gathering(k23):
     }
 
 
+def test_resolve_target_final_sets_match_is_final():
+    # the stored-form comparison agrees with the per-class predicate
+    for g in connected_graph_corpus(4):
+        for k in (1, 2, 3):
+            h = build(g, k)
+            placements = all_placements(g.n, k)
+            specs = [ProblemSpec(kind="pattern", targets=(lam,)) for lam in placements]
+            specs += [
+                ProblemSpec(kind="explicit", targets=tuple(placements[start::3]))
+                for start in range(3)
+            ]
+            for spec in specs:
+                want = {i for i, e in enumerate(h.configs) if is_final(spec, e.rep)}
+                assert resolve_final_set(spec, h) == want
+
+
 def test_load_problem_forms():
     assert load_problem('{"type": "gathering"}') == GATHER
     for gmv_type in ("geodesic-mutual-visibility", "geodesic_mutual_visibility"):

@@ -13,6 +13,7 @@ from oblot.solver import MoveDecision, decide, plan, solution, solve
 
 from bruteforce import (
     all_placements,
+    arcs_by_source,
     config_isomorphic,
     connected_graph_corpus,
     game_solve,
@@ -55,7 +56,7 @@ def test_k23_gathering_plan(k23):
     assert e.move == Move(assignments=((3, None), (4, 3)))
     # and the chosen arc lands on the three-side multiplicity
     mult3 = h.index_of(Configuration(k23, (0, 0, 2, 0, 0)))
-    arcs = {a.moves: a.delta for a in h.arcs_by_source[mixed]}
+    arcs = {a.moves: a.delta for a in arcs_by_source(h)[mixed]}
     chosen = next(d for ms, d in arcs.items() if e.move in ms)
     assert chosen == (mult3,) == e.delta
 
@@ -100,10 +101,11 @@ def test_p5_endpoints_distance_two():
 
 
 def _assert_bellman(h, fin, result, entries):
+    arcs = arcs_by_source(h)
     for i in range(len(h.configs)):
         usable = [
             a
-            for a in h.arcs_by_source.get(i, ())
+            for a in arcs.get(i, ())
             if all(d in result.solvable for d in a.delta)
         ]
         if i in fin:
@@ -187,6 +189,7 @@ def test_matches_recursive_transcription_corpus():
         fin = resolve_final_set(spec, h)
         result = solve(h, fin)
         entries = plan(h, fin, result)
+        by_source = arcs_by_source(h)
         for i in range(len(h.configs)):
             d, m = mtf_recursive(h, fin, result.solvable, i)
             if i not in result.solvable:
@@ -194,7 +197,7 @@ def test_matches_recursive_transcription_corpus():
                 continue
             assert (d, m) == (entries[i].distance, entries[i].move)
             # the planned Δ is the outcome set of the arc carrying the move
-            arcs = [a for a in h.arcs_by_source.get(i, ()) if m in a.moves]
+            arcs = [a for a in by_source.get(i, ()) if m in a.moves]
             assert entries[i].delta == (arcs[0].delta if arcs else ())
 
 

@@ -1,4 +1,4 @@
-"""Canonical labeling of colored graphs and automorphism orbits.
+"""Canonical labeling of colored graphs, with the automorphism orbits.
 
 The canonizer assigns labels ``0..n-1`` to the vertices of a colored graph so
 that two colored graphs receive byte-identical encodings exactly when a
@@ -12,9 +12,12 @@ individualization-refinement:
   adjacency encoding is lexicographically smallest.
 
 Two leaves with equal encodings differ by an automorphism; those discovered
-automorphisms are collected (they generate the full automorphism group) and
-also used to prune branches that are equivalent to ones already explored.
-Orbits are the connected components of the vertex set under the generators.
+automorphisms generate the full automorphism group and are also used to prune
+branches that are equivalent to ones already explored.  The search is run
+once per colored graph by :func:`canonical_form`, the only entry point: the
+:class:`CanonicalForm` it returns keeps the generators, and its ``orbits``
+are the connected components of the vertex set under them, closed on first
+use.
 
 Configurations are canonized by treating robot counts as vertex colors.  The
 pendant-vertex encoding ``configuration_graph`` in ``tests/bruteforce.py``
@@ -25,26 +28,65 @@ suite.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import InternalError
-from .graphs import Configuration, Graph, validate_configuration
+from .graphs import Configuration, Graph
+
+# Colors are encoded as unsigned 32-bit big-endian integers.
+_COLOR_LIMIT = 2**32
 
 
 @dataclass(frozen=True, eq=False)
 class CanonicalForm:
-    """Order-invariant encoding of a colored graph.
+    """Order-invariant encoding of a colored graph, plus its automorphisms.
 
     ``encoding`` is a pure function of the isomorphism class; ``labeling``
-    maps each original vertex index to its canonical label.  Equality and
-    hashing use the encoding alone: two forms compare equal exactly when the
-    underlying objects are isomorphic, regardless of which labeling realized
-    the encoding.
+    maps each original vertex index to its canonical label.  ``generators``
+    are the color-preserving automorphisms the search discovered, as vertex
+    permutations; they generate the whole group.  Equality and hashing use
+    the encoding alone: two forms compare equal exactly when the underlying
+    objects are isomorphic, regardless of which labeling realized the
+    encoding.
     """
 
     encoding: bytes
     labeling: tuple[int, ...]
+    generators: tuple[tuple[int, ...], ...] = field(repr=False)
+
+    @cached_property
+    def orbits(self) -> OrbitPartition:
+        """Vertex orbits, closed from the generators by union-find.
+
+        Each orbit is ranked by the minimum canonical label among its
+        vertices and the sequence is sorted by rank.
+        """
+        n = len(self.labeling)
+        parent = list(range(n))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for gen in self.generators:
+            for v in range(n):
+                ra, rb = find(v), find(gen[v])
+                if ra != rb:
+                    parent[rb] = ra
+        groups: dict[int, list[int]] = {}
+        for v in range(n):
+            groups.setdefault(find(v), []).append(v)
+        ranked = sorted(
+            (min(self.labeling[v] for v in orbit), tuple(orbit))
+            for orbit in groups.values()
+        )
+        return OrbitPartition(
+            orbits=tuple(orbit for _, orbit in ranked),
+            ranks=tuple(rank for rank, _ in ranked),
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CanonicalForm):
@@ -223,10 +265,10 @@ def _encode(n: int, colors_in_canonical_order: list[int], bits: bytes) -> bytes:
     return _pack_field(struct.pack(">I", n)) + _pack_field(color_bytes) + _pack_field(bits)
 
 
-def _canonize(g: Graph, colors: tuple[int, ...]) -> tuple[CanonicalForm, list[tuple[int, ...]]]:
+def _canonize(g: Graph, colors: tuple[int, ...]) -> CanonicalForm:
     n = g.n
     if n == 0:
-        return CanonicalForm(encoding=_encode(0, [], b""), labeling=()), []
+        return CanonicalForm(encoding=_encode(0, [], b""), labeling=(), generators=())
     engine = _Canonizer(n, g.adjacency_sets, colors)
     engine.run()
     assert engine.best_order is not None
@@ -235,66 +277,30 @@ def _canonize(g: Graph, colors: tuple[int, ...]) -> tuple[CanonicalForm, list[tu
     for pos, v in enumerate(order):
         labeling[v] = pos
     canon_colors = [colors[v] for v in order]
-    form = CanonicalForm(
+    return CanonicalForm(
         encoding=_encode(n, canon_colors, engine.best_bits or b""),
         labeling=tuple(labeling),
+        generators=tuple(engine.generators),
     )
-    return form, engine.generators
 
 
 def canonical_form(g: Graph, coloring: tuple[int, ...]) -> CanonicalForm:
-    """Canonical form for a colored graph, deterministic in the input data."""
+    """Canonical form for a colored graph, deterministic in the input data.
+
+    This is the one entry point to the canonizer; a configuration's form is
+    ``canonical_form(c.graph, c.lam)`` and its orbits are that form's
+    ``orbits``.
+    """
     if len(coloring) != g.n:
         raise InternalError(
             f"coloring length {len(coloring)} does not match vertex count {g.n}"
         )
-    form, _ = _canonize(g, tuple(coloring))
-    return form
-
-
-def canonical_configuration(c: Configuration) -> CanonicalForm:
-    """Canonical form of a configuration, robot counts acting as colors."""
-    validate_configuration(c, require_robots=False)
-    return canonical_form(c.graph, c.lam)
-
-
-def automorphism_orbits(c: Configuration) -> OrbitPartition:
-    """Partition the vertices into orbits of the configuration's automorphisms.
-
-    Orbits are closed from the generators discovered during canonization by
-    union-find; each orbit is ranked by the minimum canonical label among its
-    vertices and the sequence is sorted by rank.
-    """
-    validate_configuration(c, require_robots=False)
-    g = c.graph
-    form, generators = _canonize(g, c.lam)
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for gen in generators:
-        for v in range(g.n):
-            union(v, gen[v])
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(find(v), []).append(v)
-    ranked = sorted(
-        (min(form.labeling[v] for v in orbit), tuple(sorted(orbit)))
-        for orbit in groups.values()
-    )
-    return OrbitPartition(
-        orbits=tuple(orbit for _, orbit in ranked),
-        ranks=tuple(rank for rank, _ in ranked),
-    )
+    colors = tuple(coloring)
+    if any(not (isinstance(x, int) and 0 <= x < _COLOR_LIMIT) for x in colors):
+        raise InternalError(
+            f"coloring {list(colors)} has a color that is not an integer in [0, 2**32)"
+        )
+    return _canonize(g, colors)
 
 
 def occupied_orbits(p: OrbitPartition, c: Configuration) -> tuple[int, ...]:

@@ -19,7 +19,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .canonical import automorphism_orbits, canonical_form, occupied_orbits
+from .canonical import canonical_form, occupied_orbits
 from .errors import BudgetExceededError, InputError, InternalError
 from .graphs import Configuration, Graph, load_configuration_file, load_graph_file, total_robots
 from .hypergraph import FORMAT_VERSION, ConfigHypergraph, build, export, loads
@@ -103,7 +103,7 @@ def cmd_canon(args) -> int:
 def cmd_orbits(args) -> int:
     g, colors = _load_colored(args)
     c = Configuration(graph=g, lam=colors)
-    p = automorphism_orbits(c)
+    p = canonical_form(g, colors).orbits
     obj = {
         "orbits": [list(o) for o in p.orbits],
         "ranks": list(p.ranks),

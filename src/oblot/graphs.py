@@ -77,20 +77,16 @@ class Configuration:
         object.__setattr__(self, "lam", tuple(int(x) for x in self.lam))
 
 
-def validate_configuration(c: Configuration, *, require_robots: bool = True) -> None:
-    """Raise :class:`InputError` unless ``c`` satisfies the type invariants.
-
-    Structural operations (canonization, orbits) work for empty placements
-    too and pass ``require_robots=False``; everything involving moves needs
-    at least one robot.
-    """
+def validate_configuration(c: Configuration) -> None:
+    """Raise :class:`InputError` unless ``c`` is a placement of at least one
+    robot: one nonnegative count per vertex, summing to at least 1."""
     if len(c.lam) != c.graph.n:
         raise InputError(
             f"length mismatch: lambda has {len(c.lam)} entries for {c.graph.n} vertices"
         )
     if any(x < 0 for x in c.lam):
         raise InputError("robot counts must be nonnegative")
-    if require_robots and sum(c.lam) < 1:
+    if sum(c.lam) < 1:
         raise InputError("zero robots: at least one robot is required")
 
 

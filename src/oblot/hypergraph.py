@@ -7,13 +7,16 @@ exactly Δ.  Building is deterministic: configurations are sorted by canonical
 encoding, hyperarcs by (source index, Δ index tuple), moves in lexicographic
 move order.
 
-Building canonizes every one of the C(n+k-1, k) placements exactly once and
-keeps the result as the class table ``class_of``, a map from placement λ to
-class index.  Every later class question is a lookup in that table: the Δ of
-a move is the set of table entries of its raw outcome placements, and
-``index_of`` reads the table before it falls back to the canonizer.  A
-hypergraph rebuilt by ``loads`` knows only its representatives' placements,
-so only there does ``index_of`` canonize.
+Building runs one canonizer search per placement and no other: each of the
+C(n+k-1, k) placements is canonized exactly once, and the result is kept as
+the class table ``class_of``, a map from placement λ to class index.  A
+class's orbits come from its representative's form (``entry.form.orbits``),
+built from the automorphisms that same search found.  Every later class
+question is a lookup in that table: the Δ of a move is the set of table
+entries of its raw outcome placements, and ``index_of`` reads the table
+before it falls back to the canonizer.  A hypergraph rebuilt by ``loads``
+knows only its representatives' placements, so only there does ``index_of``
+canonize.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .canonical import CanonicalForm, automorphism_orbits, canonical_form
+from .canonical import CanonicalForm, canonical_form
 from .errors import InputError, InternalError
 from .graphs import Configuration, Graph, is_json_int, load_graph
 from .moves import Move, _raw_outcomes, enumerate_moves, move_from_json_obj
@@ -37,8 +40,9 @@ class ConfigEntry:
     """One hypergraph vertex: a canonical class plus a concrete representative.
 
     The representative is the lexicographically smallest placement of the
-    class on the input graph's own vertex indexing.  Orbit ranks used in
-    stored moves come from the canonizer and are therefore identical for
+    class on the input graph's own vertex indexing, and ``form`` is its
+    canonical form.  Orbit ranks used in stored moves are those of
+    ``form.orbits``; ranks are canonical labels and therefore identical for
     every member of the class.
     """
 
@@ -133,10 +137,10 @@ def enumerate_configurations(
 def build(g: Graph, k: int, scheduler: str = "fsync") -> ConfigHypergraph:
     """Construct the full configuration hypergraph for (g, k).
 
-    For every configuration class and every one of its moves, the scheduler's
-    outcome set Δ is the set of classes of the move's raw outcome placements,
-    read from the class table; moves with identical (source, Δ) merge into
-    one hyperarc.
+    For every configuration class, on the orbits its representative's form
+    carries, and every one of its moves, the scheduler's outcome set Δ is
+    the set of classes of the move's raw outcome placements, read from the
+    class table; moves with identical (source, Δ) merge into one hyperarc.
     """
     if scheduler not in SCHEDULERS:
         raise InputError(f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}")
@@ -144,7 +148,7 @@ def build(g: Graph, k: int, scheduler: str = "fsync") -> ConfigHypergraph:
     entries, class_of = enumerate_configurations(g, k)
     arcs: dict[tuple[int, tuple[int, ...]], list[Move]] = {}
     for i, entry in enumerate(entries):
-        p = automorphism_orbits(entry.rep)
+        p = entry.form.orbits
         for m in enumerate_moves(entry.rep, p):
             try:
                 delta = tuple(sorted(

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .canonical import OrbitPartition
+from .canonical import OrbitPartition, occupied_orbits
 from .errors import InputError, InternalError
 from .graphs import Configuration, Graph, is_json_int
 
@@ -99,7 +99,7 @@ def enumerate_moves(c: Configuration, p: OrbitPartition) -> tuple[Move, ...]:
     Factor-wise sorted options make the product enumeration itself emit the
     lexicographic order, so no final sort is needed.
     """
-    occupied = _occupied_ranks(p, c)
+    occupied = occupied_orbits(p, c)
     option_sets: list[list[int | None]] = []
     for rank in occupied:
         targets = sorted(adjacent_orbits(p, c.graph, rank))
@@ -110,14 +110,6 @@ def enumerate_moves(c: Configuration, p: OrbitPartition) -> tuple[Move, ...]:
             continue
         moves.append(Move(assignments=tuple(zip(occupied, combo))))
     return tuple(moves)
-
-
-def _occupied_ranks(p: OrbitPartition, c: Configuration) -> tuple[int, ...]:
-    out = []
-    for orbit, rank in zip(p.orbits, p.ranks):
-        if c.lam[orbit[0]] > 0:
-            out.append(rank)
-    return tuple(out)
 
 
 def _destination_options(

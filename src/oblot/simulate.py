@@ -14,7 +14,7 @@ import json
 import random
 from dataclasses import dataclass
 
-from .canonical import automorphism_orbits
+from .canonical import canonical_form
 from .errors import BudgetExceededError, InputError
 from .graphs import Configuration, total_robots, validate_configuration
 from .hypergraph import build
@@ -120,11 +120,12 @@ def run_fsync(
     The hypergraph is computed once and reused across rounds, which is
     observationally identical to recomputing it (the decision is a pure
     function of the class); each round reads its class from the hypergraph's
-    class table, which lists every placement.  An unsolvable start records a
-    single nil round and stops: the robots never move.  ``max_rounds`` bounds
-    the number of executed steps and defaults to plan distance + 1 when
-    solvable, else 1, so an overrun always signals a planner defect rather
-    than a slow run.
+    class table, which lists every placement, and each step canonizes its
+    actual placement once, for the orbits the move is resolved on.  An
+    unsolvable start records a single nil round and stops: the robots never
+    move.  ``max_rounds`` bounds the number of executed steps and defaults to
+    plan distance + 1 when solvable, else 1, so an overrun always signals a
+    planner defect rather than a slow run.
     """
     validate_configuration(c0)
     sol = solution(build(c0.graph, total_robots(c0), "fsync"), spec)
@@ -150,7 +151,7 @@ def run_fsync(
             return ExecutionTrace(status=MAX_ROUNDS_EXCEEDED, rounds=tuple(records))
         assert decision.status == STEP and decision.move is not None
         conf = Configuration(graph=sol.h.graph, lam=cur)
-        p = automorphism_orbits(conf)
+        p = canonical_form(conf.graph, cur).orbits
         outcomes = raw_fsync_outcomes(conf, p, decision.move)
         chosen = _pick_outcome(sol, outcomes, adversary, rng)
         records.append(RoundRecord(round=t, lam=cur, decision=decision, outcome_lam=chosen))
@@ -168,7 +169,6 @@ class PlaySummary:
 def enumerate_adversary_plays(
     c0: Configuration,
     spec: ProblemSpec,
-    bound: int | None = None,
     node_cap: int = 100_000,
 ) -> PlaySummary:
     """Exhaust every adversary resolution under optimal robot play.
@@ -176,8 +176,7 @@ def enumerate_adversary_plays(
     Decision and outcomes depend only on the class (the outcome classes of
     the planned move are the plan entry's Δ), so the recursion memoizes per
     class; planned moves strictly decrease the distance, which bounds the
-    depth.  ``bound``, when given, must be at least the plan distance of the
-    start; ``node_cap`` aborts pathologically large explorations loudly
+    depth.  ``node_cap`` aborts pathologically large explorations loudly
     instead of truncating them.
     """
     validate_configuration(c0)
@@ -185,10 +184,6 @@ def enumerate_adversary_plays(
     idx0 = sol.h.index_of(c0)
     if idx0 not in sol.result.solvable:
         raise InputError("start configuration is unsolvable; nothing to enumerate")
-    if bound is not None and bound < sol.entries[idx0].distance:
-        raise InputError(
-            f"bound {bound} is below the plan distance {sol.entries[idx0].distance}"
-        )
     memo: dict[int, PlaySummary] = {}
     visited = 0
 

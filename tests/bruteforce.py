@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 
 from oblot.canonical import CanonicalForm, OrbitPartition, canonical_form
 from oblot.errors import InternalError
-from oblot.graphs import Configuration, Graph, validate_configuration
+from oblot.graphs import Configuration, Graph
 from oblot.moves import Move, raw_fsync_outcomes, raw_ssync_outcomes
 
 
@@ -91,8 +91,9 @@ def configuration_graph(c: Configuration) -> Graph:
     pendant.  Original vertices keep their indices; pendants are appended in
     vertex order.
     """
-    validate_configuration(c, require_robots=False)
     g = c.graph
+    if len(c.lam) != g.n or any(x < 0 for x in c.lam):
+        raise ValueError(f"{c.lam} is not a placement on {g.n} vertices")
     edges = list(g.edges)
     nxt = g.n
     for v in range(g.n):

@@ -12,12 +12,7 @@ import subprocess
 import sys
 import time
 
-from oblot.canonical import (
-    automorphism_orbits,
-    canonical_configuration,
-    canonical_form,
-    occupied_orbits,
-)
+from oblot.canonical import canonical_form, occupied_orbits
 from oblot.graphs import Configuration, Graph
 from oblot.hypergraph import build, export
 from oblot.moves import Move, enumerate_moves
@@ -109,7 +104,7 @@ def test_criterion_3():
     assert result.solvable == fin | {ix["mixed"]}
     entries = plan(h, fin, result)
     rep = h.configs[ix["mixed"]].rep
-    r1, r2 = occupied_orbits(automorphism_orbits(rep), rep)
+    r1, r2 = occupied_orbits(canonical_form(rep.graph, rep.lam).orbits, rep)
     assert r1 < r2
     e = entries[ix["mixed"]]
     assert e.distance == 1
@@ -202,7 +197,7 @@ def test_criterion_6():
             for lam in placements:
                 c = Configuration(g, lam)
                 buckets.setdefault(
-                    canonical_configuration(c).encoding, []
+                    canonical_form(c.graph, c.lam).encoding, []
                 ).append(lam)
                 gamma = configuration_graph(c)
                 pendant.setdefault(
@@ -266,10 +261,10 @@ def test_criterion_8():
     relaxed scheduler adds exactly one outcome class to the single move;
     outcome sets under full activation are always contained in the relaxed
     ones; the relaxed build is deterministic."""
-    mixed_form = canonical_configuration(Configuration(K23, MIXED))
+    mixed_form = canonical_form(K23, MIXED)
     for lam in (DIST2, DIST3):
         c = Configuration(K23, lam)
-        p = automorphism_orbits(c)
+        p = canonical_form(c.graph, c.lam).orbits
         moves = enumerate_moves(c, p)
         assert len(moves) == 1
         f = fsync_outcomes(c, p, moves[0])
@@ -281,7 +276,7 @@ def test_criterion_8():
         for k in (1, 2):
             for lam in all_placements(g.n, k):
                 c = Configuration(g, lam)
-                p = automorphism_orbits(c)
+                p = canonical_form(c.graph, c.lam).orbits
                 for m in enumerate_moves(c, p):
                     assert fsync_outcomes(c, p, m).forms <= ssync_outcomes(c, p, m).forms
 

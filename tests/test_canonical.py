@@ -4,14 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oblot.canonical import (
-    automorphism_orbits,
-    canonical_configuration,
-    canonical_form,
-    occupied_orbits,
-)
+from oblot.canonical import canonical_form, occupied_orbits
 from oblot.errors import InternalError
 from oblot.graphs import Configuration, Graph
+from oblot.hypergraph import build, export, loads
 
 from bruteforce import (
     all_placements,
@@ -34,7 +30,7 @@ def test_defining_property_small_corpus():
     # exhaustively over connected graphs with n <= 4 and k <= 2
     buckets: dict[bytes, list[Configuration]] = {}
     for c in _small_configs(4, 2):
-        buckets.setdefault(canonical_configuration(c).encoding, []).append(c)
+        buckets.setdefault(canonical_form(c.graph, c.lam).encoding, []).append(c)
     for members in buckets.values():
         first = members[0]
         for other in members[1:]:
@@ -52,7 +48,7 @@ def test_pendant_encoding_is_equivalent_oracle():
     direct: dict[bytes, set[int]] = {}
     pendant: dict[bytes, set[int]] = {}
     for i, c in enumerate(_small_configs(4, 2)):
-        direct.setdefault(canonical_configuration(c).encoding, set()).add(i)
+        direct.setdefault(canonical_form(c.graph, c.lam).encoding, set()).add(i)
         gamma = configuration_graph(c)
         key = canonical_form(gamma, (0,) * gamma.n).encoding
         pendant.setdefault(key, set()).add(i)
@@ -61,14 +57,23 @@ def test_pendant_encoding_is_equivalent_oracle():
 
 def test_orbits_match_bruteforce():
     for c in _small_configs(4, 2):
-        p = automorphism_orbits(c)
+        p = canonical_form(c.graph, c.lam).orbits
         assert {frozenset(o) for o in p.orbits} == brute_orbits(c.graph, c.lam)
+    # the orbits a hypergraph's classes carry, built and reloaded
+    for g in connected_graph_corpus(4):
+        for k in (1, 2):
+            h = build(g, k)
+            again = loads(export(h, "json"))
+            for entry, loaded in zip(h.configs, again.configs, strict=True):
+                p = entry.form.orbits
+                assert {frozenset(o) for o in p.orbits} == brute_orbits(g, entry.rep.lam)
+                assert loaded.form.orbits == p
 
 
 def test_k23_multiplicity_classes(k23):
-    same_side = canonical_configuration(Configuration(k23, (0, 0, 2, 0, 0)))
-    other_vertex = canonical_configuration(Configuration(k23, (0, 0, 0, 0, 2)))
-    two_side = canonical_configuration(Configuration(k23, (2, 0, 0, 0, 0)))
+    same_side = canonical_form(k23, (0, 0, 2, 0, 0))
+    other_vertex = canonical_form(k23, (0, 0, 0, 0, 2))
+    two_side = canonical_form(k23, (2, 0, 0, 0, 0))
     assert same_side == other_vertex
     assert hash(same_side) == hash(other_vertex)
     assert two_side != same_side
@@ -77,17 +82,17 @@ def test_k23_multiplicity_classes(k23):
 def test_k23_two_robots_give_five_classes(k23):
     placements = all_placements(5, 2)
     assert len(placements) == 15
-    forms = {canonical_configuration(Configuration(k23, lam)) for lam in placements}
+    forms = {canonical_form(k23, lam) for lam in placements}
     assert len(forms) == 5
 
 
 def test_k23_empty_orbits(k23):
-    p = automorphism_orbits(Configuration(k23, (0, 0, 0, 0, 0)))
+    p = canonical_form(k23, (0, 0, 0, 0, 0)).orbits
     assert {frozenset(o) for o in p.orbits} == {frozenset({0, 1}), frozenset({2, 3, 4})}
 
 
 def test_c4_empty_single_orbit(c4_cycle):
-    p = automorphism_orbits(Configuration(c4_cycle, (0, 0, 0, 0)))
+    p = canonical_form(c4_cycle, (0, 0, 0, 0)).orbits
     assert p.orbits == ((0, 1, 2, 3),)
     assert p.ranks == (0,)
 
@@ -95,7 +100,7 @@ def test_c4_empty_single_orbit(c4_cycle):
 def test_k23_mixed_orbits(k23):
     # one robot on each side breaks the 3-side into occupied + a symmetric pair
     c = Configuration(k23, (1, 0, 1, 0, 0))
-    p = automorphism_orbits(c)
+    p = canonical_form(c.graph, c.lam).orbits
     assert {frozenset(o) for o in p.orbits} == {
         frozenset({0}),
         frozenset({1}),
@@ -109,14 +114,14 @@ def test_k23_mixed_orbits(k23):
 
 def test_c4_antipodal_single_occupied_orbit(c4_cycle):
     c = Configuration(c4_cycle, (1, 0, 1, 0))
-    p = automorphism_orbits(c)
+    p = canonical_form(c.graph, c.lam).orbits
     occ = occupied_orbits(p, c)
     assert len(occ) == 1
     assert p.orbit_of_rank(occ[0]) == (0, 2)
 
 
 def test_orbit_of_rank_unknown(c4_cycle):
-    p = automorphism_orbits(Configuration(c4_cycle, (0, 0, 0, 0)))
+    p = canonical_form(c4_cycle, (0, 0, 0, 0)).orbits
     with pytest.raises(InternalError, match="no orbit"):
         p.orbit_of_rank(7)
 
@@ -124,14 +129,18 @@ def test_orbit_of_rank_unknown(c4_cycle):
 def test_occupied_orbits_rejects_foreign_partition(c4_cycle):
     # orbits computed for the empty coloring merge vertices that a one-robot
     # placement distinguishes
-    p = automorphism_orbits(Configuration(c4_cycle, (0, 0, 0, 0)))
+    p = canonical_form(c4_cycle, (0, 0, 0, 0)).orbits
     with pytest.raises(InternalError, match="unequal robot counts"):
         occupied_orbits(p, Configuration(c4_cycle, (1, 0, 0, 0)))
 
 
-def test_coloring_length_checked(k2):
+def test_coloring_length_checked(k2, k23):
     with pytest.raises(InternalError, match="does not match"):
         canonical_form(k2, (0,))
+    # colors must fit the unsigned 32-bit encoding
+    for coloring in ((-1, 0, 0, 0, 3), (2**32, 0, 0, 0, 0), (0.5, 0, 0, 0, 1)):
+        with pytest.raises(InternalError, match="not an integer in"):
+            canonical_form(k23, coloring)
 
 
 def _permuted(g: Graph, lam: tuple[int, ...], perm: tuple[int, ...]):
@@ -151,9 +160,9 @@ def test_relabeling_invariance(n, data):
     perm = tuple(data.draw(st.permutations(range(n))))
     c = Configuration(g, lam)
     d = _permuted(g, lam, perm)
-    assert canonical_configuration(c) == canonical_configuration(d)
-    assert occupied_orbits(automorphism_orbits(c), c) == occupied_orbits(
-        automorphism_orbits(d), d
+    assert canonical_form(c.graph, c.lam) == canonical_form(d.graph, d.lam)
+    assert occupied_orbits(canonical_form(c.graph, c.lam).orbits, c) == occupied_orbits(
+        canonical_form(d.graph, d.lam).orbits, d
     )
 
 
@@ -162,12 +171,12 @@ def test_labeling_is_permutation(n, data):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = tuple(p for p in pairs if data.draw(st.booleans()))
     lam = tuple(data.draw(st.integers(0, 2)) for _ in range(n))
-    form = canonical_configuration(Configuration(Graph(n=n, edges=edges), lam))
+    form = canonical_form(Graph(n=n, edges=edges), lam)
     assert sorted(form.labeling) == list(range(n))
     assert form.hex() == form.encoding.hex()
 
 
 def test_encoding_distinguishes_robot_counts(k2):
-    one = canonical_configuration(Configuration(k2, (1, 0)))
-    two = canonical_configuration(Configuration(k2, (2, 0)))
+    one = canonical_form(k2, (1, 0))
+    two = canonical_form(k2, (2, 0))
     assert one != two

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oblot.canonical import canonical_form
 from oblot.errors import InputError
 from oblot.graphs import (
     Configuration,
@@ -56,7 +57,7 @@ def test_validate_configuration_errors(k23):
     with pytest.raises(InputError, match="at least one robot"):
         validate_configuration(Configuration(k23, (0, 0, 0, 0, 0)))
     # structural operations accept an empty placement
-    validate_configuration(Configuration(k23, (0, 0, 0, 0, 0)), require_robots=False)
+    assert len(canonical_form(k23, (0, 0, 0, 0, 0)).orbits.orbits) == 2
 
 
 def test_total_robots(k23):

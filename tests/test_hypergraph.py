@@ -1,9 +1,11 @@
 import itertools
 import json
+import math
 
 import pytest
 
-from oblot.canonical import automorphism_orbits, canonical_form
+import oblot.canonical
+from oblot.canonical import canonical_form
 from oblot.errors import InputError
 from oblot.graphs import Configuration, Graph, load_configuration, load_graph
 from oblot.hypergraph import (
@@ -106,7 +108,7 @@ def test_representative_is_lex_min_member():
 
 def test_every_move_in_exactly_one_arc(k23_h):
     for i, entry in enumerate(k23_h.configs):
-        p = automorphism_orbits(entry.rep)
+        p = canonical_form(entry.rep.graph, entry.rep.lam).orbits
         all_moves = list(enumerate_moves(entry.rep, p))
         arc_moves = [
             m for a in arcs_by_source(k23_h).get(i, ()) for m in a.moves
@@ -120,7 +122,7 @@ def test_every_move_in_exactly_one_arc(k23_h):
 def test_recomputed_outcomes_reproduce_delta(k23_h):
     for a in k23_h.hyperarcs:
         entry = k23_h.configs[a.source]
-        p = automorphism_orbits(entry.rep)
+        p = canonical_form(entry.rep.graph, entry.rep.lam).orbits
         for m in a.moves:
             oset = fsync_outcomes(entry.rep, p, m)
             got = tuple(sorted(k23_h.index[enc] for enc in oset.encodings))
@@ -302,12 +304,31 @@ def test_build_agrees_with_independent_class_walk(p4):
     for lam in all_placements(4, 2):
         c = Configuration(p4, lam)
         i = h.index_of(c)
-        p = automorphism_orbits(c)
+        p = canonical_form(c.graph, c.lam).orbits
         for m in enumerate_moves(c, p):
             oset = fsync_outcomes(c, p, m)
             delta = tuple(sorted(h.index[enc] for enc in oset.encodings))
             seen_pairs.add((i, delta))
     assert seen_pairs == {(a.source, a.delta) for a in h.hyperarcs}
+
+
+@pytest.mark.parametrize(
+    "graph, k, scheduler", [("k23", 2, "fsync"), ("k23", 2, "ssync"), ("p4", 3, "fsync")]
+)
+def test_build_searches_each_placement_once(request, monkeypatch, graph, k, scheduler):
+    # a class's orbits come from its representative's form, not a second search
+    g = request.getfixturevalue(graph)
+    searched = []
+    canonize = oblot.canonical._canonize
+
+    def counting(g, colors):
+        searched.append(colors)
+        return canonize(g, colors)
+
+    monkeypatch.setattr(oblot.canonical, "_canonize", counting)
+    build(g, k, scheduler)
+    assert len(searched) == math.comb(g.n + k - 1, k)
+    assert sorted(searched) == all_placements(g.n, k)
 
 
 def test_class_table_matches_canonizer():
@@ -338,7 +359,7 @@ def test_build_deltas_match_canonizer_oracle(scheduler, oracle):
             got = {(a.source, m, a.delta) for a in h.hyperarcs for m in a.moves}
             want = set()
             for i, entry in enumerate(h.configs):
-                p = automorphism_orbits(entry.rep)
+                p = canonical_form(entry.rep.graph, entry.rep.lam).orbits
                 for m in enumerate_moves(entry.rep, p):
                     oset = oracle(entry.rep, p, m)
                     want.add((i, m, tuple(sorted(h.index[enc] for enc in oset.encodings))))

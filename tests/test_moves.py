@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oblot.canonical import automorphism_orbits, canonical_configuration
+from oblot.canonical import canonical_form
 from oblot.errors import InputError, InternalError
 from oblot.graphs import Configuration, Graph
 from oblot.moves import (
@@ -34,7 +34,7 @@ def _configs(max_n: int, max_k: int):
 
 def test_k23_mixed_has_eight_sorted_moves(k23):
     c = Configuration(k23, (1, 0, 1, 0, 0))
-    p = automorphism_orbits(c)
+    p = canonical_form(c.graph, c.lam).orbits
     moves = enumerate_moves(c, p)
     assert len(moves) == 8
     assert all(m.sources == (3, 4) for m in moves)
@@ -45,7 +45,7 @@ def test_k23_mixed_has_eight_sorted_moves(k23):
 
 def test_move_count_matches_bruteforce():
     for c in _configs(4, 2):
-        p = automorphism_orbits(c)
+        p = canonical_form(c.graph, c.lam).orbits
         assert len(enumerate_moves(c, p)) == len(raw_moves(c.graph, c.lam))
 
 
@@ -62,7 +62,7 @@ def _as_brute_move(p, m: Move):
 def test_fsync_raw_outcomes_match_per_robot_oracle():
     # destination multisets per vertex vs per-robot cartesian product
     for c in _configs(4, 2):
-        p = automorphism_orbits(c)
+        p = canonical_form(c.graph, c.lam).orbits
         orbits = {frozenset(o) for o in p.orbits}
         for m in enumerate_moves(c, p):
             got = set(raw_fsync_outcomes(c, p, m))
@@ -72,7 +72,7 @@ def test_fsync_raw_outcomes_match_per_robot_oracle():
 
 def test_ssync_raw_outcomes_match_per_robot_oracle():
     for c in _configs(4, 2):
-        p = automorphism_orbits(c)
+        p = canonical_form(c.graph, c.lam).orbits
         orbits = {frozenset(o) for o in p.orbits}
         for m in enumerate_moves(c, p):
             got = set(raw_ssync_outcomes(c, p, m))
@@ -83,7 +83,7 @@ def test_ssync_raw_outcomes_match_per_robot_oracle():
 def test_outcomes_conserve_robots():
     for c in _configs(4, 2):
         k = sum(c.lam)
-        p = automorphism_orbits(c)
+        p = canonical_form(c.graph, c.lam).orbits
         for m in enumerate_moves(c, p):
             for lam in raw_ssync_outcomes(c, p, m):
                 assert sum(lam) == k
@@ -91,7 +91,7 @@ def test_outcomes_conserve_robots():
 
 def test_fsync_subset_of_ssync():
     for c in _configs(4, 2):
-        p = automorphism_orbits(c)
+        p = canonical_form(c.graph, c.lam).orbits
         for m in enumerate_moves(c, p):
             assert fsync_outcomes(c, p, m).forms <= ssync_outcomes(c, p, m).forms
 
@@ -139,22 +139,22 @@ def test_target_of_unknown_rank():
 
 def test_k2_swap_keeps_class(k2):
     c = Configuration(k2, (1, 1))
-    p = automorphism_orbits(c)
+    p = canonical_form(c.graph, c.lam).orbits
     moves = enumerate_moves(c, p)
     assert moves == (Move(assignments=((0, 0),)),)
     out = fsync_outcomes(c, p, moves[0])
-    assert out.forms == {canonical_configuration(c)}
+    assert out.forms == {canonical_form(c.graph, c.lam)}
     # under adversarial activation a lone mover creates a multiplicity
     sout = ssync_outcomes(c, p, moves[0])
     assert sout.forms == {
-        canonical_configuration(c),
-        canonical_configuration(Configuration(k2, (2, 0))),
+        canonical_form(c.graph, c.lam),
+        canonical_form(k2, (2, 0)),
     }
 
 
 def test_isolated_vertex_has_no_moves():
     c = Configuration(Graph(n=1, edges=()), (2,))
-    p = automorphism_orbits(c)
+    p = canonical_form(c.graph, c.lam).orbits
     assert enumerate_moves(c, p) == ()
 
 
@@ -162,17 +162,17 @@ def test_k23_distinct_two_side_outcomes(k23):
     # both robots on the two-vertex side: a single move, two classes under
     # full activation, one extra (the mixed class) under adversarial activation
     c = Configuration(k23, (1, 1, 0, 0, 0))
-    p = automorphism_orbits(c)
+    p = canonical_form(c.graph, c.lam).orbits
     moves = enumerate_moves(c, p)
     assert len(moves) == 1
     f = fsync_outcomes(c, p, moves[0])
     assert f.forms == {
-        canonical_configuration(Configuration(k23, (0, 0, 2, 0, 0))),
-        canonical_configuration(Configuration(k23, (0, 0, 1, 1, 0))),
+        canonical_form(k23, (0, 0, 2, 0, 0)),
+        canonical_form(k23, (0, 0, 1, 1, 0)),
     }
     s = ssync_outcomes(c, p, moves[0])
     assert s.forms == f.forms | {
-        canonical_configuration(Configuration(k23, (1, 0, 1, 0, 0)))
+        canonical_form(k23, (1, 0, 1, 0, 0))
     }
 
 
@@ -195,8 +195,8 @@ def test_moves_and_outcomes_invariant_under_relabeling(n, data):
     perm = tuple(data.draw(st.permutations(range(n))))
     c1 = Configuration(g, tuple(lam))
     c2 = _permuted(g, tuple(lam), perm)
-    p1 = automorphism_orbits(c1)
-    p2 = automorphism_orbits(c2)
+    p1 = canonical_form(c1.graph, c1.lam).orbits
+    p2 = canonical_form(c2.graph, c2.lam).orbits
     m1 = enumerate_moves(c1, p1)
     m2 = enumerate_moves(c2, p2)
     assert [m.sort_key() for m in m1] == [m.sort_key() for m in m2]

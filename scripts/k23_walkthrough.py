@@ -35,7 +35,7 @@ def main() -> None:
     sol = solution(h, spec)
     print("\ngathering:")
     print(f"  final classes: {sorted(sol.final)}")
-    print(f"  solvable classes: {sorted(sol.result.solvable)}")
+    print(f"  solvable classes: {sorted(sol.solvable)}")
     for i in sorted(sol.entries):
         if i in sol.final:
             continue

@@ -57,13 +57,13 @@ def sweep_one(g: Graph, k: int) -> tuple[int, int, int]:
     sol = solution(build(g, k), spec)
     checked = 0
     for i, entry in enumerate(sol.h.configs):
-        if i not in sol.result.solvable or i in sol.final:
+        if i not in sol.solvable or i in sol.final:
             continue
         summary = enumerate_adversary_plays(entry.rep, spec)
         assert summary.all_reach_final, (g.name, k, i)
         assert summary.max_rounds_used == sol.entries[i].distance, (g.name, k, i)
         checked += 1
-    return len(sol.h.configs), len(sol.result.solvable), checked
+    return len(sol.h.configs), len(sol.solvable), checked
 
 
 def main() -> None:

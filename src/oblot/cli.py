@@ -21,7 +21,8 @@ from pathlib import Path
 from . import __version__
 from .canonical import canonical_form, occupied_orbits
 from .errors import BudgetExceededError, InputError, InternalError
-from .graphs import Configuration, Graph, load_configuration_file, load_graph_file, total_robots
+from .graphs import Configuration, Graph, load_configuration_file, load_graph_file
+from .graphs import read_input_file, total_robots
 from .hypergraph import FORMAT_VERSION, ConfigHypergraph, build, export, loads
 from .problems import load_problem_file
 from .simulate import MAX_ROUNDS_EXCEEDED, parse_adversary, run_fsync
@@ -51,7 +52,7 @@ def _load_colored(args) -> tuple[Graph, tuple[int, ...]]:
 def _cache_path(cache_dir: str | None, g: Graph, k: int, scheduler: str) -> Path | None:
     if cache_dir is None:
         cache_dir = os.environ.get("OBLOT_CACHE")
-    if cache_dir is None:
+    if not cache_dir:
         return None
     # The decorative name stays out of the key: equal graphs share one entry.
     shape = {"n": g.n, "edges": [list(e) for e in g.edges]}
@@ -75,8 +76,8 @@ def _get_hypergraph(g: Graph, k: int, scheduler: str, cache_dir: str | None) -> 
     path = _cache_path(cache_dir, g, k, scheduler)
     if path is not None and path.is_file():
         try:
-            h = loads(path.read_text())
-        except (InputError, OSError):
+            h = loads(read_input_file(path, "cache"))
+        except InputError:
             pass
         else:
             if (h.graph, h.k, h.scheduler) == (g, k, scheduler):
@@ -115,8 +116,6 @@ def cmd_orbits(args) -> int:
 
 def cmd_build(args) -> int:
     g = load_graph_file(args.graph)
-    if args.k < 1:
-        raise InputError(f"robot count must be at least 1, got {args.k}")
     h = _get_hypergraph(g, args.k, args.scheduler, args.cache)
     Path(args.out).write_text(export(h, "json"))
     if args.dot is not None:
@@ -127,8 +126,6 @@ def cmd_build(args) -> int:
 
 def cmd_solve(args) -> int:
     g = load_graph_file(args.graph)
-    if args.k < 1:
-        raise InputError(f"robot count must be at least 1, got {args.k}")
     spec = load_problem_file(args.problem)
     sol = solution(_get_hypergraph(g, args.k, "fsync", args.cache), spec)
     for i, config in enumerate(sol.h.configs):

@@ -138,13 +138,16 @@ def load_graph(text: str) -> Graph:
     return Graph(n=n, edges=tuple(pairs), name=name)
 
 
-def load_graph_file(path: str | Path) -> Graph:
-    path = Path(path)
+def read_input_file(path: str | Path, what: str) -> str:
+    """The text of a UTF-8 input file; a read or decode failure is an InputError."""
     try:
-        text = path.read_text()
-    except OSError as e:
-        raise InputError(f"cannot read graph file {path}: {e}") from e
-    return load_graph(text)
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(f"cannot read {what} file {path}: {e}") from e
+
+
+def load_graph_file(path: str | Path) -> Graph:
+    return load_graph(read_input_file(path, "graph"))
 
 
 def load_configuration(text: str, base_dir: str | Path | None = None) -> Configuration:
@@ -182,9 +185,5 @@ def load_configuration(text: str, base_dir: str | Path | None = None) -> Configu
 
 
 def load_configuration_file(path: str | Path) -> Configuration:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as e:
-        raise InputError(f"cannot read configuration file {path}: {e}") from e
-    return load_configuration(text, base_dir=path.parent)
+    text = read_input_file(path, "configuration")
+    return load_configuration(text, base_dir=Path(path).parent)

@@ -7,23 +7,26 @@ exactly Δ.  Building is deterministic: configurations are sorted by canonical
 encoding, hyperarcs by (source index, Δ index tuple), moves in lexicographic
 move order.
 
-Building runs one canonizer search per placement and no other: each of the
-C(n+k-1, k) placements is canonized exactly once, and the result is kept as
-the class table ``class_of``, a map from placement λ to class index.  A
-class's orbits come from its representative's form (``entry.form.orbits``),
-built from the automorphisms that same search found.  Every later class
-question is a lookup in that table: the Δ of a move is the set of table
-entries of its raw outcome placements, and ``index_of`` reads the table
-before it falls back to the canonizer.  A hypergraph rebuilt by ``loads``
-knows only its representatives' placements, so only there does ``index_of``
-canonize.
+Robots cannot tell automorphic placements apart, so a class is an orbit of
+Aut(G) on placements.  Class enumeration runs one canonizer search for G and
+one per class and no other: placements are walked in lexicographic order,
+and each one not yet in the class table founds a class, whose members are
+found by applying the generators of Aut(G) breadth-first.  The result is the
+class table ``class_of``, a map from every placement λ to its class index.
+A class's orbits come from its representative's form (``entry.form.orbits``),
+built from the automorphisms that same search found.  ``loads`` rebuilds the
+same table, so every later class question is a lookup: the Δ of a move is
+the set of table entries of its raw outcome placements, and ``index_of``
+reads the table.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
+import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .canonical import CanonicalForm, canonical_form
 from .errors import InputError, InternalError
@@ -64,26 +67,15 @@ class ConfigHypergraph:
     scheduler: str
     configs: tuple[ConfigEntry, ...]
     hyperarcs: tuple[Hyperarc, ...]
-    # Placement λ -> class index.  ``build`` lists every placement, ``loads``
-    # only the representatives.
+    # Placement λ -> class index, for every k-robot placement on ``graph``.
     class_of: dict[tuple[int, ...], int] = field(compare=False, repr=False)
-
-    @cached_property
-    def index(self) -> dict[bytes, int]:
-        return {entry.form.encoding: i for i, entry in enumerate(self.configs)}
 
     def index_of(self, c: Configuration) -> int:
         """Class index of ``c``, which must be a k-robot placement on this graph."""
         if c.graph is not self.graph and c.graph != self.graph:
             raise self._foreign()
-        lam = c.lam
-        idx = self.class_of.get(lam)
-        if idx is not None:
-            return idx
-        if len(lam) != self.graph.n or sum(lam) != self.k or any(x < 0 for x in lam):
-            raise self._foreign()
         try:
-            return self.index[canonical_form(self.graph, lam).encoding]
+            return self.class_of[c.lam]
         except KeyError:
             raise self._foreign() from None
 
@@ -95,17 +87,10 @@ class ConfigHypergraph:
 
 
 def _weak_compositions(total: int, parts: int):
-    """All λ with given length and sum, ascending lexicographic order."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _weak_compositions(total - head, parts - 1):
-            yield (head, *rest)
+    """All λ of length ``parts`` and sum ``total`` >= 1, ascending lexicographic
+    order: λ is read off its prefix sums, which come in the same order."""
+    cuts = itertools.combinations_with_replacement(range(total + 1), parts - 1) if parts else ()
+    return (tuple(map(operator.sub, (*c, total), (0, *c))) for c in cuts)
 
 
 def enumerate_configurations(
@@ -114,24 +99,34 @@ def enumerate_configurations(
     """One entry per isomorphism class of k-robot placements on g, plus the
     class table mapping every placement to its entry's index.
 
-    All C(n+k-1, k) placements are generated in ascending lexicographic
-    order and canonized once each, so the representative of a class is its
-    lexicographically smallest member.  Entries are sorted by encoding bytes.
+    Placements are walked in ascending lexicographic order; each one not yet
+    in the table founds a class and, as its least member, represents it: it
+    is canonized, and its orbit under the generators of Aut(G) is filled in
+    breadth-first.  Classes are keyed by encoding, so were the generators
+    incomplete, founders of one class would merge into the first.  Entries
+    are sorted by encoding bytes.
     """
     if k < 1:
         raise InputError(f"robot count must be at least 1, got {k}")
+    generators = canonical_form(g, (0,) * g.n).generators
     by_encoding: dict[bytes, ConfigEntry] = {}
-    placements: list[tuple[tuple[int, ...], bytes]] = []
+    encoding_of: dict[tuple[int, ...], bytes] = {}
     for lam in _weak_compositions(k, g.n):
+        if lam in encoding_of:
+            continue
         form = canonical_form(g, lam)
-        placements.append((lam, form.encoding))
-        if form.encoding not in by_encoding:
-            by_encoding[form.encoding] = ConfigEntry(
-                form=form, rep=Configuration(graph=g, lam=lam)
-            )
+        by_encoding.setdefault(form.encoding, ConfigEntry(form=form, rep=Configuration(g, lam)))
+        encoding_of[lam] = form.encoding
+        orbit = [lam]
+        for member in orbit:
+            for gen in generators:
+                image = tuple(map(member.__getitem__, gen))
+                if image not in encoding_of:
+                    encoding_of[image] = form.encoding
+                    orbit.append(image)
     entries = tuple(entry for _, entry in sorted(by_encoding.items()))
     index = {entry.form.encoding: i for i, entry in enumerate(entries)}
-    return entries, {lam: index[enc] for lam, enc in placements}
+    return entries, {lam: index[enc] for lam, enc in encoding_of.items()}
 
 
 def build(g: Graph, k: int, scheduler: str = "fsync") -> ConfigHypergraph:
@@ -217,8 +212,24 @@ def _require(cond: bool, msg: str) -> None:
         raise InputError(msg)
 
 
+def _may_cover(n: int, k: int, classes: int) -> bool:
+    """Whether ``classes`` classes of at most |Aut(G)| <= n! members each can
+    hold all C(n+k-1, k) placements; a huge k builds no huge binomial."""
+    bound = classes * math.factorial(n)
+    count = 1
+    for i in range(1, min(k, n - 1) + 1):
+        count = count * (max(k, n - 1) + i) // i
+        if count > bound:
+            return False
+    return True
+
+
 def loads(document: str) -> ConfigHypergraph:
-    """Rebuild a hypergraph from its JSON export, validating invariants."""
+    """Rebuild a hypergraph from its JSON export, validating invariants.
+
+    The class table is enumerated again, and the stored configs must be its
+    representatives in order.
+    """
     try:
         obj = json.loads(document)
     except json.JSONDecodeError as e:
@@ -238,9 +249,7 @@ def loads(document: str) -> ConfigHypergraph:
     _require(scheduler in SCHEDULERS, f"unknown scheduler {scheduler!r}")
     raw_configs = obj["configs"]
     _require(isinstance(raw_configs, list) and raw_configs, "field 'configs' must be a non-empty list")
-    entries: list[ConfigEntry] = []
-    class_of: dict[tuple[int, ...], int] = {}
-    seen: set[bytes] = set()
+    lams: list[tuple[int, ...]] = []
     for rc in raw_configs:
         _require(isinstance(rc, dict) and "lambda" in rc, "config entry must carry 'lambda'")
         lam = rc["lambda"]
@@ -253,12 +262,16 @@ def loads(document: str) -> ConfigHypergraph:
             f"config lambda {lam} is not a placement on {g.n} vertices",
         )
         _require(sum(lam) == k, f"config lambda {lam} does not sum to k={k}")
-        rep = Configuration(graph=g, lam=tuple(lam))
-        form = canonical_form(g, rep.lam)
-        _require(form.encoding not in seen, f"duplicate configuration class for lambda {lam}")
-        seen.add(form.encoding)
-        class_of[rep.lam] = len(entries)
-        entries.append(ConfigEntry(form=form, rep=rep))
+        lams.append(tuple(lam))
+    _require(
+        _may_cover(g.n, k, len(lams)),
+        f"{len(lams)} configs cannot cover the placements of {k} robots on {g.n} vertices",
+    )
+    entries, class_of = enumerate_configurations(g, k)
+    _require(
+        lams == [entry.rep.lam for entry in entries],
+        "configs are not the classes' least placements in encoding order",
+    )
     raw_arcs = obj["hyperarcs"]
     _require(isinstance(raw_arcs, list), "field 'hyperarcs' must be a list")
     arcs: list[Hyperarc] = []
@@ -289,6 +302,6 @@ def loads(document: str) -> ConfigHypergraph:
         moves = tuple(move_from_json_obj(rm) for rm in raw_moves)
         arcs.append(Hyperarc(source=source, delta=delta, moves=moves))
     return ConfigHypergraph(
-        graph=g, k=k, scheduler=scheduler, configs=tuple(entries), hyperarcs=tuple(arcs),
+        graph=g, k=k, scheduler=scheduler, configs=entries, hyperarcs=tuple(arcs),
         class_of=class_of,
     )

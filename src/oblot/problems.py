@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .canonical import canonical_form
 from .errors import InputError
-from .graphs import Configuration, is_json_int, total_robots
+from .graphs import Configuration, is_json_int, read_input_file, total_robots
 from .hypergraph import ConfigHypergraph
 
 KINDS = ("gathering", "pattern", "explicit", "geodesic_mutual_visibility")
@@ -178,9 +178,4 @@ def load_problem(text: str) -> ProblemSpec:
 
 
 def load_problem_file(path: str | Path) -> ProblemSpec:
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as e:
-        raise InputError(f"cannot read problem file {path}: {e}") from e
-    return load_problem(text)
+    return load_problem(read_input_file(path, "problem"))

@@ -132,7 +132,7 @@ def run_fsync(
     rng = random.Random(adversary.seed) if adversary.kind == "random" else None
     idx0 = sol.h.index_of(c0)
     if max_rounds is None:
-        solvable0 = idx0 in sol.result.solvable
+        solvable0 = idx0 in sol.solvable
         max_rounds = sol.entries[idx0].distance + 1 if solvable0 else 1
     if max_rounds < 1:
         raise InputError(f"max_rounds must be positive, got {max_rounds}")
@@ -182,7 +182,7 @@ def enumerate_adversary_plays(
     validate_configuration(c0)
     sol = solution(build(c0.graph, total_robots(c0), "fsync"), spec)
     idx0 = sol.h.index_of(c0)
-    if idx0 not in sol.result.solvable:
+    if idx0 not in sol.solvable:
         raise InputError("start configuration is unsolvable; nothing to enumerate")
     memo: dict[int, PlaySummary] = {}
     visited = 0

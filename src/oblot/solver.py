@@ -48,15 +48,6 @@ class PlanEntry:
 
 
 @dataclass(frozen=True)
-class SolvabilityResult:
-    """The attractor of ``final``; ``plan`` holds every solvable class's entry."""
-
-    solvable: frozenset[int]
-    final: frozenset[int]
-    plan: dict[int, PlanEntry] = field(compare=False)
-
-
-@dataclass(frozen=True)
 class MoveDecision:
     """Round verdict for one configuration: final, unsolvable, or a step."""
 
@@ -81,7 +72,25 @@ def _check_final_indices(h: ConfigHypergraph, final) -> frozenset[int]:
     return fin
 
 
-def solve(h: ConfigHypergraph, final) -> SolvabilityResult:
+@dataclass(frozen=True)
+class Solution:
+    """A hypergraph solved for one final set: the attractor and its plan.
+
+    ``solvable`` is the attractor of ``final``; ``entries`` holds every
+    solvable class's plan entry.
+    """
+
+    h: ConfigHypergraph
+    final: frozenset[int]
+    solvable: frozenset[int]
+    entries: dict[int, PlanEntry] = field(compare=False)
+
+    def decision(self, idx: int) -> MoveDecision:
+        """What the robots seeing a configuration of class ``idx`` should do."""
+        return decide(self.h, self.final, self, self.entries, idx)
+
+
+def solve(h: ConfigHypergraph, final) -> Solution:
     """Solvable classes, distances and moves from one backward-attractor pass.
 
     Tie-break, fully specified so that all robots agree: within a hyperarc
@@ -114,10 +123,10 @@ def solve(h: ConfigHypergraph, final) -> SolvabilityResult:
         for s, arc in chosen.items():
             entries[s] = PlanEntry(distance=level, move=arc.moves[0], delta=arc.delta)
         frontier = list(chosen)
-    return SolvabilityResult(solvable=frozenset(entries), final=fin, plan=entries)
+    return Solution(h=h, final=fin, solvable=frozenset(entries), entries=entries)
 
 
-def plan(h: ConfigHypergraph, final, solvability: SolvabilityResult) -> dict[int, PlanEntry]:
+def plan(h: ConfigHypergraph, final, solvability: Solution) -> dict[int, PlanEntry]:
     """Distance, first move and Δ for every solvable class.
 
     The table was computed by :func:`solve`; this checks that it belongs to
@@ -126,13 +135,13 @@ def plan(h: ConfigHypergraph, final, solvability: SolvabilityResult) -> dict[int
     fin = _check_final_indices(h, final)
     if fin != solvability.final:
         raise InputError("solvability result was computed for a different final set")
-    return solvability.plan
+    return solvability.entries
 
 
 def decide(
     h: ConfigHypergraph,
     final: frozenset[int],
-    solvability: SolvabilityResult,
+    solvability: Solution,
     entries: dict[int, PlanEntry],
     idx: int,
 ) -> MoveDecision:
@@ -147,22 +156,6 @@ def decide(
     return MoveDecision(status=STEP, move=entry.move, distance=entry.distance)
 
 
-@dataclass(frozen=True)
-class Solution:
-    """A hypergraph solved for one problem: final set, attractor and plan."""
-
-    h: ConfigHypergraph
-    final: frozenset[int]
-    result: SolvabilityResult
-    entries: dict[int, PlanEntry] = field(compare=False)
-
-    def decision(self, idx: int) -> MoveDecision:
-        """What the robots seeing a configuration of class ``idx`` should do."""
-        return decide(self.h, self.final, self.result, self.entries, idx)
-
-
 def solution(h: ConfigHypergraph, spec: ProblemSpec) -> Solution:
-    """Resolve the problem's final set on ``h``, solve it and plan it."""
-    fin = resolve_final_set(spec, h)
-    result = solve(h, fin)
-    return Solution(h=h, final=fin, result=result, entries=plan(h, fin, result))
+    """Resolve the problem's final set on ``h`` and solve it."""
+    return solve(h, resolve_final_set(spec, h))

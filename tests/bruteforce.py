@@ -257,6 +257,11 @@ class OutcomeSet:
         return tuple(sorted(f.encoding for f in self.forms))
 
 
+def index_by_encoding(h) -> dict[bytes, int]:
+    """Class index of each of ``h``'s classes, keyed by canonical encoding."""
+    return {entry.form.encoding: i for i, entry in enumerate(h.configs)}
+
+
 def _canonical_outcomes(c: Configuration, lams) -> OutcomeSet:
     forms = {canonical_form(c.graph, lam) for lam in lams}
     return OutcomeSet(forms=frozenset(forms))

@@ -10,7 +10,7 @@ from oblot import cli
 from oblot.errors import BudgetExceededError, InternalError
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, cwd=None):
     env = os.environ.copy()
     env.pop("OBLOT_CACHE", None)
     env.setdefault("PYTHONHASHSEED", "0")
@@ -21,6 +21,7 @@ def run_cli(*args, env_extra=None):
         capture_output=True,
         text=True,
         env=env,
+        cwd=cwd,
     )
 
 
@@ -261,6 +262,55 @@ def test_cache_rebuilds_over_export_of_another_graph(files, tmp_path):
     assert sorted(p.name for p in cache.iterdir()) == [entry.name]
 
 
+def test_empty_cache_env_var_is_unset(files, tmp_path):
+    # an empty OBLOT_CACHE must not put cache entries in the working directory
+    work = tmp_path / "work"
+    work.mkdir()
+    src = str(Path(cli.__file__).resolve().parents[1])
+    r = run_cli(
+        "move", "--config", files["mixed"], "--problem", files["gathering"],
+        env_extra={"OBLOT_CACHE": "", "PYTHONPATH": src}, cwd=work,
+    )
+    assert r.returncode == 0
+    assert list(work.iterdir()) == []
+
+
+def test_non_utf8_cache_entry_is_rebuilt(files, tmp_path):
+    # an entry that is not UTF-8 is a miss: rebuilt and written over
+    cache = tmp_path / "cache"
+    queries = (
+        ("build", "--graph", files["k23"], "-k", "2", "--out", str(tmp_path / "h.json")),
+        ("solve", "--graph", files["k23"], "-k", "2", "--problem", files["gathering"]),
+        ("move", "--config", files["mixed"], "--problem", files["gathering"]),
+    )
+    assert run_cli(*queries[0], "--cache", str(cache)).returncode == 0
+    (entry,) = cache.iterdir()
+    genuine = entry.read_text()
+    for args in queries:
+        entry.write_bytes(b"\xff\xfe{}")
+        r = run_cli(*args, "--cache", str(cache))
+        assert r.returncode == 0, r.stderr
+        assert entry.read_text() == genuine
+
+
+@pytest.mark.parametrize("role, what", [
+    ("graph", "graph"), ("config", "configuration"), ("problem", "problem"),
+])
+def test_non_utf8_input_file_exits_two(files, tmp_path, role, what):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    paths = {"graph": files["k23"], "config": files["mixed"], "problem": files["gathering"]}
+    paths[role] = str(bad)
+    if role == "graph":
+        args = ("canon", "--graph", paths["graph"])
+    else:
+        args = ("move", "--config", paths["config"], "--problem", paths["problem"])
+    r = run_cli(*args)
+    assert r.returncode == 2
+    assert r.stderr.startswith(f"error: cannot read {what} file {bad}: ")
+    assert len(r.stderr.splitlines()) == 1
+
+
 def test_cache_env_var(files, tmp_path):
     cache = tmp_path / "envcache"
     out = tmp_path / "h.json"
@@ -279,6 +329,13 @@ def test_input_errors_exit_two(files, tmp_path):
     )
     assert r.returncode == 2
     assert r.stderr.startswith("error:")
+
+    # the robot count is checked once, by the class enumeration, cache or not
+    solve_k0 = ("solve", "--graph", files["k23"], "-k", "0", "--problem", files["gathering"])
+    for cache in ((), ("--cache", str(tmp_path / "cache"))):
+        r1 = run_cli(*solve_k0, *cache)
+        assert r1.returncode == 2
+        assert r1.stderr == "error: robot count must be at least 1, got 0\n"
 
     r2 = run_cli("canon", "--graph", str(tmp_path / "missing.json"))
     assert r2.returncode == 2

@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 import json
-import math
 
 import pytest
 
 import oblot.canonical
+import oblot.hypergraph
 from oblot.canonical import canonical_form
 from oblot.errors import InputError
 from oblot.graphs import Configuration, Graph, load_configuration, load_graph
@@ -25,6 +26,7 @@ from bruteforce import (
     config_isomorphic,
     connected_graph_corpus,
     fsync_outcomes,
+    index_by_encoding,
     ssync_outcomes,
 )
 
@@ -120,12 +122,13 @@ def test_every_move_in_exactly_one_arc(k23_h):
 
 
 def test_recomputed_outcomes_reproduce_delta(k23_h):
+    index = index_by_encoding(k23_h)
     for a in k23_h.hyperarcs:
         entry = k23_h.configs[a.source]
         p = canonical_form(entry.rep.graph, entry.rep.lam).orbits
         for m in a.moves:
             oset = fsync_outcomes(entry.rep, p, m)
-            got = tuple(sorted(k23_h.index[enc] for enc in oset.encodings))
+            got = tuple(sorted(index[enc] for enc in oset.encodings))
             assert got == a.delta
 
 
@@ -212,7 +215,7 @@ def test_loads_rejects_bad_documents(k23_h):
         loads(_tampered(k23_h, lambda o: o.update(scheduler="async")))
     with pytest.raises(InputError, match="positive integer"):
         loads(_tampered(k23_h, lambda o: o.update(k=0)))
-    with pytest.raises(InputError, match="duplicate configuration class"):
+    with pytest.raises(InputError, match="least placements in encoding order"):
         loads(_tampered(k23_h, lambda o: o["configs"].append({"lambda": [2, 0, 0, 0, 0]})))
     with pytest.raises(InputError, match="does not sum"):
         loads(_tampered(k23_h, lambda o: o["configs"].append({"lambda": [1, 0, 0, 0, 0]})))
@@ -228,6 +231,40 @@ def test_loads_rejects_bad_documents(k23_h):
         loads(_tampered(k23_h, lambda o: o["hyperarcs"][0].update(moves=[])))
     with pytest.raises(InputError, match="non-empty list of config indices"):
         loads(_tampered(k23_h, lambda o: o["hyperarcs"][0].update(delta=[])))
+
+
+def _swap_first_configs(obj):
+    configs = obj["configs"]
+    configs[0], configs[1] = configs[1], configs[0]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        # (2, 0, 0, 0, 0) is in the class of (0, 2, 0, 0, 0), but not its least member
+        lambda o: o["configs"][0].update({"lambda": [2, 0, 0, 0, 0]}),
+        lambda o: o["configs"].pop(),
+        _swap_first_configs,
+    ],
+    ids=["non-minimal-member", "missing-class", "swapped-classes"],
+)
+def test_loads_requires_the_class_table_representatives(k23_h, mutate):
+    with pytest.raises(InputError, match="least placements in encoding order"):
+        loads(_tampered(k23_h, mutate))
+
+
+def test_loads_rejects_k_its_configs_cannot_cover(monkeypatch):
+    c10 = Graph(n=10, edges=tuple((i, (i + 1) % 10) for i in range(10)))
+    obj = to_json_obj(build(c10, 1))
+    obj["k"] = 10**6
+    obj["configs"] = [{"lambda": [10**6] + [0] * 9}]
+
+    def no_walk(g, k):
+        raise AssertionError("the placements were walked")
+
+    monkeypatch.setattr(oblot.hypergraph, "enumerate_configurations", no_walk)
+    with pytest.raises(InputError, match="cannot cover"):
+        loads(json.dumps(obj))
 
 
 def _p3_one_robot(mutate):
@@ -300,6 +337,7 @@ def test_deltas_are_sorted_unique(k23_h):
 def test_build_agrees_with_independent_class_walk(p4):
     # walk every raw placement, group arcs by brute-level data on a second graph
     h = build(p4, 2)
+    index = index_by_encoding(h)
     seen_pairs = set()
     for lam in all_placements(4, 2):
         c = Configuration(p4, lam)
@@ -307,7 +345,7 @@ def test_build_agrees_with_independent_class_walk(p4):
         p = canonical_form(c.graph, c.lam).orbits
         for m in enumerate_moves(c, p):
             oset = fsync_outcomes(c, p, m)
-            delta = tuple(sorted(h.index[enc] for enc in oset.encodings))
+            delta = tuple(sorted(index[enc] for enc in oset.encodings))
             seen_pairs.add((i, delta))
     assert seen_pairs == {(a.source, a.delta) for a in h.hyperarcs}
 
@@ -316,7 +354,8 @@ def test_build_agrees_with_independent_class_walk(p4):
     "graph, k, scheduler", [("k23", 2, "fsync"), ("k23", 2, "ssync"), ("p4", 3, "fsync")]
 )
 def test_build_searches_each_placement_once(request, monkeypatch, graph, k, scheduler):
-    # a class's orbits come from its representative's form, not a second search
+    # one search for G, then one per class on its least placement; the other
+    # members come from the orbit walk, and a class's orbits from its form
     g = request.getfixturevalue(graph)
     searched = []
     canonize = oblot.canonical._canonize
@@ -326,9 +365,25 @@ def test_build_searches_each_placement_once(request, monkeypatch, graph, k, sche
         return canonize(g, colors)
 
     monkeypatch.setattr(oblot.canonical, "_canonize", counting)
-    build(g, k, scheduler)
-    assert len(searched) == math.comb(g.n + k - 1, k)
-    assert sorted(searched) == all_placements(g.n, k)
+    h = build(g, k, scheduler)
+    assert len(searched) == 1 + len(h.configs)
+    assert searched == [(0,) * g.n, *sorted(e.rep.lam for e in h.configs)]
+
+
+def test_class_table_survives_missing_generators(monkeypatch):
+    # with no generators every placement founds its own class; founders of
+    # one class must merge by encoding, so the export cannot change
+    def without_generators(g, coloring):
+        form = canonical_form(g, coloring)
+        return dataclasses.replace(form, generators=()) if not any(coloring) else form
+
+    want = {
+        (g, k): export(build(g, k), "json")
+        for g in connected_graph_corpus(4) for k in (1, 2, 3)
+    }
+    monkeypatch.setattr(oblot.hypergraph, "canonical_form", without_generators)
+    for (g, k), doc in want.items():
+        assert export(build(g, k), "json") == doc
 
 
 def test_class_table_matches_canonizer():
@@ -336,15 +391,15 @@ def test_class_table_matches_canonizer():
     for g in connected_graph_corpus(5):
         for k in (1, 2, 3):
             h = build(g, k)
+            index = index_by_encoding(h)
             placements = all_placements(g.n, k)
             assert set(h.class_of) == set(placements)
             for lam in placements:
-                assert h.class_of[lam] == h.index[canonical_form(g, lam).encoding]
+                assert h.class_of[lam] == index[canonical_form(g, lam).encoding]
 
-            # loads keeps only the representatives; the rest goes through the
-            # canonizer fallback of index_of, which must agree with the table
+            # loads rebuilds the whole table, so index_of agrees on every placement
             again = loads(export(h, "json"))
-            assert again.class_of == {e.rep.lam: i for i, e in enumerate(h.configs)}
+            assert again.class_of == h.class_of
             for lam in placements:
                 assert again.index_of(Configuration(again.graph, lam)) == h.index_of(
                     Configuration(g, lam)
@@ -356,11 +411,12 @@ def test_build_deltas_match_canonizer_oracle(scheduler, oracle):
     for g in connected_graph_corpus(5):
         for k in (1, 2, 3):
             h = build(g, k, scheduler)
+            index = index_by_encoding(h)
             got = {(a.source, m, a.delta) for a in h.hyperarcs for m in a.moves}
             want = set()
             for i, entry in enumerate(h.configs):
                 p = canonical_form(entry.rep.graph, entry.rep.lam).orbits
                 for m in enumerate_moves(entry.rep, p):
                     oset = oracle(entry.rep, p, m)
-                    want.add((i, m, tuple(sorted(h.index[enc] for enc in oset.encodings))))
+                    want.add((i, m, tuple(sorted(index[enc] for enc in oset.encodings))))
             assert got == want

@@ -99,6 +99,16 @@ def is_json_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def parse_json(text: str, what: str) -> object:
+    """``json.loads(text)``; malformed, oversized or too deeply nested JSON is
+    an InputError (``ValueError`` covers ``JSONDecodeError`` and the
+    interpreter's limit on integer digits)."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise InputError(f"{what} parse error: {e}") from e
+
+
 def _warn_unknown_fields(obj: dict, known: set[str], what: str) -> None:
     for key in obj:
         if key not in known:
@@ -111,10 +121,7 @@ def load_graph(text: str) -> Graph:
     Pure function of the document content; identical bytes yield equal graphs.
     Unknown fields warn rather than fail.
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError(f"graph parse error: {e}") from e
+    obj = parse_json(text, "graph")
     if not isinstance(obj, dict):
         raise InputError("graph document must be a JSON object")
     for req in ("n", "edges"):
@@ -156,10 +163,7 @@ def load_configuration(text: str, base_dir: str | Path | None = None) -> Configu
     A string ``graph`` field is a file path, resolved relative to ``base_dir``
     when given.  The result is validated.
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError(f"configuration parse error: {e}") from e
+    obj = parse_json(text, "configuration")
     if not isinstance(obj, dict):
         raise InputError("configuration document must be a JSON object")
     for req in ("graph", "lambda"):

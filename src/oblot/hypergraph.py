@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 from .canonical import CanonicalForm, canonical_form
 from .errors import InputError, InternalError
-from .graphs import Configuration, Graph, is_json_int, load_graph
+from .graphs import Configuration, Graph, is_json_int, load_graph, parse_json
 from .moves import Move, _raw_outcomes, enumerate_moves, move_from_json_obj
 
 FORMAT_VERSION = 1
@@ -230,10 +230,7 @@ def loads(document: str) -> ConfigHypergraph:
     The class table is enumerated again, and the stored configs must be its
     representatives in order.
     """
-    try:
-        obj = json.loads(document)
-    except json.JSONDecodeError as e:
-        raise InputError(f"hypergraph parse error: {e}") from e
+    obj = parse_json(document, "hypergraph")
     _require(isinstance(obj, dict), "hypergraph document must be a JSON object")
     version = obj.get("format_version")
     _require(

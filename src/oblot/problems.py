@@ -7,14 +7,13 @@ isomorphism-invariant, which is what makes F well defined on classes.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
 from .canonical import canonical_form
 from .errors import InputError
-from .graphs import Configuration, is_json_int, read_input_file, total_robots
+from .graphs import Configuration, is_json_int, parse_json, read_input_file, total_robots
 from .hypergraph import ConfigHypergraph
 
 KINDS = ("gathering", "pattern", "explicit", "geodesic_mutual_visibility")
@@ -152,10 +151,7 @@ def load_problem(text: str) -> ProblemSpec:
     ``{"type":"explicit","final":[[...], ...]}``,
     ``{"type":"geodesic_mutual_visibility"}`` (also spelled with hyphens).
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError(f"problem parse error: {e}") from e
+    obj = parse_json(text, "problem")
     if not isinstance(obj, dict) or "type" not in obj:
         raise InputError("problem document must be a JSON object with a 'type' field")
     kind_field = obj["type"]

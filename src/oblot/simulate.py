@@ -13,10 +13,11 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .canonical import canonical_form
 from .errors import BudgetExceededError, InputError
-from .graphs import Configuration, total_robots, validate_configuration
+from .graphs import Configuration, Graph, total_robots, validate_configuration
 from .hypergraph import build
 from .moves import raw_fsync_outcomes
 from .problems import ProblemSpec
@@ -88,6 +89,13 @@ class ExecutionTrace:
         return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
+@lru_cache(maxsize=1)
+def _solution(g: Graph, k: int, spec: ProblemSpec) -> Solution:
+    """The solved FSYNC hypergraph of (G, k, problem), kept for the next call
+    (callers simulate many starts on one instance in a row)."""
+    return solution(build(g, k, "fsync"), spec)
+
+
 def _pick_outcome(
     sol: Solution,
     outcomes: tuple[tuple[int, ...], ...],
@@ -117,18 +125,19 @@ def run_fsync(
 ) -> ExecutionTrace:
     """Execute the optimal algorithm from ``c0`` until F, unsolvable, or budget.
 
-    The hypergraph is computed once and reused across rounds, which is
-    observationally identical to recomputing it (the decision is a pure
-    function of the class); each round reads its class from the hypergraph's
-    class table, which lists every placement, and each step canonizes its
-    actual placement once, for the orbits the move is resolved on.  An
-    unsolvable start records a single nil round and stops: the robots never
-    move.  ``max_rounds`` bounds the number of executed steps and defaults to
-    plan distance + 1 when solvable, else 1, so an overrun always signals a
-    planner defect rather than a slow run.
+    The solved hypergraph is reused across rounds and across consecutive
+    calls on one (G, k, problem), which is observationally identical to
+    recomputing it (the decision is a pure function of the class); each
+    round reads its class from the hypergraph's class table, which lists
+    every placement, and each step canonizes its actual placement once, for
+    the orbits the move is resolved on.  An unsolvable start records a
+    single nil round and stops: the robots never move.  ``max_rounds``
+    bounds the number of executed steps and defaults to plan distance + 1
+    when solvable, else 1, so an overrun always signals a planner defect
+    rather than a slow run.
     """
     validate_configuration(c0)
-    sol = solution(build(c0.graph, total_robots(c0), "fsync"), spec)
+    sol = _solution(c0.graph, total_robots(c0), spec)
     rng = random.Random(adversary.seed) if adversary.kind == "random" else None
     idx0 = sol.h.index_of(c0)
     if max_rounds is None:
@@ -176,11 +185,12 @@ def enumerate_adversary_plays(
     Decision and outcomes depend only on the class (the outcome classes of
     the planned move are the plan entry's Δ), so the recursion memoizes per
     class; planned moves strictly decrease the distance, which bounds the
-    depth.  ``node_cap`` aborts pathologically large explorations loudly
-    instead of truncating them.
+    depth.  The solved hypergraph is shared with consecutive calls on one
+    (G, k, problem), as in :func:`run_fsync`.  ``node_cap`` aborts
+    pathologically large explorations loudly instead of truncating them.
     """
     validate_configuration(c0)
-    sol = solution(build(c0.graph, total_robots(c0), "fsync"), spec)
+    sol = _solution(c0.graph, total_robots(c0), spec)
     idx0 = sol.h.index_of(c0)
     if idx0 not in sol.solvable:
         raise InputError("start configuration is unsolvable; nothing to enumerate")

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
+import oblot.simulate
 from oblot.graphs import Graph
 
 settings.register_profile(
@@ -11,6 +12,13 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def _empty_solution_memo():
+    # a test that patches build or the canonizer never reads a Solution
+    # that another test built
+    oblot.simulate._solution.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -275,8 +275,7 @@ def test_empty_cache_env_var_is_unset(files, tmp_path):
     assert list(work.iterdir()) == []
 
 
-def test_non_utf8_cache_entry_is_rebuilt(files, tmp_path):
-    # an entry that is not UTF-8 is a miss: rebuilt and written over
+def _assert_cache_entry_is_rebuilt(files, tmp_path, content: bytes):
     cache = tmp_path / "cache"
     queries = (
         ("build", "--graph", files["k23"], "-k", "2", "--out", str(tmp_path / "h.json")),
@@ -287,10 +286,44 @@ def test_non_utf8_cache_entry_is_rebuilt(files, tmp_path):
     (entry,) = cache.iterdir()
     genuine = entry.read_text()
     for args in queries:
-        entry.write_bytes(b"\xff\xfe{}")
+        entry.write_bytes(content)
         r = run_cli(*args, "--cache", str(cache))
         assert r.returncode == 0, r.stderr
         assert entry.read_text() == genuine
+
+
+def test_non_utf8_cache_entry_is_rebuilt(files, tmp_path):
+    # an entry that is not UTF-8 is a miss: rebuilt and written over
+    _assert_cache_entry_is_rebuilt(files, tmp_path, b"\xff\xfe{}")
+
+
+BIG_INT = "1" * 5000  # past the interpreter's limit on integer digits
+DEEP_ARRAY = "[" * 100_000 + "]" * 100_000  # past the interpreter's recursion limit
+
+
+@pytest.mark.parametrize("what, text", [
+    ("graph", '{"n": %s, "edges": []}' % BIG_INT),
+    ("graph", DEEP_ARRAY),
+    ("problem", '{"type": "pattern", "targets": [[%s]]}' % BIG_INT),
+], ids=["big-graph", "deep-graph", "big-problem"])
+def test_unparsable_json_exits_two(files, tmp_path, what, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    if what == "graph":
+        r = run_cli("canon", "--graph", str(bad))
+    else:
+        r = run_cli("move", "--config", files["mixed"], "--problem", str(bad))
+    assert r.returncode == 2
+    assert r.stderr.startswith(f"error: {what} parse error: ")
+    assert len(r.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text", [
+    '{"format_version": %s}' % BIG_INT, DEEP_ARRAY,
+], ids=["big", "deep"])
+def test_unparsable_cache_entry_is_rebuilt(files, tmp_path, text):
+    # an entry the JSON parser refuses is a miss too
+    _assert_cache_entry_is_rebuilt(files, tmp_path, text.encode())
 
 
 @pytest.mark.parametrize("role, what", [

@@ -1,16 +1,23 @@
+import dataclasses
+
 import pytest
 
+import oblot.simulate
+from bruteforce import all_placements, connected_graph_corpus
 from oblot.canonical import canonical_form
 from oblot.errors import BudgetExceededError, InputError
 from oblot.graphs import Configuration, Graph
+from oblot.hypergraph import build
 from oblot.problems import ProblemSpec
 from oblot.simulate import (
     AdversaryStrategy,
     PlaySummary,
+    _solution,
     enumerate_adversary_plays,
     parse_adversary,
     run_fsync,
 )
+from oblot.solver import solution
 
 GATHER = ProblemSpec(kind="gathering")
 WORST = AdversaryStrategy(kind="worst")
@@ -157,3 +164,85 @@ def test_trace_json_shape(k23):
         "outcome_lambda": [0, 0, 2, 0, 0],
     }
     assert trace.to_json().endswith("\n")
+
+
+def _count_builds(monkeypatch) -> list:
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(oblot.simulate, "build", counting)
+    return calls
+
+
+def _observe(c: Configuration, spec: ProblemSpec) -> tuple:
+    """Everything the simulator answers for a start: two traces and the
+    play summary, or the error the plays raise."""
+    traces = tuple(run_fsync(c, spec, adv).to_json() for adv in (WORST, FIRST))
+    try:
+        plays = enumerate_adversary_plays(c, spec)
+    except InputError as e:
+        plays = str(e)
+    return traces, plays
+
+
+def test_one_build_per_instance(k23, monkeypatch):
+    sol = solution(build(k23, 2, "fsync"), GATHER)
+    # every placement of every solvable non-final class
+    starts = [
+        Configuration(k23, lam) for lam, i in sol.h.class_of.items()
+        if i in sol.solvable and i not in sol.final
+    ]
+    assert len(starts) >= 2
+    calls = _count_builds(monkeypatch)
+    for c in starts:
+        enumerate_adversary_plays(c, GATHER)
+        run_fsync(c, GATHER, WORST)
+    assert calls == [(k23, 2, "fsync")]
+
+
+def test_memo_is_transparent():
+    # warm answers, with the two specs evicting each other between passes,
+    # equal the answers of a call made right after the slot is emptied
+    for g in connected_graph_corpus(4):
+        for k in (1, 2):
+            specs = (GATHER, ProblemSpec(kind="explicit", targets=((0,) * (g.n - 1) + (k,),)))
+            starts = [Configuration(g, lam) for lam in all_placements(g.n, k)]
+            warm = {}
+            for spec in specs + specs:
+                for c in starts:
+                    warm.setdefault((spec, c), []).append(_observe(c, spec))
+            for (spec, c), seen in warm.items():
+                _solution.cache_clear()
+                assert seen == [_observe(c, spec)] * 2, (g, k, spec, c.lam)
+
+
+def test_equal_graphs_share_the_slot(k23, monkeypatch):
+    spread = (0, 0, 1, 1, 1)
+    want = _observe(Configuration(k23, spread), GATHER)
+    calls = _count_builds(monkeypatch)
+    renamed = dataclasses.replace(k23, name="renamed")
+    reordered = Graph(n=5, edges=tuple(reversed(k23.edges)))
+    for g in (renamed, reordered):
+        assert _observe(Configuration(g, spread), GATHER) == want
+    assert calls == []
+
+
+def test_errors_leave_the_slot_usable(k23, c4_cycle):
+    spread = Configuration(k23, (0, 0, 1, 1, 1))
+    want = _observe(spread, GATHER)
+    with pytest.raises(InputError, match="unsolvable"):
+        enumerate_adversary_plays(Configuration(c4_cycle, (1, 0, 1, 0)), GATHER)
+    assert _observe(spread, GATHER) == want
+    short = ProblemSpec(kind="pattern", targets=((3, 0, 0),))
+    with pytest.raises(InputError, match="target length"):
+        run_fsync(spread, short, WORST)
+    with pytest.raises(InputError, match="target length"):
+        enumerate_adversary_plays(spread, short)
+    assert _observe(spread, GATHER) == want
+    with pytest.raises(BudgetExceededError, match="node cap"):
+        enumerate_adversary_plays(spread, GATHER, node_cap=2)
+    assert _observe(spread, GATHER) == want
+    assert want[1] == PlaySummary(max_rounds_used=3, min_rounds_used=1, all_reach_final=True)

@@ -79,13 +79,12 @@ class CanonicalForm:
         groups: dict[int, list[int]] = {}
         for v in range(n):
             groups.setdefault(find(v), []).append(v)
-        ranked = sorted(
-            (min(self.labeling[v] for v in orbit), tuple(orbit))
-            for orbit in groups.values()
-        )
+        rank = {root: min(self.labeling[v] for v in orbit) for root, orbit in groups.items()}
+        ranked = sorted((rank[root], tuple(orbit)) for root, orbit in groups.items())
         return OrbitPartition(
             orbits=tuple(orbit for _, orbit in ranked),
-            ranks=tuple(rank for rank, _ in ranked),
+            ranks=tuple(r for r, _ in ranked),
+            rank_of=tuple(rank[find(v)] for v in range(n)),
         )
 
     def __eq__(self, other: object) -> bool:
@@ -108,28 +107,13 @@ class OrbitPartition:
     where the rank of an orbit is the minimum canonical label among its
     vertices.  Ranks identify orbits everywhere downstream (moves, plans,
     traces) because they are invariant across isomorphic copies.
+    ``rank_of[v]``, the rank of vertex v's orbit, is the one table the moves
+    layer reads; derived from the other two fields, it is left out of equality.
     """
 
     orbits: tuple[tuple[int, ...], ...]
     ranks: tuple[int, ...]
-
-    @cached_property
-    def _by_rank(self) -> dict[int, tuple[int, ...]]:
-        return dict(zip(self.ranks, self.orbits))
-
-    def orbit_of_rank(self, rank: int) -> tuple[int, ...]:
-        try:
-            return self._by_rank[rank]
-        except KeyError:
-            raise InternalError(f"no orbit with rank {rank}") from None
-
-    @cached_property
-    def orbit_rank_of_vertex(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for orbit, rank in zip(self.orbits, self.ranks):
-            for v in orbit:
-                out[v] = rank
-        return out
+    rank_of: tuple[int, ...] = field(compare=False, repr=False)
 
 
 def _refine(adj: tuple[frozenset[int], ...], cells: list[list[int]]) -> list[list[int]]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import os
 import sys
 from dataclasses import replace
@@ -21,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .canonical import canonical_form, occupied_orbits
 from .errors import BudgetExceededError, InputError, InternalError
-from .graphs import Configuration, Graph, load_configuration_file, load_graph_file
+from .graphs import Configuration, Graph, dump_json, load_configuration_file, load_graph_file
 from .graphs import read_input_file, total_robots
 from .hypergraph import FORMAT_VERSION, ConfigHypergraph, build, export, loads
 from .problems import load_problem_file
@@ -34,10 +33,6 @@ EXIT_UNSOLVABLE = 3
 EXIT_MAX_ROUNDS = 4
 EXIT_INTERNAL = 5
 EXIT_BUDGET = 6
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _load_colored(args) -> tuple[Graph, tuple[int, ...]]:
@@ -57,7 +52,7 @@ def _cache_path(cache_dir: str | None, g: Graph, k: int, scheduler: str) -> Path
     # The decorative name stays out of the key: equal graphs share one entry.
     shape = {"n": g.n, "edges": [list(e) for e in g.edges]}
     key_material = (
-        _dump(shape)
+        dump_json(shape)
         + f"k={k};scheduler={scheduler};format={FORMAT_VERSION};version={__version__}"
     )
     digest = hashlib.sha256(key_material.encode()).hexdigest()
@@ -97,7 +92,7 @@ def _get_hypergraph(g: Graph, k: int, scheduler: str, cache_dir: str | None) -> 
 def cmd_canon(args) -> int:
     g, colors = _load_colored(args)
     form = canonical_form(g, colors)
-    sys.stdout.write(_dump({"encoding": form.hex(), "labeling": list(form.labeling)}))
+    sys.stdout.write(dump_json({"encoding": form.hex(), "labeling": list(form.labeling)}))
     return EXIT_OK
 
 
@@ -110,7 +105,7 @@ def cmd_orbits(args) -> int:
         "ranks": list(p.ranks),
         "occupied": list(occupied_orbits(p, c)),
     }
-    sys.stdout.write(_dump(obj))
+    sys.stdout.write(dump_json(obj))
     return EXIT_OK
 
 
@@ -142,7 +137,7 @@ def cmd_solve(args) -> int:
                 else None
             ),
         }
-        sys.stdout.write(_dump(line))
+        sys.stdout.write(dump_json(line))
     return EXIT_OK
 
 
@@ -151,7 +146,7 @@ def cmd_move(args) -> int:
     spec = load_problem_file(args.problem)
     h = _get_hypergraph(c.graph, total_robots(c), "fsync", args.cache)
     decision = solution(h, spec).decision(h.index_of(c))
-    sys.stdout.write(_dump(decision.to_json_obj()))
+    sys.stdout.write(dump_json(decision.to_json_obj()))
     return EXIT_UNSOLVABLE if decision.status == UNSOLVABLE else EXIT_OK
 
 

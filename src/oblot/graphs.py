@@ -8,6 +8,7 @@ object.  Vertices are dense integer indices ``0..n-1``.
 from __future__ import annotations
 
 import json
+import reprlib
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -31,7 +32,7 @@ class Graph:
 
     def __post_init__(self) -> None:
         if self.n < 0:
-            raise InputError(f"vertex count must be nonnegative, got {self.n}")
+            raise InputError(f"vertex count must be nonnegative, got {bounded_repr(self.n)}")
         seen: set[tuple[int, int]] = set()
         for pair in self.edges:
             if len(pair) != 2:
@@ -40,10 +41,11 @@ class Graph:
             if u == v:
                 raise InputError(f"self-loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
-                raise InputError(f"edge endpoint out of range: {pair!r} with n={self.n}")
+                pair, n = bounded_repr(pair), bounded_repr(self.n)
+                raise InputError(f"edge endpoint out of range: {pair} with n={n}")
             key = (min(u, v), max(u, v))
             if key in seen:
-                raise InputError(f"duplicate edge {key!r}")
+                raise InputError(f"duplicate edge {bounded_repr(key)}")
             seen.add(key)
         object.__setattr__(self, "edges", tuple(sorted(seen)))
 
@@ -82,7 +84,8 @@ def validate_configuration(c: Configuration) -> None:
     robot: one nonnegative count per vertex, summing to at least 1."""
     if len(c.lam) != c.graph.n:
         raise InputError(
-            f"length mismatch: lambda has {len(c.lam)} entries for {c.graph.n} vertices"
+            f"length mismatch: lambda has {len(c.lam)} entries "
+            f"for {bounded_repr(c.graph.n)} vertices"
         )
     if any(x < 0 for x in c.lam):
         raise InputError("robot counts must be nonnegative")
@@ -109,10 +112,24 @@ def parse_json(text: str, what: str) -> object:
         raise InputError(f"{what} parse error: {e}") from e
 
 
+def dump_json(obj: object) -> str:
+    """The one JSON output form: sorted keys, compact, one trailing newline."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def bounded_repr(value: object) -> str:
+    """``repr`` of an input value quoted in an error message, cut to a few levels,
+    items and digits and at most 120 characters, however large the document."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 120 else text[:117] + "..."
+
+
 def _warn_unknown_fields(obj: dict, known: set[str], what: str) -> None:
     for key in obj:
         if key not in known:
-            warnings.warn(f"ignoring unknown field {key!r} in {what} document", stacklevel=3)
+            warnings.warn(
+                f"ignoring unknown field {bounded_repr(key)} in {what} document", stacklevel=3
+            )
 
 
 def load_graph(text: str) -> Graph:
@@ -130,7 +147,7 @@ def load_graph(text: str) -> Graph:
     _warn_unknown_fields(obj, {"name", "n", "edges"}, "graph")
     n = obj["n"]
     if not is_json_int(n):
-        raise InputError(f"field 'n' must be an integer, got {n!r}")
+        raise InputError(f"field 'n' must be an integer, got {bounded_repr(n)}")
     edges = obj["edges"]
     if not isinstance(edges, list):
         raise InputError("field 'edges' must be a list of pairs")
@@ -140,7 +157,7 @@ def load_graph(text: str) -> Graph:
     pairs = []
     for e in edges:
         if not isinstance(e, list) or len(e) != 2 or not all(is_json_int(x) for x in e):
-            raise InputError(f"edge must be a pair of integers, got {e!r}")
+            raise InputError(f"edge must be a pair of integers, got {bounded_repr(e)}")
         pairs.append((e[0], e[1]))
     return Graph(n=n, edges=tuple(pairs), name=name)
 

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 
 from .canonical import CanonicalForm, canonical_form
 from .errors import InputError, InternalError
-from .graphs import Configuration, Graph, is_json_int, load_graph, parse_json
+from .graphs import Configuration, Graph, bounded_repr, dump_json, is_json_int, load_graph
+from .graphs import parse_json
 from .moves import Move, _raw_outcomes, enumerate_moves, move_from_json_obj
 
 FORMAT_VERSION = 1
@@ -201,15 +202,16 @@ def to_dot(h: ConfigHypergraph) -> str:
 
 def export(h: ConfigHypergraph, format: str) -> str:
     if format == "json":
-        return json.dumps(to_json_obj(h), sort_keys=True, separators=(",", ":")) + "\n"
+        return dump_json(to_json_obj(h))
     if format == "dot":
         return to_dot(h)
     raise InputError(f"unknown export format {format!r}; expected 'json' or 'dot'")
 
 
-def _require(cond: bool, msg: str) -> None:
+def _require(cond: bool, msg: str, *values: object) -> None:
+    """Raise an InputError unless ``cond``; each ``{}`` of ``msg`` shows a value, bounded."""
     if not cond:
-        raise InputError(msg)
+        raise InputError(msg.format(*map(bounded_repr, values)))
 
 
 def _may_cover(n: int, k: int, classes: int) -> bool:
@@ -235,15 +237,15 @@ def loads(document: str) -> ConfigHypergraph:
     version = obj.get("format_version")
     _require(
         version == FORMAT_VERSION,
-        f"unsupported format_version {version!r}; this build reads {FORMAT_VERSION}",
+        "unsupported format_version {}; this build reads {}", version, FORMAT_VERSION,
     )
     for req in ("graph", "k", "scheduler", "configs", "hyperarcs"):
-        _require(req in obj, f"hypergraph document missing field {req!r}")
+        _require(req in obj, "hypergraph document missing field {}", req)
     g = load_graph(json.dumps(obj["graph"]))
     k = obj["k"]
-    _require(is_json_int(k) and k >= 1, f"field 'k' must be a positive integer, got {k!r}")
+    _require(is_json_int(k) and k >= 1, "field 'k' must be a positive integer, got {}", k)
     scheduler = obj["scheduler"]
-    _require(scheduler in SCHEDULERS, f"unknown scheduler {scheduler!r}")
+    _require(scheduler in SCHEDULERS, "unknown scheduler {}", scheduler)
     raw_configs = obj["configs"]
     _require(isinstance(raw_configs, list) and raw_configs, "field 'configs' must be a non-empty list")
     lams: list[tuple[int, ...]] = []
@@ -256,13 +258,13 @@ def loads(document: str) -> ConfigHypergraph:
         )
         _require(
             len(lam) == g.n and all(x >= 0 for x in lam),
-            f"config lambda {lam} is not a placement on {g.n} vertices",
+            "config lambda {} is not a placement on {} vertices", lam, g.n,
         )
-        _require(sum(lam) == k, f"config lambda {lam} does not sum to k={k}")
+        _require(sum(lam) == k, "config lambda {} does not sum to k={}", lam, k)
         lams.append(tuple(lam))
     _require(
         _may_cover(g.n, k, len(lams)),
-        f"{len(lams)} configs cannot cover the placements of {k} robots on {g.n} vertices",
+        "{} configs cannot cover the placements of {} robots on {} vertices", len(lams), k, g.n,
     )
     entries, class_of = enumerate_configurations(g, k)
     _require(
@@ -276,23 +278,25 @@ def loads(document: str) -> ConfigHypergraph:
     for ra in raw_arcs:
         _require(isinstance(ra, dict), "hyperarc entry must be an object")
         for req in ("source", "delta", "moves"):
-            _require(req in ra, f"hyperarc entry missing field {req!r}")
+            _require(req in ra, "hyperarc entry missing field {}", req)
         source = ra["source"]
         _require(
             is_json_int(source) and 0 <= source < len(entries),
-            f"hyperarc source {source!r} out of range",
+            "hyperarc source {} out of range", source,
         )
         delta_list = ra["delta"]
         _require(
             isinstance(delta_list, list)
             and delta_list
             and all(is_json_int(d) and 0 <= d < len(entries) for d in delta_list),
-            f"hyperarc delta {delta_list!r} must be a non-empty list of config indices",
+            "hyperarc delta {} must be a non-empty list of config indices", delta_list,
         )
         delta = tuple(sorted(set(delta_list)))
-        _require(len(delta) == len(delta_list), f"hyperarc delta {delta_list!r} has duplicates")
+        _require(len(delta) == len(delta_list), "hyperarc delta {} has duplicates", delta_list)
         key = (source, delta)
-        _require(key not in seen_arcs, f"duplicate hyperarc (source={source}, delta={delta_list})")
+        _require(
+            key not in seen_arcs, "duplicate hyperarc (source={}, delta={})", source, delta_list
+        )
         seen_arcs.add(key)
         raw_moves = ra["moves"]
         _require(isinstance(raw_moves, list) and raw_moves, "hyperarc 'moves' must be non-empty")

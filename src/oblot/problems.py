@@ -13,7 +13,8 @@ from pathlib import Path
 
 from .canonical import canonical_form
 from .errors import InputError
-from .graphs import Configuration, is_json_int, parse_json, read_input_file, total_robots
+from .graphs import Configuration, bounded_repr, is_json_int, parse_json, read_input_file
+from .graphs import total_robots
 from .hypergraph import ConfigHypergraph
 
 KINDS = ("gathering", "pattern", "explicit", "geodesic_mutual_visibility")
@@ -170,7 +171,7 @@ def load_problem(text: str) -> ProblemSpec:
         if not ok:
             raise InputError(f"field {field!r} must be a list of integer lists")
         return ProblemSpec(kind=kind_field, targets=tuple(tuple(t) for t in raw))
-    raise InputError(f"unknown problem type {kind_field!r}")
+    raise InputError(f"unknown problem type {bounded_repr(kind_field)}")
 
 
 def load_problem_file(path: str | Path) -> ProblemSpec:

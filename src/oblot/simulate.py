@@ -10,14 +10,13 @@ always picks the lexicographically smallest raw placement.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .canonical import canonical_form
 from .errors import BudgetExceededError, InputError
-from .graphs import Configuration, Graph, total_robots, validate_configuration
+from .graphs import Configuration, Graph, dump_json, total_robots, validate_configuration
 from .hypergraph import build
 from .moves import raw_fsync_outcomes
 from .problems import ProblemSpec
@@ -86,7 +85,7 @@ class ExecutionTrace:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":")) + "\n"
+        return dump_json(self.to_json_obj())
 
 
 @lru_cache(maxsize=1)

@@ -55,10 +55,17 @@ def test_pendant_encoding_is_equivalent_oracle():
     assert set(map(frozenset, direct.values())) == set(map(frozenset, pendant.values()))
 
 
+def _assert_rank_of_matches(p, n):
+    assert len(p.rank_of) == n
+    for orbit, rank in zip(p.orbits, p.ranks, strict=True):
+        assert all(p.rank_of[v] == rank for v in orbit)
+
+
 def test_orbits_match_bruteforce():
     for c in _small_configs(4, 2):
         p = canonical_form(c.graph, c.lam).orbits
         assert {frozenset(o) for o in p.orbits} == brute_orbits(c.graph, c.lam)
+        _assert_rank_of_matches(p, c.graph.n)
     # the orbits a hypergraph's classes carry, built and reloaded
     for g in connected_graph_corpus(4):
         for k in (1, 2):
@@ -68,6 +75,8 @@ def test_orbits_match_bruteforce():
                 p = entry.form.orbits
                 assert {frozenset(o) for o in p.orbits} == brute_orbits(g, entry.rep.lam)
                 assert loaded.form.orbits == p
+                _assert_rank_of_matches(p, g.n)
+                _assert_rank_of_matches(loaded.form.orbits, g.n)
 
 
 def test_k23_multiplicity_classes(k23):
@@ -108,8 +117,8 @@ def test_k23_mixed_orbits(k23):
         frozenset({3, 4}),
     }
     assert occupied_orbits(p, c) == (3, 4)
-    assert p.orbit_of_rank(3) == (2,)
-    assert p.orbit_of_rank(4) == (0,)
+    assert p.orbits[p.ranks.index(3)] == (2,)
+    assert p.orbits[p.ranks.index(4)] == (0,)
 
 
 def test_c4_antipodal_single_occupied_orbit(c4_cycle):
@@ -117,13 +126,7 @@ def test_c4_antipodal_single_occupied_orbit(c4_cycle):
     p = canonical_form(c.graph, c.lam).orbits
     occ = occupied_orbits(p, c)
     assert len(occ) == 1
-    assert p.orbit_of_rank(occ[0]) == (0, 2)
-
-
-def test_orbit_of_rank_unknown(c4_cycle):
-    p = canonical_form(c4_cycle, (0, 0, 0, 0)).orbits
-    with pytest.raises(InternalError, match="no orbit"):
-        p.orbit_of_rank(7)
+    assert p.orbits[p.ranks.index(occ[0])] == (0, 2)
 
 
 def test_occupied_orbits_rejects_foreign_partition(c4_cycle):

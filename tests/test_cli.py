@@ -307,15 +307,34 @@ DEEP_ARRAY = "[" * 100_000 + "]" * 100_000  # past the interpreter's recursion l
     ("problem", '{"type": "pattern", "targets": [[%s]]}' % BIG_INT),
 ], ids=["big-graph", "deep-graph", "big-problem"])
 def test_unparsable_json_exits_two(files, tmp_path, what, text):
-    bad = tmp_path / "bad.json"
-    bad.write_text(text)
-    if what == "graph":
-        r = run_cli("canon", "--graph", str(bad))
-    else:
-        r = run_cli("move", "--config", files["mixed"], "--problem", str(bad))
+    r = _run_on_bad_input(files, tmp_path, what, text)
     assert r.returncode == 2
     assert r.stderr.startswith(f"error: {what} parse error: ")
     assert len(r.stderr.splitlines()) == 1
+
+
+def _run_on_bad_input(files, tmp_path, what, text):
+    """`canon` on a bad graph file or `move` with a bad problem file."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    if what == "graph":
+        return run_cli("canon", "--graph", str(bad))
+    return run_cli("move", "--config", files["mixed"], "--problem", str(bad))
+
+
+@pytest.mark.parametrize("what, text", [
+    ("graph", json.dumps({"n": 2, "edges": [list(range(100_000))]})),
+    ("graph", '{"n": 2, "edges": [%s]}' % ("[" * 980 + "]" * 980)),
+    ("problem", json.dumps({"type": list(range(100_000))})),
+], ids=["wide-edge", "deep-edge", "wide-problem-type"])
+def test_echoed_input_values_are_bounded(files, tmp_path, what, text):
+    # a message quoting the offending value stays one short line
+    r = _run_on_bad_input(files, tmp_path, what, text)
+    assert r.returncode == 2
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ")
+    assert len(lines[0].encode()) < 300
 
 
 @pytest.mark.parametrize("text", [

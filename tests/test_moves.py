@@ -53,8 +53,8 @@ def _as_brute_move(p, m: Move):
     orbit_sets = {frozenset(o) for o in p.orbits}
     out = {}
     for rank, target in m.assignments:
-        src = orbit_of(orbit_sets, p.orbit_of_rank(rank)[0])
-        dst = None if target is None else orbit_of(orbit_sets, p.orbit_of_rank(target)[0])
+        src = orbit_of(orbit_sets, p.orbits[p.ranks.index(rank)][0])
+        dst = None if target is None else orbit_of(orbit_sets, p.orbits[p.ranks.index(target)][0])
         out[src] = dst
     return out
 
@@ -130,11 +130,17 @@ def test_move_from_json_errors():
         move_from_json_obj([[0, "x"]])
 
 
-def test_target_of_unknown_rank():
-    m = Move(assignments=((0, 1),))
-    assert m.target_of(0) == 1
-    with pytest.raises(InternalError, match="no assignment"):
-        m.target_of(5)
+def test_outcomes_reject_a_move_foreign_to_the_orbits(k23):
+    # K23 with one robot per side: ranks 0 ({3, 4}), 2 ({1}), 3 ({2}) and
+    # 4 ({0}), of which 3 and 4 are occupied; rank 1 names no orbit
+    c = Configuration(k23, (1, 0, 1, 0, 0))
+    p = canonical_form(c.graph, c.lam).orbits
+    assert p.ranks == (0, 2, 3, 4)
+    assert raw_fsync_outcomes(c, p, Move(assignments=((3, None), (4, 3)))) == ((0, 0, 2, 0, 0),)
+    with pytest.raises(InternalError, match="no assignment for orbit rank 4"):
+        raw_fsync_outcomes(c, p, Move(assignments=((3, None),)))
+    with pytest.raises(InternalError, match="no neighbor in target orbit 1"):
+        raw_fsync_outcomes(c, p, Move(assignments=((3, None), (4, 1))))
 
 
 def test_k2_swap_keeps_class(k2):

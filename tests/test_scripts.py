@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -32,3 +33,18 @@ def test_sweep_small_instances_verifies_all():
     m = re.fullmatch(r"(\d+)/(\d+) instances verified in [\d.]+s", closing)
     assert m is not None, closing
     assert m.group(1) == m.group(2)
+
+
+def test_benchmark_build_corpus_keeps_its_export_digests():
+    # seed 0 keeps the corpus unrelabeled, so the run checks the SHA-256 of
+    # every instance's exported hypergraph against perfbench/expected.json
+    env = os.environ.copy()
+    env["PYTHONPATH"] = str(ROOT / "src")
+    r = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "build-corpus",
+         "--seed", "0", "--seconds", "0.1", "--trace", "0"],
+        capture_output=True, text=True, env=env, cwd=ROOT, timeout=300,
+    )
+    assert r.returncode == 0, r.stderr
+    result = json.loads(r.stdout.rstrip().splitlines()[-1])
+    assert result["failed"] == 0, r.stderr

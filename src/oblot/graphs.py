@@ -16,6 +16,10 @@ from pathlib import Path
 
 from .errors import InputError
 
+# The canonical encoding writes n in a 4-byte field.
+MAX_VERTICES = 2**32
+
+
 @dataclass(frozen=True)
 class Graph:
     """Finite undirected graph with vertices ``0..n-1``.
@@ -148,6 +152,10 @@ def load_graph(text: str) -> Graph:
     n = obj["n"]
     if not is_json_int(n):
         raise InputError(f"field 'n' must be an integer, got {bounded_repr(n)}")
+    if n >= MAX_VERTICES:
+        raise InputError(
+            f"field 'n' must be below 2**32, the canonical encoding's limit, got {bounded_repr(n)}"
+        )
     edges = obj["edges"]
     if not isinstance(edges, list):
         raise InputError("field 'edges' must be a list of pairs")

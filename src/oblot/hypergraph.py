@@ -16,8 +16,8 @@ class table ``class_of``, a map from every placement λ to its class index.
 A class's orbits come from its representative's form (``entry.form.orbits``),
 built from the automorphisms that same search found.  ``loads`` rebuilds the
 same table, so every later class question is a lookup: the Δ of a move is
-the set of table entries of its raw outcome placements, and ``index_of``
-reads the table.
+the set of classes of its outcome placements' integer codes, read from the
+table re-keyed by code, and ``index_of`` reads the table.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .canonical import CanonicalForm, canonical_form
 from .errors import InputError, InternalError
 from .graphs import Configuration, Graph, bounded_repr, dump_json, is_json_int, load_graph
 from .graphs import parse_json
-from .moves import Move, _raw_outcomes, enumerate_moves, move_from_json_obj
+from .moves import Move, OutcomeMemo, class_table_by_code, enumerate_moves, move_from_json_obj
 
 FORMAT_VERSION = 1
 
@@ -135,21 +135,22 @@ def build(g: Graph, k: int, scheduler: str = "fsync") -> ConfigHypergraph:
 
     For every configuration class, on the orbits its representative's form
     carries, and every one of its moves, the scheduler's outcome set Δ is
-    the set of classes of the move's raw outcome placements, read from the
-    class table; moves with identical (source, Δ) merge into one hyperarc.
+    the set of classes of the move's outcome codes, from one
+    :class:`OutcomeMemo` per class and the class table keyed by code; moves
+    with identical (source, Δ) merge into one hyperarc.
     """
     if scheduler not in SCHEDULERS:
         raise InputError(f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}")
     ssync = scheduler == "ssync"
     entries, class_of = enumerate_configurations(g, k)
+    class_by_code = class_table_by_code(class_of, g.n, k)
     arcs: dict[tuple[int, tuple[int, ...]], list[Move]] = {}
     for i, entry in enumerate(entries):
         p = entry.form.orbits
+        memo = OutcomeMemo(entry.rep, p, ssync)
         for m in enumerate_moves(entry.rep, p):
             try:
-                delta = tuple(sorted(
-                    {class_of[lam] for lam in _raw_outcomes(entry.rep, p, m, ssync)}
-                ))
+                delta = tuple(sorted(set(map(class_by_code.__getitem__, memo.codes(m)))))
             except KeyError:
                 raise InternalError(
                     "move outcome escapes the configuration set; "
@@ -167,17 +168,19 @@ def build(g: Graph, k: int, scheduler: str = "fsync") -> ConfigHypergraph:
 
 
 def to_json_obj(h: ConfigHypergraph) -> dict:
+    """The export document.  Its sequences may be tuples, which ``json`` writes
+    as arrays; λ, Δ and each move's assignments are passed as stored."""
     return {
         "format_version": FORMAT_VERSION,
         "graph": h.graph.to_json_obj(),
         "k": h.k,
         "scheduler": h.scheduler,
-        "configs": [{"lambda": list(e.rep.lam)} for e in h.configs],
+        "configs": [{"lambda": e.rep.lam} for e in h.configs],
         "hyperarcs": [
             {
                 "source": a.source,
-                "delta": list(a.delta),
-                "moves": [m.to_json_obj() for m in a.moves],
+                "delta": a.delta,
+                "moves": [m.assignments for m in a.moves],
             }
             for a in h.hyperarcs
         ],

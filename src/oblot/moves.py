@@ -5,19 +5,30 @@ Robots sharing an orbit are indistinguishable, so they all receive the same
 orbit-level instruction; the adversary then decides, robot by robot, which
 neighbor inside the target orbit is actually reached: any neighbor u with
 ``rank_of[u]`` equal to the target, where ``rank_of`` is the partition's one
-vertex -> orbit rank table.  Outcome enumeration sweeps those per-robot
-choices (as destination multisets per vertex, which is equivalent and
-smaller) and returns the raw placements they produce, on the input graph's
-own vertex indices.  Grouping them into configuration classes is a lookup in
-the hypergraph's class table.
+vertex -> orbit rank table.  The SSYNC variant additionally lets the
+adversary idle any subset of the robots that were instructed to move, as
+long as at least one robot moves.
 
-The SSYNC variant additionally lets the adversary idle any subset of the
-robots that were instructed to move, as long as at least one robot moves.
+Outcomes are computed on integer codes: a k-robot placement λ on n vertices
+is Σ λ[v]·(k+1)**v, so distinct placements get distinct codes and a robot
+stepping from v to u adds (k+1)**u - (k+1)**v.  The destination multisets of
+one vertex's robots are the sums of one such step per robot; an orbit's
+joint destinations are the sumset of its vertices' sets.  An
+:class:`OutcomeMemo` keeps them per (occupied orbit rank, target) pair,
+computed the first time a move of the placement uses the pair, and a move's
+outcome codes are the sumset of its pairs' entries, restricted to the
+choices in which some robot moved.  ``build`` keeps one memo per class and
+maps codes to classes with one table; ``raw_fsync_outcomes`` and
+``raw_ssync_outcomes`` decode the codes of one move to λ tuples on the input
+graph's own vertex indices.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from .canonical import OrbitPartition, occupied_orbits
@@ -26,6 +37,8 @@ from .graphs import Configuration, bounded_repr, is_json_int
 
 # Sort key for a target: nil precedes every orbit rank.
 _NIL_KEY = -1
+
+_source = operator.itemgetter(0)
 
 
 def _target_key(target: int | None) -> int:
@@ -84,64 +97,152 @@ def enumerate_moves(c: Configuration, p: OrbitPartition) -> tuple[Move, ...]:
         if rank_of[v] in adjacent:
             adjacent[rank_of[v]].update(rank_of[u] for u in nbrs)
     option_sets = [[None, *sorted(adjacent[rank])] for rank in occupied]
-    moves: list[Move] = []
-    for combo in itertools.product(*option_sets):
-        if all(t is None for t in combo):
-            continue
-        moves.append(Move(assignments=tuple(zip(occupied, combo))))
-    return tuple(moves)
+    # nil leads every factor, so the all-nil function is the product's first element
+    combos = itertools.islice(itertools.product(*option_sets), 1, None)
+    return tuple(Move(assignments=tuple(zip(occupied, combo))) for combo in combos)
 
 
-def _raw_outcomes(c: Configuration, p: OrbitPartition, m: Move, ssync: bool) -> set[tuple[int, ...]]:
-    """All reachable raw placements, as λ tuples on the original vertex indices.
+@functools.lru_cache(maxsize=8)
+def _powers(n: int, k: int) -> tuple[int, ...]:
+    """``(k+1)**v`` for each vertex v: a k-robot placement λ gets the code
+    Σ λ[v]·(k+1)**v, distinct for distinct placements, and adding a robot at
+    u adds ``(k+1)**u``."""
+    return tuple((k + 1) ** v for v in range(n))
 
-    Per occupied vertex the adversary picks a destination multiset for its
-    robots; under SSYNC a robot with a movement instruction may also be left
-    idle, subject to at least one robot moving overall.
+
+def _code(lam: tuple[int, ...], powers: tuple[int, ...]) -> int:
+    return sum(map(operator.mul, lam, powers))
+
+
+def class_table_by_code(class_of: dict[tuple[int, ...], int], n: int, k: int) -> dict[int, int]:
+    """The class table of k-robot placements on n vertices, keyed by the
+    placements' codes instead of their λ tuples."""
+    powers = _powers(n, k)
+    return {_code(lam, powers): i for lam, i in class_of.items()}
+
+
+class OutcomeMemo:
+    """The raw outcome codes of one placement's moves, from a memo per
+    (occupied orbit rank, target) pair.
+
+    An entry holds two things for the robots of its orbit:
+
+    - ``joint``: every joint destination, as a code delta from the orbit
+      staying put (the sumset, over its vertices, of each vertex's
+      destination multisets);
+    - ``moved``: the codes of the whole placements in which some robot of the
+      orbit moved and every other robot stayed.  Under SSYNC it is tracked per
+      vertex, because robots swapping inside an orbit reproduce its stay code.
+
+    Entries are computed the first time a move uses their pair.
     """
-    g, rank_of = c.graph, p.rank_of
-    assigned = dict(m.assignments)
-    per_vertex: list[list[tuple[int, ...]]] = []
-    stay_choice: list[tuple[int, ...]] = []
-    for v, count in enumerate(c.lam):
-        if count == 0:
-            continue
-        try:
-            target = assigned[rank_of[v]]
-        except KeyError:
-            raise InternalError(f"move has no assignment for orbit rank {rank_of[v]}") from None
-        if target is None:
-            options = [v]
-        else:
-            options = [u for u in g.neighbors[v] if rank_of[u] == target]
-            if not options:
+
+    __slots__ = ("c", "p", "ssync", "base", "powers", "code", "occupied", "_entries")
+
+    def __init__(self, c: Configuration, p: OrbitPartition, ssync: bool) -> None:
+        self.c, self.p, self.ssync = c, p, ssync
+        self.base = sum(c.lam) + 1
+        self.powers = _powers(c.graph.n, self.base - 1)
+        self.code = _code(c.lam, self.powers)
+        # the vertices of one orbit carry equal counts, so its first one tells
+        self.occupied = tuple(r for r, orbit in zip(p.ranks, p.orbits) if c.lam[orbit[0]])
+        self._entries: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+
+    def codes(self, m: Move) -> Collection[int]:
+        """The distinct codes of the placements ``m`` can produce: those in
+        which some robot moved, folded orbit by orbit as
+        (moved ⊕ joint_o) ∪ moved_o."""
+        pairs = m.assignments
+        if tuple(map(_source, pairs)) != self.occupied:
+            pairs = self._covering_pairs(m)
+        entries = self._entries
+        moved: Collection[int] = ()
+        for pair in pairs:
+            if pair[1] is None:
+                continue
+            entry = entries.get(pair)
+            if entry is None:
+                entry = entries[pair] = self._entry(*pair)
+            joint, moved_o = entry
+            if not moved:
+                moved = moved_o
+                continue
+            moved = {a + b for a in moved for b in joint}
+            # under FSYNC an instructed robot always moves: no prefix stayed
+            if self.ssync:
+                moved.update(moved_o)
+        if not moved:
+            raise InternalError("a move without a movement instruction is not a move")
+        return moved
+
+    def _covering_pairs(self, m: Move) -> tuple[tuple[int, int | None], ...]:
+        """One pair per occupied orbit in rank order, the last assignment of a
+        source winning; a missing occupied orbit is an error."""
+        assigned = dict(m.assignments)
+        for rank in self.occupied:
+            if rank not in assigned:
+                raise InternalError(f"move has no assignment for orbit rank {rank}")
+        return tuple((rank, assigned[rank]) for rank in self.occupied)
+
+    def _entry(self, rank: int, target: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Joint code deltas and moved codes of the robots of the occupied orbit
+        ``rank`` sent to ``target``."""
+        c, p, powers, ssync = self.c, self.p, self.powers, self.ssync
+        rank_of = p.rank_of
+        joint: set[int] | None = None
+        for v in p.orbits[p.ranks.index(rank)]:
+            # one robot's code steps: to each neighbor in the target orbit
+            at = powers[v]
+            steps = [powers[u] - at for u in c.graph.neighbors[v] if rank_of[u] == target]
+            if not steps:
                 raise InternalError(
                     f"vertex {v} has no neighbor in target orbit {target}; "
                     "orbit adjacency is not symmetric"
                 )
             if ssync:
-                options = sorted([v, *options])
-        per_vertex.append(list(itertools.combinations_with_replacement(options, count)))
-        stay_choice.append((v,) * count)
-    out: set[tuple[int, ...]] = set()
-    for combo in itertools.product(*per_vertex):
-        if ssync and list(combo) == stay_choice:
-            continue
-        lam = [0] * g.n
-        for dests in combo:
-            for d in dests:
-                lam[d] += 1
-        out.add(tuple(lam))
-    return out
+                steps.append(0)  # an idled robot stays
+            # the destination multisets of v's robots, one step per robot
+            dests = set(steps)
+            for _ in range(c.lam[v] - 1):
+                dests = {a + b for a in dests for b in steps}
+            if joint is None:
+                joint = dests
+                if ssync:
+                    moved = dests - {0}
+                continue
+            if ssync:
+                # v's robots all stayed iff its delta is 0; robots swapping
+                # between vertices can give a joint delta 0 too, so "moved"
+                # is kept apart
+                moved = {a + b for a in moved for b in dests}
+                moved |= dests - {0}
+            joint = {a + b for a in joint for b in dests}
+        # under FSYNC every robot of the orbit moves
+        return tuple(joint), tuple(map(self.code.__add__, moved if ssync else joint))
+
+
+def _decode(code: int, n: int, base: int) -> tuple[int, ...]:
+    lam = []
+    for _ in range(n):
+        code, count = divmod(code, base)
+        lam.append(count)
+    return tuple(lam)
+
+
+def _raw_outcomes(
+    c: Configuration, p: OrbitPartition, m: Move, ssync: bool
+) -> tuple[tuple[int, ...], ...]:
+    """The codes of one move, decoded to sorted λ tuples on ``c``'s own vertices."""
+    memo = OutcomeMemo(c, p, ssync)
+    return tuple(sorted(_decode(x, c.graph.n, memo.base) for x in memo.codes(m)))
 
 
 def raw_fsync_outcomes(c: Configuration, p: OrbitPartition, m: Move) -> tuple[tuple[int, ...], ...]:
     """Sorted raw placements reachable under full activation."""
-    return tuple(sorted(_raw_outcomes(c, p, m, ssync=False)))
+    return _raw_outcomes(c, p, m, ssync=False)
 
 
 def raw_ssync_outcomes(c: Configuration, p: OrbitPartition, m: Move) -> tuple[tuple[int, ...], ...]:
     """Sorted raw placements reachable when any non-empty subset of the
     instructed robots is activated."""
-    return tuple(sorted(_raw_outcomes(c, p, m, ssync=True)))
-
+    return _raw_outcomes(c, p, m, ssync=True)

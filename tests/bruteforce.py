@@ -181,6 +181,14 @@ def raw_moves(g: Graph, lam: tuple[int, ...]) -> list[dict[frozenset[int], froze
     return out
 
 
+def as_brute_move(p: OrbitPartition, m: Move) -> dict[frozenset[int], frozenset[int] | None]:
+    """``m``'s orbit ranks replaced by the vertex sets of the orbits they name in ``p``."""
+    def orbit(rank: int) -> frozenset[int]:
+        return frozenset(p.orbits[p.ranks.index(rank)])
+
+    return {orbit(s): None if t is None else orbit(t) for s, t in m.assignments}
+
+
 def raw_move_outcomes(
     g: Graph,
     lam: tuple[int, ...],

@@ -326,7 +326,8 @@ def _run_on_bad_input(files, tmp_path, what, text):
     ("graph", json.dumps({"n": 2, "edges": [list(range(100_000))]})),
     ("graph", '{"n": 2, "edges": [%s]}' % ("[" * 980 + "]" * 980)),
     ("problem", json.dumps({"type": list(range(100_000))})),
-], ids=["wide-edge", "deep-edge", "wide-problem-type"])
+    ("graph", '{"n": 1%s, "edges": []}' % ("0" * 4000)),
+], ids=["wide-edge", "deep-edge", "wide-problem-type", "huge-n"])
 def test_echoed_input_values_are_bounded(files, tmp_path, what, text):
     # a message quoting the offending value stays one short line
     r = _run_on_bad_input(files, tmp_path, what, text)

@@ -114,6 +114,13 @@ def test_load_graph_errors():
         load_graph('{"n": 2, "edges": [[0]]}')
 
 
+def test_load_graph_bounds_n_by_the_encoding_field():
+    # the canonical encoding writes n in 4 bytes
+    assert load_graph('{"n": 4294967295, "edges": []}').n == 2**32 - 1
+    with pytest.raises(InputError, match=r"below 2\*\*32"):
+        load_graph('{"n": 4294967296, "edges": []}')
+
+
 def test_load_graph_unknown_field_warns():
     with pytest.warns(UserWarning, match="unknown field"):
         load_graph('{"n": 1, "edges": [], "weight": 3}')

@@ -1,6 +1,8 @@
 import dataclasses
+import hashlib
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -23,10 +25,15 @@ from oblot.problems import load_problem
 from bruteforce import (
     all_placements,
     arcs_by_source,
+    as_brute_move,
+    brute_orbits,
     config_isomorphic,
     connected_graph_corpus,
     fsync_outcomes,
     index_by_encoding,
+    raw_move_outcomes,
+    raw_moves,
+    raw_ssync_move_outcomes,
     ssync_outcomes,
 )
 
@@ -420,3 +427,42 @@ def test_build_deltas_match_canonizer_oracle(scheduler, oracle):
                     oset = oracle(entry.rep, p, m)
                     want.add((i, m, tuple(sorted(index[enc] for enc in oset.encodings))))
             assert got == want
+
+
+@pytest.mark.parametrize("scheduler, oracle", [
+    ("fsync", raw_move_outcomes), ("ssync", raw_ssync_move_outcomes),
+])
+def test_build_deltas_match_per_robot_oracle(scheduler, oracle):
+    # moves on brute-force orbits, outcomes by every robot choosing on its own,
+    # classes by canonical encoding: nothing of the outcome kernel is shared
+    for g in connected_graph_corpus(4):
+        for k in (1, 2, 3):
+            h = build(g, k, scheduler)
+            index = index_by_encoding(h)
+            got = {}
+            for a in h.hyperarcs:
+                p = h.configs[a.source].form.orbits
+                for m in a.moves:
+                    got[(a.source, frozenset(as_brute_move(p, m).items()))] = a.delta
+            want = {}
+            for i, entry in enumerate(h.configs):
+                lam = entry.rep.lam
+                orbits = brute_orbits(g, lam)
+                for move in raw_moves(g, lam):
+                    outcomes = oracle(g, lam, orbits, move)
+                    delta = {index[canonical_form(g, x).encoding] for x in outcomes}
+                    want[(i, frozenset(move.items()))] = tuple(sorted(delta))
+            assert got == want
+
+
+def test_exports_match_golden_digests():
+    # SHA-256 of every export of the n <= 5 corpus, k = 1..3, both schedulers
+    golden = json.loads((Path(__file__).parent / "export_digests.json").read_text())
+    got = {}
+    for g in connected_graph_corpus(5):
+        edges = json.dumps([list(e) for e in g.edges], separators=(",", ":"))
+        for k in (1, 2, 3):
+            for scheduler in ("fsync", "ssync"):
+                doc = export(build(g, k, scheduler), "json").encode()
+                got[f"n={g.n} edges={edges} k={k} {scheduler}"] = hashlib.sha256(doc).hexdigest()
+    assert got == golden

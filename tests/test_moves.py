@@ -15,9 +15,9 @@ from oblot.moves import (
 
 from bruteforce import (
     all_placements,
+    as_brute_move,
     connected_graph_corpus,
     fsync_outcomes,
-    orbit_of,
     raw_move_outcomes,
     raw_moves,
     raw_ssync_move_outcomes,
@@ -49,16 +49,6 @@ def test_move_count_matches_bruteforce():
         assert len(enumerate_moves(c, p)) == len(raw_moves(c.graph, c.lam))
 
 
-def _as_brute_move(p, m: Move):
-    orbit_sets = {frozenset(o) for o in p.orbits}
-    out = {}
-    for rank, target in m.assignments:
-        src = orbit_of(orbit_sets, p.orbits[p.ranks.index(rank)][0])
-        dst = None if target is None else orbit_of(orbit_sets, p.orbits[p.ranks.index(target)][0])
-        out[src] = dst
-    return out
-
-
 def test_fsync_raw_outcomes_match_per_robot_oracle():
     # destination multisets per vertex vs per-robot cartesian product
     for c in _configs(4, 2):
@@ -66,7 +56,7 @@ def test_fsync_raw_outcomes_match_per_robot_oracle():
         orbits = {frozenset(o) for o in p.orbits}
         for m in enumerate_moves(c, p):
             got = set(raw_fsync_outcomes(c, p, m))
-            want = raw_move_outcomes(c.graph, c.lam, orbits, _as_brute_move(p, m))
+            want = raw_move_outcomes(c.graph, c.lam, orbits, as_brute_move(p, m))
             assert got == want
 
 
@@ -76,7 +66,7 @@ def test_ssync_raw_outcomes_match_per_robot_oracle():
         orbits = {frozenset(o) for o in p.orbits}
         for m in enumerate_moves(c, p):
             got = set(raw_ssync_outcomes(c, p, m))
-            want = raw_ssync_move_outcomes(c.graph, c.lam, orbits, _as_brute_move(p, m))
+            want = raw_ssync_move_outcomes(c.graph, c.lam, orbits, as_brute_move(p, m))
             assert got == want
 
 
@@ -141,6 +131,34 @@ def test_outcomes_reject_a_move_foreign_to_the_orbits(k23):
         raw_fsync_outcomes(c, p, Move(assignments=((3, None),)))
     with pytest.raises(InternalError, match="no neighbor in target orbit 1"):
         raw_fsync_outcomes(c, p, Move(assignments=((3, None), (4, 1))))
+
+
+def test_ssync_swap_inside_an_orbit_is_an_outcome(k2):
+    # P2 with one robot per vertex, both told to cross: swapping reproduces
+    # the start, yet robots moved, so SSYNC keeps (1, 1) beside the pile-ups
+    c = Configuration(k2, (1, 1))
+    p = canonical_form(c.graph, c.lam).orbits
+    m = Move(assignments=((0, 0),))
+    assert raw_ssync_outcomes(c, p, m) == ((0, 2), (1, 1), (2, 0))
+    assert raw_fsync_outcomes(c, p, m) == ((1, 1),)
+
+
+def test_outcomes_reject_the_all_nil_function(k23):
+    c = Configuration(k23, (1, 0, 1, 0, 0))
+    p = canonical_form(c.graph, c.lam).orbits
+    for outcomes in (raw_fsync_outcomes, raw_ssync_outcomes):
+        with pytest.raises(InternalError, match="not a move"):
+            outcomes(c, p, Move(assignments=((3, None), (4, None))))
+
+
+def test_outcomes_ignore_assignments_to_empty_orbits(k23):
+    # rank 0 ({3, 4}) carries no robot: its instruction changes nothing
+    c = Configuration(k23, (1, 0, 1, 0, 0))
+    p = canonical_form(c.graph, c.lam).orbits
+    m = Move(assignments=((3, None), (4, 3)))
+    padded = Move(assignments=((0, 2), (3, None), (4, 3)))
+    for outcomes in (raw_fsync_outcomes, raw_ssync_outcomes):
+        assert outcomes(c, p, padded) == outcomes(c, p, m)
 
 
 def test_k2_swap_keeps_class(k2):

@@ -171,10 +171,11 @@ def load_graph(text: str) -> Graph:
 
 
 def read_input_file(path: str | Path, what: str) -> str:
-    """The text of a UTF-8 input file; a read or decode failure is an InputError."""
+    """The text of a UTF-8 input file; a read or decode failure, or a path
+    holding a NUL character, is an InputError."""
     try:
         return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: a NUL in the path, or bad UTF-8
         raise InputError(f"cannot read {what} file {path}: {e}") from e
 
 

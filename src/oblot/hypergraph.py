@@ -18,6 +18,12 @@ built from the automorphisms that same search found.  ``loads`` rebuilds the
 same table, so every later class question is a lookup: the Δ of a move is
 the set of classes of its outcome placements' integer codes, read from the
 table re-keyed by code, and ``index_of`` reads the table.
+
+``build`` always builds, and records what it returns weakly, keyed by the
+identity of its ``Graph`` object, k and the scheduler.  While a caller still
+holds that hypergraph, :func:`built` hands it to whoever asks about the same
+graph object, such as the simulator, which would otherwise build it again.
+The record keeps nothing alive.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import itertools
 import json
 import math
 import operator
+import weakref
 from dataclasses import dataclass, field
 
 from .canonical import CanonicalForm, canonical_form
@@ -37,6 +44,11 @@ from .moves import Move, OutcomeMemo, class_table_by_code, enumerate_moves, move
 FORMAT_VERSION = 1
 
 SCHEDULERS = ("fsync", "ssync")
+
+# (id(G), k, scheduler) -> the hypergraph ``build`` last returned for them,
+# dropped as soon as no caller holds it.  A live entry holds its G, so its
+# id names no other graph; ``built`` still checks the graph's identity.
+_built: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -161,10 +173,20 @@ def build(g: Graph, k: int, scheduler: str = "fsync") -> ConfigHypergraph:
         Hyperarc(source=s, delta=d, moves=tuple(ms))
         for (s, d), ms in sorted(arcs.items())
     )
-    return ConfigHypergraph(
+    h = ConfigHypergraph(
         graph=g, k=k, scheduler=scheduler, configs=entries, hyperarcs=hyperarcs,
         class_of=class_of,
     )
+    _built[id(g), k, scheduler] = h
+    return h
+
+
+def built(g: Graph, k: int, scheduler: str) -> ConfigHypergraph | None:
+    """The hypergraph ``build(g, k, scheduler)`` returned for this very graph
+    object, while some caller still holds it; otherwise None.  An equal graph
+    that is another object, say one with another name, never matches."""
+    h = _built.get((id(g), k, scheduler))
+    return h if h is not None and h.graph is g else None
 
 
 def to_json_obj(h: ConfigHypergraph) -> dict:

@@ -6,6 +6,11 @@ the adversary resolves which vertex every robot lands on inside its target
 orbit.  The worst adversary consults the planner's distance table, the random
 adversary draws reproducibly from a seeded generator, and the first adversary
 always picks the lexicographically smallest raw placement.
+
+The simulator solves each (G, k, problem) once and keeps it for consecutive
+calls.  When the caller still holds the FSYNC hypergraph it built from the
+very ``Graph`` object the start is placed on, that hypergraph is solved as it
+is; only otherwise does the simulator build one.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from functools import lru_cache
 from .canonical import canonical_form
 from .errors import BudgetExceededError, InputError
 from .graphs import Configuration, Graph, dump_json, total_robots, validate_configuration
-from .hypergraph import build
+from .hypergraph import build, built
 from .moves import raw_fsync_outcomes
 from .problems import ProblemSpec
 from .solver import FINAL, STEP, UNSOLVABLE, MoveDecision, Solution, solution
@@ -91,8 +96,9 @@ class ExecutionTrace:
 @lru_cache(maxsize=1)
 def _solution(g: Graph, k: int, spec: ProblemSpec) -> Solution:
     """The solved FSYNC hypergraph of (G, k, problem), kept for the next call
-    (callers simulate many starts on one instance in a row)."""
-    return solution(build(g, k, "fsync"), spec)
+    (callers simulate many starts on one instance in a row).  A hypergraph the
+    caller built from ``g`` and still holds is reused, not rebuilt."""
+    return solution(built(g, k, "fsync") or build(g, k, "fsync"), spec)
 
 
 def _pick_outcome(
@@ -125,15 +131,16 @@ def run_fsync(
     """Execute the optimal algorithm from ``c0`` until F, unsolvable, or budget.
 
     The solved hypergraph is reused across rounds and across consecutive
-    calls on one (G, k, problem), which is observationally identical to
-    recomputing it (the decision is a pure function of the class); each
-    round reads its class from the hypergraph's class table, which lists
-    every placement, and each step canonizes its actual placement once, for
-    the orbits the move is resolved on.  An unsolvable start records a
-    single nil round and stops: the robots never move.  ``max_rounds``
-    bounds the number of executed steps and defaults to plan distance + 1
-    when solvable, else 1, so an overrun always signals a planner defect
-    rather than a slow run.
+    calls on one (G, k, problem), and a hypergraph the caller built from
+    ``c0.graph`` and still holds is solved instead of built again; both are
+    observationally identical to recomputing it (the decision is a pure
+    function of the class).  Each round reads its class from the
+    hypergraph's class table, which lists every placement, and each step
+    canonizes its actual placement once, for the orbits the move is resolved
+    on.  An unsolvable start records a single nil round and stops: the
+    robots never move.  ``max_rounds`` bounds the number of executed steps
+    and defaults to plan distance + 1 when solvable, else 1, so an overrun
+    always signals a planner defect rather than a slow run.
     """
     validate_configuration(c0)
     sol = _solution(c0.graph, total_robots(c0), spec)
@@ -185,7 +192,8 @@ def enumerate_adversary_plays(
     the planned move are the plan entry's Δ), so the recursion memoizes per
     class; planned moves strictly decrease the distance, which bounds the
     depth.  The solved hypergraph is shared with consecutive calls on one
-    (G, k, problem), as in :func:`run_fsync`.  ``node_cap`` aborts
+    (G, k, problem), and taken from the caller's own build of ``c0.graph``
+    while the caller holds it, as in :func:`run_fsync`.  ``node_cap`` aborts
     pathologically large explorations loudly instead of truncating them.
     """
     validate_configuration(c0)

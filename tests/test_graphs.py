@@ -146,3 +146,5 @@ def test_load_configuration_errors(k23):
         load_configuration(json.dumps({"graph": {"n": 1, "edges": []}, "lambda": [0.5]}))
     with pytest.raises(InputError, match="at least one robot"):
         load_configuration(json.dumps({"graph": {"n": 1, "edges": []}, "lambda": [0]}))
+    with pytest.raises(InputError, match="cannot read graph file"):
+        load_configuration(json.dumps({"graph": "g\u0000.json", "lambda": [1]}))

@@ -1,10 +1,16 @@
+import copy
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
+import operator
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oblot.canonical
 import oblot.hypergraph
@@ -12,6 +18,7 @@ from oblot.canonical import canonical_form
 from oblot.errors import InputError
 from oblot.graphs import Configuration, Graph, load_configuration, load_graph
 from oblot.hypergraph import (
+    SCHEDULERS,
     build,
     enumerate_configurations,
     export,
@@ -322,6 +329,80 @@ def test_loaders_reject_json_booleans(load, text):
     # JSON true/false are Python ints; every integer field must refuse them
     with pytest.raises(InputError):
         load(text)
+
+
+# Valid documents for each loader; the fuzz test below mutates them.  Short
+# strings keep a configuration's graph path from naming a real device file.
+FUZZ_SEEDS = {
+    "graph": (load_graph, {"name": "P3", "n": 3, "edges": [[0, 1], [1, 2]]}),
+    "configuration": (load_configuration, {
+        "graph": {"n": 3, "edges": [[0, 1], [1, 2]]}, "lambda": [1, 0, 1]}),
+    "problem": (load_problem, {"type": "explicit", "final": [[0, 2, 0], [1, 0, 1]]}),
+    "hypergraph": (loads, to_json_obj(build(Graph(n=3, edges=((0, 1), (1, 2))), 2, "ssync"))),
+}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.integers() | st.floats()
+    | st.text(max_size=4) | st.sampled_from(["gathering", "pattern", "fsync", "ssync"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["n", "edges", "lambda", "type", "final", "k", "moves"])
+        | st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(node, path=()):
+    """The path of every node of a JSON value, the root's ``()`` first."""
+    yield path
+    children = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield from _paths(child, (*path, key))
+
+
+def _mutated(data, doc):
+    """A copy of the JSON document ``doc`` with one node below the root, drawn
+    uniformly, replaced or deleted."""
+    doc = copy.deepcopy(doc)
+    paths = list(_paths(doc))[1:]
+    if paths:
+        *to_parent, key = data.draw(st.sampled_from(paths))
+        parent = functools.reduce(operator.getitem, to_parent, doc)
+        if data.draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = data.draw(JSON_VALUES)
+    return doc
+
+
+@pytest.mark.parametrize("what", sorted(FUZZ_SEEDS))
+@settings(max_examples=100)
+@given(data=st.data())
+def test_loaders_raise_only_input_errors(what, data):
+    load, doc = FUZZ_SEEDS[what]
+    for _ in range(data.draw(st.integers(1, 3))):
+        doc = _mutated(data, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            load(json.dumps(doc))
+        except InputError:
+            pass
+
+
+@given(st.integers(1, 6), st.integers(1, 3), st.sampled_from(SCHEDULERS), st.data())
+def test_export_round_trip_property(n, k, scheduler, data):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    g = Graph(n=n, edges=tuple(p for p in pairs if data.draw(st.booleans())), name="G")
+    h = build(g, k, scheduler)
+    doc = export(h, "json")
+    back = loads(doc)
+    assert [e.rep for e in back.configs] == [e.rep for e in h.configs]
+    assert [e.form.encoding for e in back.configs] == [e.form.encoding for e in h.configs]
+    assert [e.form.orbits for e in back.configs] == [e.form.orbits for e in h.configs]
+    assert back.class_of == h.class_of
+    assert back.hyperarcs == h.hyperarcs
+    assert export(back, "json") == doc
 
 
 def test_arc_sources_cover_only_movable_classes():

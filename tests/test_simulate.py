@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import json
 
 import pytest
 
@@ -7,7 +9,7 @@ from bruteforce import all_placements, connected_graph_corpus
 from oblot.canonical import canonical_form
 from oblot.errors import BudgetExceededError, InputError
 from oblot.graphs import Configuration, Graph
-from oblot.hypergraph import build
+from oblot.hypergraph import build, built, export
 from oblot.problems import ProblemSpec
 from oblot.simulate import (
     AdversaryStrategy,
@@ -188,7 +190,14 @@ def _observe(c: Configuration, spec: ProblemSpec) -> tuple:
     return traces, plays
 
 
+def _simulate_all(starts) -> None:
+    for c in starts:
+        enumerate_adversary_plays(c, GATHER)
+        run_fsync(c, GATHER, WORST)
+
+
 def test_one_build_per_instance(k23, monkeypatch):
+    k23 = dataclasses.replace(k23)  # an object no other test has built from
     sol = solution(build(k23, 2, "fsync"), GATHER)
     # every placement of every solvable non-final class
     starts = [
@@ -197,10 +206,71 @@ def test_one_build_per_instance(k23, monkeypatch):
     ]
     assert len(starts) >= 2
     calls = _count_builds(monkeypatch)
-    for c in starts:
-        enumerate_adversary_plays(c, GATHER)
-        run_fsync(c, GATHER, WORST)
+    # the caller's own build is solved, not built again
+    _simulate_all(starts)
+    assert calls == []
+    # once nothing holds it, the simulator builds once for every start
+    del sol
+    gc.collect()
+    _solution.cache_clear()
+    _simulate_all(starts)
     assert calls == [(k23, 2, "fsync")]
+
+
+def test_held_build_is_found_by_graph_identity(k23):
+    h = build(k23, 2, "fsync")
+    assert built(k23, 2, "fsync") is h
+    twin = dataclasses.replace(k23, name="twin")
+    assert twin == k23
+    assert built(twin, 2, "fsync") is None
+    # the simulator builds the equal graph for itself, under its own name
+    run_fsync(Configuration(twin, (0, 0, 1, 1, 0)), GATHER, WORST)
+    mine = _solution(twin, 2, GATHER).h
+    assert mine is not h and mine.graph is twin
+    assert json.loads(export(mine, "json"))["graph"]["name"] == "twin"
+    assert export(mine, "json") != export(h, "json")
+
+
+def test_build_record_is_weak(k23):
+    k23 = dataclasses.replace(k23)
+    build(k23, 2, "fsync")
+    gc.collect()
+    assert built(k23, 2, "fsync") is None
+    h = build(k23, 2, "fsync")
+    run_fsync(Configuration(k23, (0, 0, 1, 1, 0)), GATHER, WORST)
+    assert built(k23, 2, "fsync") is h
+    del h
+    _solution.cache_clear()
+    gc.collect()
+    assert built(k23, 2, "fsync") is None
+
+
+def test_build_record_keys_on_k_and_scheduler(k23, monkeypatch):
+    held = build(k23, 2, "ssync")
+    assert built(k23, 2, "ssync") is held
+    assert built(k23, 2, "fsync") is None
+    assert built(k23, 3, "ssync") is None
+    calls = _count_builds(monkeypatch)
+    run_fsync(Configuration(k23, (0, 0, 1, 1, 0)), GATHER, WORST)
+    assert calls == [(k23, 2, "fsync")]
+    assert _solution(k23, 2, GATHER).h.scheduler == "fsync"
+
+
+def test_held_build_is_transparent():
+    # the simulator answers the same whether it solves the caller's build
+    # or builds for itself
+    for g in map(dataclasses.replace, connected_graph_corpus(4)):
+        for k in (1, 2):
+            starts = [Configuration(g, lam) for lam in all_placements(g.n, k)]
+            h = build(g, k, "fsync")
+            held = [_observe(c, GATHER) for c in starts]
+            assert _solution(g, k, GATHER).h is h
+            del h
+            _solution.cache_clear()
+            gc.collect()
+            assert built(g, k, "fsync") is None
+            assert [_observe(c, GATHER) for c in starts] == held, (g, k)
+            _solution.cache_clear()
 
 
 def test_memo_is_transparent():

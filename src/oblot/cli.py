@@ -14,15 +14,14 @@ import argparse
 import hashlib
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
 from .canonical import canonical_form, occupied_orbits
 from .errors import BudgetExceededError, InputError, InternalError
 from .graphs import Configuration, Graph, dump_json, load_configuration_file, load_graph_file
-from .graphs import read_input_file, total_robots
-from .hypergraph import FORMAT_VERSION, ConfigHypergraph, build, export, loads
+from .graphs import total_robots
+from .hypergraph import FORMAT_VERSION, ConfigHypergraph, build, export
 from .problems import load_problem_file
 from .simulate import MAX_ROUNDS_EXCEEDED, parse_adversary, run_fsync
 from .solver import UNSOLVABLE, solution
@@ -45,8 +44,6 @@ def _load_colored(args) -> tuple[Graph, tuple[int, ...]]:
 
 
 def _cache_path(cache_dir: str | None, g: Graph, k: int, scheduler: str) -> Path | None:
-    if cache_dir is None:
-        cache_dir = os.environ.get("OBLOT_CACHE")
     if not cache_dir:
         return None
     # The decorative name stays out of the key: equal graphs share one entry.
@@ -60,25 +57,17 @@ def _cache_path(cache_dir: str | None, g: Graph, k: int, scheduler: str) -> Path
 
 
 def _get_hypergraph(g: Graph, k: int, scheduler: str, cache_dir: str | None) -> ConfigHypergraph:
-    """Build the hypergraph, going through the cache file when one is configured.
+    """Build the hypergraph, and store its export in the cache directory when
+    one is configured and holds no entry for the key yet.
 
-    The cache is observationally transparent: a hit is trusted only if it
-    deserializes cleanly into the requested (graph, k, scheduler), and it
-    answers with the requested graph so that its name is the caller's.
-    Anything else is rebuilt and written over, through a temporary file in
-    the same directory so that readers never see a partial entry.
+    No command reads an entry: building costs what reading and checking one
+    would, and an answer that never comes from a stored file cannot be a
+    wrong stored one.  An entry is written through a temporary file in the
+    same directory, so that no one ever sees a partial entry.
     """
-    path = _cache_path(cache_dir, g, k, scheduler)
-    if path is not None and path.is_file():
-        try:
-            h = loads(read_input_file(path, "cache"))
-        except InputError:
-            pass
-        else:
-            if (h.graph, h.k, h.scheduler) == (g, k, scheduler):
-                return replace(h, graph=g)
     h = build(g, k, scheduler)
-    if path is not None:
+    path = _cache_path(cache_dir, g, k, scheduler)
+    if path is not None and not path.exists():
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         try:
@@ -191,20 +180,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheduler", choices=("fsync", "ssync"), default="fsync")
     p.add_argument("--out", required=True, help="output hypergraph JSON path")
     p.add_argument("--dot", help="optional DOT output path")
-    p.add_argument("--cache", help="hypergraph cache directory")
+    p.add_argument("--cache", help="store hypergraph exports here, once per key; never read")
     p.set_defaults(fn=cmd_build)
 
     p = sub.add_parser("solve", help="solvability and plan for every class")
     p.add_argument("--graph", required=True, help="graph JSON file")
     p.add_argument("-k", type=int, required=True, help="number of robots")
     p.add_argument("--problem", required=True, help="problem JSON file")
-    p.add_argument("--cache", help="hypergraph cache directory")
+    p.add_argument("--cache", help="store hypergraph exports here, once per key; never read")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("move", help="one round decision for a configuration")
     p.add_argument("--config", required=True, help="configuration JSON file")
     p.add_argument("--problem", required=True, help="problem JSON file")
-    p.add_argument("--cache", help="hypergraph cache directory")
+    p.add_argument("--cache", help="store hypergraph exports here, once per key; never read")
     p.set_defaults(fn=cmd_move)
 
     p = sub.add_parser("simulate", help="run rounds against an adversary")

@@ -14,10 +14,13 @@ and each one not yet in the class table founds a class, whose members are
 found by applying the generators of Aut(G) breadth-first.  The result is the
 class table ``class_of``, a map from every placement λ to its class index.
 A class's orbits come from its representative's form (``entry.form.orbits``),
-built from the automorphisms that same search found.  ``loads`` rebuilds the
-same table, so every later class question is a lookup: the Δ of a move is
-the set of classes of its outcome placements' integer codes, read from the
-table re-keyed by code, and ``index_of`` reads the table.
+built from the automorphisms that same search found.  Every later class
+question is a lookup: the Δ of a move is the set of classes of its outcome
+placements' integer codes, read from the table re-keyed by code, and
+``index_of`` reads the table.
+
+The JSON export is write-only: nothing reads a hypergraph back, so every
+answer comes from a build.
 
 ``build`` always builds, and records what it returns weakly, keyed by the
 identity of its ``Graph`` object, k and the scheduler.  While a caller still
@@ -29,17 +32,14 @@ The record keeps nothing alive.
 from __future__ import annotations
 
 import itertools
-import json
-import math
 import operator
 import weakref
 from dataclasses import dataclass, field
 
 from .canonical import CanonicalForm, canonical_form
 from .errors import InputError, InternalError
-from .graphs import Configuration, Graph, bounded_repr, dump_json, is_json_int, load_graph
-from .graphs import parse_json
-from .moves import Move, OutcomeMemo, class_table_by_code, enumerate_moves, move_from_json_obj
+from .graphs import Configuration, Graph, dump_json
+from .moves import Move, OutcomeMemo, class_table_by_code, enumerate_moves
 
 FORMAT_VERSION = 1
 
@@ -231,103 +231,3 @@ def export(h: ConfigHypergraph, format: str) -> str:
     if format == "dot":
         return to_dot(h)
     raise InputError(f"unknown export format {format!r}; expected 'json' or 'dot'")
-
-
-def _require(cond: bool, msg: str, *values: object) -> None:
-    """Raise an InputError unless ``cond``; each ``{}`` of ``msg`` shows a value, bounded."""
-    if not cond:
-        raise InputError(msg.format(*map(bounded_repr, values)))
-
-
-def _may_cover(n: int, k: int, classes: int) -> bool:
-    """Whether ``classes`` classes of at most |Aut(G)| <= n! members each can
-    hold all C(n+k-1, k) placements; a huge k builds no huge binomial."""
-    bound = classes * math.factorial(n)
-    count = 1
-    for i in range(1, min(k, n - 1) + 1):
-        count = count * (max(k, n - 1) + i) // i
-        if count > bound:
-            return False
-    return True
-
-
-def loads(document: str) -> ConfigHypergraph:
-    """Rebuild a hypergraph from its JSON export, validating invariants.
-
-    The class table is enumerated again, and the stored configs must be its
-    representatives in order.
-    """
-    obj = parse_json(document, "hypergraph")
-    _require(isinstance(obj, dict), "hypergraph document must be a JSON object")
-    version = obj.get("format_version")
-    _require(
-        version == FORMAT_VERSION,
-        "unsupported format_version {}; this build reads {}", version, FORMAT_VERSION,
-    )
-    for req in ("graph", "k", "scheduler", "configs", "hyperarcs"):
-        _require(req in obj, "hypergraph document missing field {}", req)
-    g = load_graph(json.dumps(obj["graph"]))
-    k = obj["k"]
-    _require(is_json_int(k) and k >= 1, "field 'k' must be a positive integer, got {}", k)
-    scheduler = obj["scheduler"]
-    _require(scheduler in SCHEDULERS, "unknown scheduler {}", scheduler)
-    raw_configs = obj["configs"]
-    _require(isinstance(raw_configs, list) and raw_configs, "field 'configs' must be a non-empty list")
-    lams: list[tuple[int, ...]] = []
-    for rc in raw_configs:
-        _require(isinstance(rc, dict) and "lambda" in rc, "config entry must carry 'lambda'")
-        lam = rc["lambda"]
-        _require(
-            isinstance(lam, list) and all(is_json_int(x) for x in lam),
-            "config 'lambda' must be a list of integers",
-        )
-        _require(
-            len(lam) == g.n and all(x >= 0 for x in lam),
-            "config lambda {} is not a placement on {} vertices", lam, g.n,
-        )
-        _require(sum(lam) == k, "config lambda {} does not sum to k={}", lam, k)
-        lams.append(tuple(lam))
-    _require(
-        _may_cover(g.n, k, len(lams)),
-        "{} configs cannot cover the placements of {} robots on {} vertices", len(lams), k, g.n,
-    )
-    entries, class_of = enumerate_configurations(g, k)
-    _require(
-        lams == [entry.rep.lam for entry in entries],
-        "configs are not the classes' least placements in encoding order",
-    )
-    raw_arcs = obj["hyperarcs"]
-    _require(isinstance(raw_arcs, list), "field 'hyperarcs' must be a list")
-    arcs: list[Hyperarc] = []
-    seen_arcs: set[tuple[int, tuple[int, ...]]] = set()
-    for ra in raw_arcs:
-        _require(isinstance(ra, dict), "hyperarc entry must be an object")
-        for req in ("source", "delta", "moves"):
-            _require(req in ra, "hyperarc entry missing field {}", req)
-        source = ra["source"]
-        _require(
-            is_json_int(source) and 0 <= source < len(entries),
-            "hyperarc source {} out of range", source,
-        )
-        delta_list = ra["delta"]
-        _require(
-            isinstance(delta_list, list)
-            and delta_list
-            and all(is_json_int(d) and 0 <= d < len(entries) for d in delta_list),
-            "hyperarc delta {} must be a non-empty list of config indices", delta_list,
-        )
-        delta = tuple(sorted(set(delta_list)))
-        _require(len(delta) == len(delta_list), "hyperarc delta {} has duplicates", delta_list)
-        key = (source, delta)
-        _require(
-            key not in seen_arcs, "duplicate hyperarc (source={}, delta={})", source, delta_list
-        )
-        seen_arcs.add(key)
-        raw_moves = ra["moves"]
-        _require(isinstance(raw_moves, list) and raw_moves, "hyperarc 'moves' must be non-empty")
-        moves = tuple(move_from_json_obj(rm) for rm in raw_moves)
-        arcs.append(Hyperarc(source=source, delta=delta, moves=moves))
-    return ConfigHypergraph(
-        graph=g, k=k, scheduler=scheduler, configs=entries, hyperarcs=tuple(arcs),
-        class_of=class_of,
-    )

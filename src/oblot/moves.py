@@ -32,8 +32,8 @@ from collections.abc import Collection
 from dataclasses import dataclass
 
 from .canonical import OrbitPartition, occupied_orbits
-from .errors import InputError, InternalError
-from .graphs import Configuration, bounded_repr, is_json_int
+from .errors import InternalError
+from .graphs import Configuration
 
 # Sort key for a target: nil precedes every orbit rank.
 _NIL_KEY = -1
@@ -65,20 +65,6 @@ class Move:
 
     def to_json_obj(self) -> list[list[int | None]]:
         return [[s, t] for s, t in self.assignments]
-
-
-def move_from_json_obj(obj: object) -> Move:
-    if not isinstance(obj, list):
-        raise InputError(f"move must be a list of pairs, got {bounded_repr(obj)}")
-    pairs: list[tuple[int, int | None]] = []
-    for item in obj:
-        if not isinstance(item, list) or len(item) != 2:
-            raise InputError(f"move assignment must be a pair, got {bounded_repr(item)}")
-        s, t = item
-        if not is_json_int(s) or not (t is None or is_json_int(t)):
-            raise InputError(f"move assignment must be [int, int|null], got {bounded_repr(item)}")
-        pairs.append((s, t))
-    return Move(assignments=tuple(pairs))
 
 
 def enumerate_moves(c: Configuration, p: OrbitPartition) -> tuple[Move, ...]:

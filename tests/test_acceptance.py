@@ -300,7 +300,6 @@ def test_criterion_9(tmp_path):
 
     def run(args, seed, tag):
         env = os.environ.copy()
-        env.pop("OBLOT_CACHE", None)
         env["PYTHONHASHSEED"] = seed
         proc = subprocess.run(
             [sys.executable, "-m", "oblot", *args],

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from oblot.canonical import canonical_form, occupied_orbits
 from oblot.errors import InternalError
 from oblot.graphs import Configuration, Graph
-from oblot.hypergraph import build, export, loads
+from oblot.hypergraph import build
 
 from bruteforce import (
     all_placements,
@@ -66,17 +66,13 @@ def test_orbits_match_bruteforce():
         p = canonical_form(c.graph, c.lam).orbits
         assert {frozenset(o) for o in p.orbits} == brute_orbits(c.graph, c.lam)
         _assert_rank_of_matches(p, c.graph.n)
-    # the orbits a hypergraph's classes carry, built and reloaded
+    # the orbits a hypergraph's classes carry
     for g in connected_graph_corpus(4):
         for k in (1, 2):
-            h = build(g, k)
-            again = loads(export(h, "json"))
-            for entry, loaded in zip(h.configs, again.configs, strict=True):
+            for entry in build(g, k).configs:
                 p = entry.form.orbits
                 assert {frozenset(o) for o in p.orbits} == brute_orbits(g, entry.rep.lam)
-                assert loaded.form.orbits == p
                 _assert_rank_of_matches(p, g.n)
-                _assert_rank_of_matches(loaded.form.orbits, g.n)
 
 
 def test_k23_multiplicity_classes(k23):

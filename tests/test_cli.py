@@ -10,9 +10,8 @@ from oblot import cli
 from oblot.errors import BudgetExceededError, InternalError
 
 
-def run_cli(*args, env_extra=None, cwd=None):
+def run_cli(*args, env_extra=None):
     env = os.environ.copy()
-    env.pop("OBLOT_CACHE", None)
     env.setdefault("PYTHONHASHSEED", "0")
     if env_extra:
         env.update(env_extra)
@@ -21,7 +20,6 @@ def run_cli(*args, env_extra=None, cwd=None):
         capture_output=True,
         text=True,
         env=env,
-        cwd=cwd,
     )
 
 
@@ -41,6 +39,7 @@ def files(tmp_path_factory):
         "dir": d,
         "k23": put("k23.json", k23),
         "mixed": put("mixed.json", {"graph": "k23.json", "lambda": [1, 0, 1, 0, 0]}),
+        "two_side": put("two_side.json", {"graph": "k23.json", "lambda": [1, 1, 0, 0, 0]}),
         "spread": put("spread.json", {"graph": k23, "lambda": [0, 0, 1, 1, 1]}),
         "antipodal": put("antipodal.json", {"graph": c4, "lambda": [1, 0, 1, 0]}),
         "p5_ends": put("p5_ends.json", {"graph": p5, "lambda": [1, 0, 0, 0, 1]}),
@@ -187,35 +186,37 @@ def test_output_independent_of_hash_seed(files, tmp_path):
     assert builds[0] == builds[1]
 
 
+def _assert_answer_ignores_cache(args, cache):
+    """``args`` print the same bytes and exit the same with ``--cache`` as without."""
+    plain = run_cli(*args)
+    cached = run_cli(*args, "--cache", str(cache))
+    assert (cached.stdout, cached.returncode) == (plain.stdout, plain.returncode), cached.stderr
+
+
 def test_cache_round_trip(files, tmp_path):
     cache = tmp_path / "cache"
     out = tmp_path / "h.json"
-    r = run_cli(
-        "build", "--graph", files["k23"], "-k", "2",
-        "--out", str(out), "--cache", str(cache),
-    )
+    build_k23 = ("build", "--graph", files["k23"], "-k", "2", "--out", str(out))
+    r = run_cli(*build_k23, "--cache", str(cache))
     assert r.returncode == 0
     cached = list(cache.glob("*.json"))
     assert len(cached) == 1
-    first = cached[0].read_text()
+    first = cached[0].read_bytes()
+    # the entry is the export, byte for byte
+    assert first == out.read_bytes()
 
-    # a second run answers from the cache and leaves it untouched
+    # a second run finds the entry and leaves it untouched
     r2 = run_cli(
         "solve", "--graph", files["k23"], "-k", "2",
         "--problem", files["gathering"], "--cache", str(cache),
     )
     assert r2.returncode == 0
-    assert cached[0].read_text() == first
+    assert cached[0].read_bytes() == first
 
-    # a corrupt cache entry falls back to a fresh build and is repaired
+    # no command reads an entry, so a corrupt one changes no answer
     cached[0].write_text("{corrupt")
-    r3 = run_cli(
-        "build", "--graph", files["k23"], "-k", "2",
-        "--out", str(out), "--cache", str(cache),
-    )
-    assert r3.returncode == 0
-    assert r3.stdout == "configs=5 hyperarcs=9\n"
-    assert cached[0].read_text() == first
+    _assert_answer_ignores_cache(build_k23, cache)
+    assert cached[0].read_text() == "{corrupt"
 
 
 def test_cache_key_ignores_graph_name(files, tmp_path):
@@ -233,7 +234,7 @@ def test_cache_key_ignores_graph_name(files, tmp_path):
         assert r.returncode == 0
         outs.append(json.loads(out.read_text()))
     assert len(list(cache.iterdir())) == 1
-    # a hit answers with the requested graph, decorative name included
+    # every answer is built from the requested graph, decorative name included
     assert [o["graph"]["name"] for o in outs] == ["first", "second"]
 
 
@@ -246,7 +247,6 @@ def test_cache_rebuilds_over_export_of_another_graph(files, tmp_path):
     )
     assert run_cli(*build_k23).returncode == 0
     (entry,) = cache.iterdir()
-    genuine = entry.read_text()
 
     # plant a valid export of a different (graph, k) under K23's key
     p3 = tmp_path / "p3.json"
@@ -255,27 +255,35 @@ def test_cache_rebuilds_over_export_of_another_graph(files, tmp_path):
     assert run_cli("build", "--graph", str(p3), "-k", "2", "--out", str(other)).returncode == 0
     entry.write_text(other.read_text())
 
-    r = run_cli(*build_k23)
-    assert r.returncode == 0
-    assert r.stdout == "configs=5 hyperarcs=9\n"
-    assert entry.read_text() == genuine
+    _assert_answer_ignores_cache(build_k23[:-2], cache)
+    assert entry.read_text() == other.read_text()
     assert sorted(p.name for p in cache.iterdir()) == [entry.name]
 
 
-def test_empty_cache_env_var_is_unset(files, tmp_path):
-    # an empty OBLOT_CACHE must not put cache entries in the working directory
-    work = tmp_path / "work"
-    work.mkdir()
-    src = str(Path(cli.__file__).resolve().parents[1])
-    r = run_cli(
-        "move", "--config", files["mixed"], "--problem", files["gathering"],
-        env_extra={"OBLOT_CACHE": "", "PYTHONPATH": src}, cwd=work,
-    )
-    assert r.returncode == 0
-    assert list(work.iterdir()) == []
+def test_cache_entry_with_forged_deltas_changes_no_answer(files, tmp_path):
+    # a well-formed entry whose every Δ is the final class 0: answered from,
+    # it would put the unsolvable classes 2 and 4 one round from gathering
+    cache = tmp_path / "cache"
+    build_k23 = ("build", "--graph", files["k23"], "-k", "2", "--out", str(tmp_path / "h.json"))
+    assert run_cli(*build_k23, "--cache", str(cache)).returncode == 0
+    (entry,) = cache.iterdir()
+    doc = json.loads(entry.read_text())
+    moves: dict[int, list] = {}
+    for arc in doc["hyperarcs"]:
+        moves.setdefault(arc["source"], []).extend(arc["moves"])
+    doc["hyperarcs"] = [{"source": s, "delta": [0], "moves": ms} for s, ms in sorted(moves.items())]
+    entry.write_text(json.dumps(doc))
+    for args in (
+        ("solve", "--graph", files["k23"], "-k", "2", "--problem", files["gathering"]),
+        ("move", "--config", files["two_side"], "--problem", files["gathering"]),
+        ("move", "--config", files["mixed"], "--problem", files["gathering"]),
+    ):
+        _assert_answer_ignores_cache(args, cache)
 
 
-def _assert_cache_entry_is_rebuilt(files, tmp_path, content: bytes):
+def _assert_cache_entry_changes_no_answer(files, tmp_path, content: bytes):
+    """Every cached command answers as without a cache while the entry holds
+    ``content``; the answer is always built, and the entry left as it is."""
     cache = tmp_path / "cache"
     queries = (
         ("build", "--graph", files["k23"], "-k", "2", "--out", str(tmp_path / "h.json")),
@@ -284,17 +292,15 @@ def _assert_cache_entry_is_rebuilt(files, tmp_path, content: bytes):
     )
     assert run_cli(*queries[0], "--cache", str(cache)).returncode == 0
     (entry,) = cache.iterdir()
-    genuine = entry.read_text()
+    entry.write_bytes(content)
     for args in queries:
-        entry.write_bytes(content)
-        r = run_cli(*args, "--cache", str(cache))
-        assert r.returncode == 0, r.stderr
-        assert entry.read_text() == genuine
+        _assert_answer_ignores_cache(args, cache)
+    assert entry.read_bytes() == content
 
 
 def test_non_utf8_cache_entry_is_rebuilt(files, tmp_path):
-    # an entry that is not UTF-8 is a miss: rebuilt and written over
-    _assert_cache_entry_is_rebuilt(files, tmp_path, b"\xff\xfe{}")
+    # an entry that is not UTF-8 changes no answer
+    _assert_cache_entry_changes_no_answer(files, tmp_path, b"\xff\xfe{}")
 
 
 BIG_INT = "1" * 5000  # past the interpreter's limit on integer digits
@@ -342,8 +348,8 @@ def test_echoed_input_values_are_bounded(files, tmp_path, what, text):
     '{"format_version": %s}' % BIG_INT, DEEP_ARRAY,
 ], ids=["big", "deep"])
 def test_unparsable_cache_entry_is_rebuilt(files, tmp_path, text):
-    # an entry the JSON parser refuses is a miss too
-    _assert_cache_entry_is_rebuilt(files, tmp_path, text.encode())
+    # nor does an entry the JSON parser would refuse
+    _assert_cache_entry_changes_no_answer(files, tmp_path, text.encode())
 
 
 @pytest.mark.parametrize("role, what", [
@@ -362,17 +368,6 @@ def test_non_utf8_input_file_exits_two(files, tmp_path, role, what):
     assert r.returncode == 2
     assert r.stderr.startswith(f"error: cannot read {what} file {bad}: ")
     assert len(r.stderr.splitlines()) == 1
-
-
-def test_cache_env_var(files, tmp_path):
-    cache = tmp_path / "envcache"
-    out = tmp_path / "h.json"
-    r = run_cli(
-        "build", "--graph", files["k23"], "-k", "2", "--out", str(out),
-        env_extra={"OBLOT_CACHE": str(cache)},
-    )
-    assert r.returncode == 0
-    assert len(list(cache.glob("*.json"))) == 1
 
 
 def test_input_errors_exit_two(files, tmp_path):

@@ -3,12 +3,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oblot.canonical import canonical_form
-from oblot.errors import InputError, InternalError
+from oblot.errors import InternalError
 from oblot.graphs import Configuration, Graph
 from oblot.moves import (
     Move,
     enumerate_moves,
-    move_from_json_obj,
     raw_fsync_outcomes,
     raw_ssync_outcomes,
 )
@@ -108,16 +107,6 @@ def test_compare_moves_swap_is_least_without_nil():
 def test_move_json_round_trip():
     m = Move(assignments=((0, None), (3, 1)))
     assert m.to_json_obj() == [[0, None], [3, 1]]
-    assert move_from_json_obj(m.to_json_obj()) == m
-
-
-def test_move_from_json_errors():
-    with pytest.raises(InputError, match="list of pairs"):
-        move_from_json_obj({"0": 1})
-    with pytest.raises(InputError, match="must be a pair"):
-        move_from_json_obj([[0, 1, 2]])
-    with pytest.raises(InputError, match="int, int"):
-        move_from_json_obj([[0, "x"]])
 
 
 def test_outcomes_reject_a_move_foreign_to_the_orbits(k23):

@@ -56,9 +56,12 @@ def _cache_path(cache_dir: str | None, g: Graph, k: int, scheduler: str) -> Path
     return Path(cache_dir) / f"{digest}.json"
 
 
-def _get_hypergraph(g: Graph, k: int, scheduler: str, cache_dir: str | None) -> ConfigHypergraph:
+def _get_hypergraph(
+    g: Graph, k: int, scheduler: str, cache_dir: str | None
+) -> tuple[ConfigHypergraph, str | None]:
     """Build the hypergraph, and store its export in the cache directory when
-    one is configured and holds no entry for the key yet.
+    one is configured and holds no entry for the key yet.  Returns the
+    hypergraph and, when an entry was written, the export it holds.
 
     No command reads an entry: building costs what reading and checking one
     would, and an answer that never comes from a stored file cannot be a
@@ -67,15 +70,17 @@ def _get_hypergraph(g: Graph, k: int, scheduler: str, cache_dir: str | None) -> 
     """
     h = build(g, k, scheduler)
     path = _cache_path(cache_dir, g, k, scheduler)
-    if path is not None and not path.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            tmp.write_text(export(h, "json"))
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
-    return h
+    if path is None or path.exists():
+        return h, None
+    doc = export(h, "json")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(doc)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return h, doc
 
 
 def cmd_canon(args) -> int:
@@ -100,8 +105,8 @@ def cmd_orbits(args) -> int:
 
 def cmd_build(args) -> int:
     g = load_graph_file(args.graph)
-    h = _get_hypergraph(g, args.k, args.scheduler, args.cache)
-    Path(args.out).write_text(export(h, "json"))
+    h, doc = _get_hypergraph(g, args.k, args.scheduler, args.cache)
+    Path(args.out).write_text(doc if doc is not None else export(h, "json"))
     if args.dot is not None:
         Path(args.dot).write_text(export(h, "dot"))
     sys.stdout.write(f"configs={len(h.configs)} hyperarcs={len(h.hyperarcs)}\n")
@@ -111,7 +116,8 @@ def cmd_build(args) -> int:
 def cmd_solve(args) -> int:
     g = load_graph_file(args.graph)
     spec = load_problem_file(args.problem)
-    sol = solution(_get_hypergraph(g, args.k, "fsync", args.cache), spec)
+    h, _ = _get_hypergraph(g, args.k, "fsync", args.cache)
+    sol = solution(h, spec)
     for i, config in enumerate(sol.h.configs):
         entry = sol.entries.get(i)
         line = {
@@ -133,7 +139,7 @@ def cmd_solve(args) -> int:
 def cmd_move(args) -> int:
     c = load_configuration_file(args.config)
     spec = load_problem_file(args.problem)
-    h = _get_hypergraph(c.graph, total_robots(c), "fsync", args.cache)
+    h, _ = _get_hypergraph(c.graph, total_robots(c), "fsync", args.cache)
     decision = solution(h, spec).decision(h.index_of(c))
     sys.stdout.write(dump_json(decision.to_json_obj()))
     return EXIT_UNSOLVABLE if decision.status == UNSOLVABLE else EXIT_OK

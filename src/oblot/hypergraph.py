@@ -7,6 +7,13 @@ exactly Δ.  Building is deterministic: configurations are sorted by canonical
 encoding, hyperarcs by (source index, Δ index tuple), moves in lexicographic
 move order.
 
+A hyperarc stores its moves as ints: each is the move's index in its source
+class's move product, the product of the option sets the hypergraph keeps
+per class (``option_sets``), and index order is lexicographic move order.
+Only the edges decode them: ``h.move(source, index)`` gives the ``Move``,
+the solver decodes one per solvable class, and the export decodes each
+class through one table of the product.
+
 Robots cannot tell automorphic placements apart, so a class is an orbit of
 Aut(G) on placements.  Class enumeration runs one canonizer search for G and
 one per class and no other: placements are walked in lexicographic order,
@@ -17,7 +24,9 @@ A class's orbits come from its representative's form (``entry.form.orbits``),
 built from the automorphisms that same search found.  Every later class
 question is a lookup: the Δ of a move is the set of classes of its outcome
 placements' integer codes, read from the table re-keyed by code, and
-``index_of`` reads the table.
+``index_of`` reads the table.  The Δs of one class come from one walk of its
+move product (:func:`oblot.moves.move_deltas`), in which moves that share a
+prefix of options share its folded codes.
 
 The JSON export is write-only: nothing reads a hypergraph back, so every
 answer comes from a build.
@@ -31,15 +40,24 @@ The record keeps nothing alive.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import weakref
 from dataclasses import dataclass, field
 
 from .canonical import CanonicalForm, canonical_form
-from .errors import InputError, InternalError
+from .errors import InputError
 from .graphs import Configuration, Graph, dump_json
-from .moves import Move, OutcomeMemo, class_table_by_code, enumerate_moves
+from .moves import (
+    Move,
+    OptionSets,
+    OutcomeMemo,
+    class_table_by_code,
+    move_at,
+    move_deltas,
+    option_sets,
+)
 
 FORMAT_VERSION = 1
 
@@ -66,11 +84,15 @@ class ConfigEntry:
     rep: Configuration
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Hyperarc:
+    """The moves of one class that share the outcome set ``delta``, as
+    ascending indices into the class's move product (see
+    :meth:`ConfigHypergraph.move`)."""
+
     source: int
     delta: tuple[int, ...]
-    moves: tuple[Move, ...]
+    moves: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -82,6 +104,12 @@ class ConfigHypergraph:
     hyperarcs: tuple[Hyperarc, ...]
     # Placement λ -> class index, for every k-robot placement on ``graph``.
     class_of: dict[tuple[int, ...], int] = field(compare=False, repr=False)
+    # Per class, the option sets whose product its move indices count in.
+    option_sets: tuple[OptionSets, ...] = field(compare=False, repr=False)
+
+    def move(self, source: int, index: int) -> Move:
+        """The move a hyperarc of class ``source`` stores as ``index``."""
+        return move_at(self.option_sets[source], index)
 
     def index_of(self, c: Configuration) -> int:
         """Class index of ``c``, which must be a k-robot placement on this graph."""
@@ -148,34 +176,27 @@ def build(g: Graph, k: int, scheduler: str = "fsync") -> ConfigHypergraph:
     For every configuration class, on the orbits its representative's form
     carries, and every one of its moves, the scheduler's outcome set Δ is
     the set of classes of the move's outcome codes, from one
-    :class:`OutcomeMemo` per class and the class table keyed by code; moves
-    with identical (source, Δ) merge into one hyperarc.
+    :class:`OutcomeMemo` and one :func:`move_deltas` walk per class and the
+    class table keyed by code; moves with identical (source, Δ) merge into
+    one hyperarc, which keeps their indices.
     """
     if scheduler not in SCHEDULERS:
         raise InputError(f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}")
     ssync = scheduler == "ssync"
     entries, class_of = enumerate_configurations(g, k)
     class_by_code = class_table_by_code(class_of, g.n, k)
-    arcs: dict[tuple[int, tuple[int, ...]], list[Move]] = {}
+    factors = []
+    hyperarcs = []
     for i, entry in enumerate(entries):
         p = entry.form.orbits
-        memo = OutcomeMemo(entry.rep, p, ssync)
-        for m in enumerate_moves(entry.rep, p):
-            try:
-                delta = tuple(sorted(set(map(class_by_code.__getitem__, memo.codes(m)))))
-            except KeyError:
-                raise InternalError(
-                    "move outcome escapes the configuration set; "
-                    "robot conservation is violated"
-                ) from None
-            arcs.setdefault((i, delta), []).append(m)
-    hyperarcs = tuple(
-        Hyperarc(source=s, delta=d, moves=tuple(ms))
-        for (s, d), ms in sorted(arcs.items())
-    )
+        factors.append(option_sets(entry.rep, p))
+        deltas = move_deltas(OutcomeMemo(entry.rep, p, ssync), factors[i], class_by_code)
+        hyperarcs += (
+            Hyperarc(source=i, delta=d, moves=tuple(ms)) for d, ms in sorted(deltas.items())
+        )
     h = ConfigHypergraph(
-        graph=g, k=k, scheduler=scheduler, configs=entries, hyperarcs=hyperarcs,
-        class_of=class_of,
+        graph=g, k=k, scheduler=scheduler, configs=entries, hyperarcs=tuple(hyperarcs),
+        class_of=class_of, option_sets=tuple(factors),
     )
     _built[id(g), k, scheduler] = h
     return h
@@ -191,7 +212,16 @@ def built(g: Graph, k: int, scheduler: str) -> ConfigHypergraph | None:
 
 def to_json_obj(h: ConfigHypergraph) -> dict:
     """The export document.  Its sequences may be tuples, which ``json`` writes
-    as arrays; λ, Δ and each move's assignments are passed as stored."""
+    as arrays; λ and Δ are passed as stored, and each move's assignments are
+    read from its class's product of (rank, option) pairs, built once per
+    class (arcs come grouped by source)."""
+
+    @functools.lru_cache(maxsize=1)
+    def table(source: int) -> tuple[tuple[tuple[int, int | None], ...], ...]:
+        return tuple(itertools.product(
+            *(tuple((rank, t) for t in opts) for rank, opts in h.option_sets[source])
+        ))
+
     return {
         "format_version": FORMAT_VERSION,
         "graph": h.graph.to_json_obj(),
@@ -202,7 +232,7 @@ def to_json_obj(h: ConfigHypergraph) -> dict:
             {
                 "source": a.source,
                 "delta": a.delta,
-                "moves": [m.assignments for m in a.moves],
+                "moves": list(map(table(a.source).__getitem__, a.moves)),
             }
             for a in h.hyperarcs
         ],

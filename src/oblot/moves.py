@@ -17,10 +17,17 @@ joint destinations are the sumset of its vertices' sets.  An
 :class:`OutcomeMemo` keeps them per (occupied orbit rank, target) pair,
 computed the first time a move of the placement uses the pair, and a move's
 outcome codes are the sumset of its pairs' entries, restricted to the
-choices in which some robot moved.  ``build`` keeps one memo per class and
-maps codes to classes with one table; ``raw_fsync_outcomes`` and
-``raw_ssync_outcomes`` decode the codes of one move to λ tuples on the input
-graph's own vertex indices.
+choices in which some robot moved.
+
+A placement's moves are the product of its :func:`option_sets`, one factor
+per occupied orbit, minus the all-nil element; a move is named by its
+mixed-radix index in that product (:func:`move_at`), and index order is the
+lexicographic move order.  ``build`` calls :func:`move_deltas` once per
+class: one walk of the product, in index order, that folds each prefix's
+codes once for every move sharing it and maps the last fold's codes to
+classes with one table.  ``raw_fsync_outcomes`` and ``raw_ssync_outcomes``
+decode the codes of one move to λ tuples on the input graph's own vertex
+indices.
 """
 
 from __future__ import annotations
@@ -39,6 +46,9 @@ from .graphs import Configuration
 _NIL_KEY = -1
 
 _source = operator.itemgetter(0)
+
+# One (occupied orbit rank, (None, *adjacent ranks)) pair per occupied orbit.
+OptionSets = tuple[tuple[int, tuple[int | None, ...]], ...]
 
 
 def _target_key(target: int | None) -> int:
@@ -67,14 +77,14 @@ class Move:
         return [[s, t] for s, t in self.assignments]
 
 
-def enumerate_moves(c: Configuration, p: OrbitPartition) -> tuple[Move, ...]:
-    """All moves of ``c`` in ascending lexicographic order.
+def option_sets(c: Configuration, p: OrbitPartition) -> OptionSets:
+    """The factors of ``c``'s move product: one (rank, options) pair per
+    occupied orbit, in ascending rank order.
 
-    Per occupied orbit the options are nil plus the rank of each orbit an
-    edge joins it to (itself included); the cartesian product minus the
-    all-nil function, which is not a move.
-    Factor-wise sorted options make the product enumeration itself emit the
-    lexicographic order, so no final sort is needed.
+    An orbit's options are nil, then the ranks of the orbits an edge joins it
+    to (itself included), ascending.  A move is one option per factor, so a
+    class's moves are the product of its option sets minus the all-nil
+    element; :func:`move_at` names them by index.
     """
     occupied = occupied_orbits(p, c)
     rank_of = p.rank_of
@@ -82,10 +92,37 @@ def enumerate_moves(c: Configuration, p: OrbitPartition) -> tuple[Move, ...]:
     for v, nbrs in enumerate(c.graph.neighbors):
         if rank_of[v] in adjacent:
             adjacent[rank_of[v]].update(rank_of[u] for u in nbrs)
-    option_sets = [[None, *sorted(adjacent[rank])] for rank in occupied]
+    return tuple((rank, (None, *sorted(adjacent[rank]))) for rank in occupied)
+
+
+def enumerate_moves(c: Configuration, p: OrbitPartition) -> tuple[Move, ...]:
+    """All moves of ``c`` in ascending lexicographic order, which is index order.
+
+    Factor-wise sorted options make the product enumeration itself emit the
+    lexicographic order, so no final sort is needed.
+    """
+    factors = option_sets(c, p)
+    ranks = tuple(rank for rank, _ in factors)
     # nil leads every factor, so the all-nil function is the product's first element
-    combos = itertools.islice(itertools.product(*option_sets), 1, None)
-    return tuple(Move(assignments=tuple(zip(occupied, combo))) for combo in combos)
+    combos = itertools.islice(itertools.product(*(opts for _, opts in factors)), 1, None)
+    return tuple(Move(assignments=tuple(zip(ranks, combo))) for combo in combos)
+
+
+def move_at(factors: OptionSets, index: int) -> Move:
+    """The move with mixed-radix ``index`` in the product of ``factors``.
+
+    The first factor is the most significant digit, so index order is the
+    lexicographic move order; index 0 is the all-nil function, not a move.
+    """
+    rest = index
+    pairs = []
+    for rank, opts in reversed(factors):
+        rest, digit = divmod(rest, len(opts))
+        pairs.append((rank, opts[digit]))
+    # a remainder is an index past the product's end, or a negative one
+    if index < 1 or rest:
+        raise InternalError(f"move index {index} is outside the class's move product")
+    return Move(assignments=tuple(reversed(pairs)))
 
 
 @functools.lru_cache(maxsize=8)
@@ -141,15 +178,11 @@ class OutcomeMemo:
         pairs = m.assignments
         if tuple(map(_source, pairs)) != self.occupied:
             pairs = self._covering_pairs(m)
-        entries = self._entries
         moved: Collection[int] = ()
-        for pair in pairs:
-            if pair[1] is None:
+        for rank, target in pairs:
+            if target is None:
                 continue
-            entry = entries.get(pair)
-            if entry is None:
-                entry = entries[pair] = self._entry(*pair)
-            joint, moved_o = entry
+            joint, moved_o = self.entry(rank, target)
             if not moved:
                 moved = moved_o
                 continue
@@ -160,6 +193,14 @@ class OutcomeMemo:
         if not moved:
             raise InternalError("a move without a movement instruction is not a move")
         return moved
+
+    def entry(self, rank: int, target: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The (joint, moved) entry of the robots of the occupied orbit ``rank``
+        sent to ``target``, computed on first use."""
+        entry = self._entries.get((rank, target))
+        if entry is None:
+            entry = self._entries[rank, target] = self._entry(rank, target)
+        return entry
 
     def _covering_pairs(self, m: Move) -> tuple[tuple[int, int | None], ...]:
         """One pair per occupied orbit in rank order, the last assignment of a
@@ -205,6 +246,74 @@ class OutcomeMemo:
             joint = {a + b for a in joint for b in dests}
         # under FSYNC every robot of the orbit moves
         return tuple(joint), tuple(map(self.code.__add__, moved if ssync else joint))
+
+
+def move_deltas(
+    memo: OutcomeMemo, factors: OptionSets, class_by_code: dict[int, int]
+) -> dict[tuple[int, ...], list[int]]:
+    """The moves of the memo's placement grouped by outcome set: each Δ, as
+    ascending class indices, maps to the ascending indices of its moves in
+    the product of ``factors`` (see :func:`move_at`).
+
+    One depth-first walk visits the product in index order.  It carries the
+    folded ``moved`` codes of the current prefix, folded as in
+    :meth:`OutcomeMemo.codes`, so moves sharing a prefix share its fold; at
+    the last factor the codes go straight to classes.  Every option of a
+    factor is used by some move, so the memo entries of all of them are
+    fetched up front.
+    """
+    ssync = memo.ssync
+    *inner, last_entries = [
+        [None if t is None else memo.entry(rank, t) for t in opts] for rank, opts in factors
+    ]
+    groups: dict[frozenset[int], list[int]] = {}
+    index = 0
+
+    def leaves(moved: Collection[int] | None) -> None:
+        nonlocal index
+        for joint, own in last:
+            if joint is None:
+                if moved is None:  # index 0: the all-nil function is not a move
+                    index += 1
+                    continue
+                delta = frozenset([class_by_code[x] for x in moved])
+            elif moved is None:
+                delta = own
+            else:
+                delta = {class_by_code[a + b] for a in moved for b in joint}
+                # under FSYNC an instructed robot always moves: no prefix stayed
+                delta = frozenset(delta | own if ssync else delta)
+            groups.setdefault(delta, []).append(index)
+            index += 1
+
+    def walk(depth: int, moved: Collection[int] | None) -> None:
+        if depth == len(inner):
+            leaves(moved)
+            return
+        for entry in inner[depth]:
+            if entry is None:
+                walk(depth + 1, moved)
+            elif moved is None:
+                walk(depth + 1, entry[1])
+            else:
+                joint, moved_o = entry
+                folded = {a + b for a in moved for b in joint}
+                if ssync:
+                    folded.update(moved_o)
+                walk(depth + 1, folded)
+
+    try:
+        # the classes of each last-factor entry's own moved codes
+        last = [
+            (None, None) if e is None else (e[0], frozenset([class_by_code[x] for x in e[1]]))
+            for e in last_entries
+        ]
+        walk(0, None)
+    except KeyError:
+        raise InternalError(
+            "move outcome escapes the configuration set; robot conservation is violated"
+        ) from None
+    return {tuple(sorted(delta)): indices for delta, indices in groups.items()}
 
 
 def _decode(code: int, n: int, base: int) -> tuple[int, ...]:

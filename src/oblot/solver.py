@@ -118,10 +118,11 @@ def solve(h: ConfigHypergraph, final) -> Solution:
                 if arc.source in entries:
                     continue
                 best = chosen.get(arc.source)
-                if best is None or arc.moves[0].sort_key() < best.moves[0].sort_key():
+                # move indices of one source compare in lexicographic move order
+                if best is None or arc.moves[0] < best.moves[0]:
                     chosen[arc.source] = arc
         for s, arc in chosen.items():
-            entries[s] = PlanEntry(distance=level, move=arc.moves[0], delta=arc.delta)
+            entries[s] = PlanEntry(distance=level, move=h.move(s, arc.moves[0]), delta=arc.delta)
         frontier = list(chosen)
     return Solution(h=h, final=fin, solvable=frozenset(entries), entries=entries)
 

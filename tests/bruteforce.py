@@ -303,21 +303,23 @@ def all_placements(n: int, k: int) -> list[tuple[int, ...]]:
     return sorted(set(out))
 
 
-def game_solve(g: Graph, k: int, is_final) -> tuple[set[tuple[int, ...]], dict[tuple[int, ...], int]]:
+def game_solve(
+    g: Graph, k: int, is_final, scheduler: str = "fsync"
+) -> tuple[set[tuple[int, ...]], dict[tuple[int, ...], int]]:
     """Attractor fixed point and minimax distances on raw placements.
 
     A placement is solvable when some orbit-level move has every per-robot
     outcome inside the current solvable set; its distance is the first level
     at which that happens.  Independent of the hypergraph machinery: orbits
-    by permutation sweep, outcomes by per-robot product.
+    by permutation sweep, outcomes by per-robot product, under ``ssync`` with
+    the adversary also idling any instructed robots but one.
     """
+    outcomes = {"fsync": raw_move_outcomes, "ssync": raw_ssync_move_outcomes}[scheduler]
     states = all_placements(g.n, k)
     moves_of: dict[tuple[int, ...], list[set[tuple[int, ...]]]] = {}
     for lam in states:
         orbits = brute_orbits(g, lam)
-        moves_of[lam] = [
-            raw_move_outcomes(g, lam, orbits, mv) for mv in raw_moves(g, lam)
-        ]
+        moves_of[lam] = [outcomes(g, lam, orbits, mv) for mv in raw_moves(g, lam)]
     dist: dict[tuple[int, ...], int] = {s: 0 for s in states if is_final(s)}
     solvable = set(dist)
     level = 0
@@ -356,8 +358,14 @@ def arcs_by_source(h) -> dict:
     return {s: tuple(arcs) for s, arcs in out.items()}
 
 
+def decoded_moves(h, arc) -> tuple[Move, ...]:
+    """The moves ``arc`` stores as indices, decoded."""
+    return tuple(h.move(arc.source, j) for j in arc.moves)
+
+
 def mtf_recursive(h, final: frozenset[int], solvable: frozenset[int], c: int):
-    """Returns (distance, move or None) for class index c."""
+    """Returns (distance, move or None) for class index c.  Moves are compared
+    decoded, by :meth:`Move.sort_key`, not by their stored indices."""
     arcs = arcs_by_source(h)
     memo: dict = {}
 
@@ -379,7 +387,7 @@ def mtf_recursive(h, final: frozenset[int], solvable: frozenset[int], c: int):
                 d, _ = rec(child, visited)
                 if d > d_max:
                     d_max = d
-            candidates.append((d_max, arc.moves[0]))
+            candidates.append((d_max, min(decoded_moves(h, arc), key=Move.sort_key)))
         if not candidates:
             memo[key] = (math.inf, None)
             return memo[key]

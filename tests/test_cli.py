@@ -219,6 +219,31 @@ def test_cache_round_trip(files, tmp_path):
     assert cached[0].read_text() == "{corrupt"
 
 
+def test_build_into_empty_cache_exports_once(files, tmp_path, monkeypatch, capsys):
+    # the entry and --out are one string: one JSON export, not one per file
+    formats = []
+    export = cli.export
+
+    def counting(h, format):
+        formats.append(format)
+        return export(h, format)
+
+    monkeypatch.setattr(cli, "export", counting)
+    out = tmp_path / "h.json"
+    cache = tmp_path / "cache"
+    argv = ["build", "--graph", files["k23"], "-k", "2", "--out", str(out), "--cache", str(cache)]
+    assert cli.main(argv) == 0
+    assert formats == ["json"]
+    (entry,) = cache.glob("*.json")
+    assert entry.read_bytes() == out.read_bytes()
+    # with the entry in place, --out still gets its one export
+    out.unlink()
+    assert cli.main(argv) == 0
+    assert formats == ["json", "json"]
+    assert entry.read_bytes() == out.read_bytes()
+    assert capsys.readouterr().out == "configs=5 hyperarcs=9\n" * 2
+
+
 def test_cache_key_ignores_graph_name(files, tmp_path):
     cache = tmp_path / "cache"
     k23 = json.loads(Path(files["k23"]).read_text())

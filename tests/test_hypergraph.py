@@ -23,7 +23,7 @@ from oblot.hypergraph import (
     export,
     to_dot,
 )
-from oblot.moves import enumerate_moves
+from oblot.moves import OutcomeMemo, class_table_by_code, enumerate_moves
 from oblot.problems import load_problem
 
 from bruteforce import (
@@ -33,6 +33,7 @@ from bruteforce import (
     brute_orbits,
     config_isomorphic,
     connected_graph_corpus,
+    decoded_moves,
     fsync_outcomes,
     index_by_encoding,
     raw_move_outcomes,
@@ -124,7 +125,7 @@ def test_every_move_in_exactly_one_arc(k23_h):
         p = canonical_form(entry.rep.graph, entry.rep.lam).orbits
         all_moves = list(enumerate_moves(entry.rep, p))
         arc_moves = [
-            m for a in arcs_by_source(k23_h).get(i, ()) for m in a.moves
+            m for a in arcs_by_source(k23_h).get(i, ()) for m in decoded_moves(k23_h, a)
         ]
         assert sorted(m.sort_key() for m in arc_moves) == sorted(
             m.sort_key() for m in all_moves
@@ -137,7 +138,7 @@ def test_recomputed_outcomes_reproduce_delta(k23_h):
     for a in k23_h.hyperarcs:
         entry = k23_h.configs[a.source]
         p = canonical_form(entry.rep.graph, entry.rep.lam).orbits
-        for m in a.moves:
+        for m in decoded_moves(k23_h, a):
             oset = fsync_outcomes(entry.rep, p, m)
             got = tuple(sorted(index[enc] for enc in oset.encodings))
             assert got == a.delta
@@ -145,8 +146,32 @@ def test_recomputed_outcomes_reproduce_delta(k23_h):
 
 def test_moves_within_arc_sorted(k23_h):
     for a in k23_h.hyperarcs:
-        keys = [m.sort_key() for m in a.moves]
+        keys = [m.sort_key() for m in decoded_moves(k23_h, a)]
         assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_move_indices_name_the_option_product(scheduler):
+    # stored indices against enumerate_moves, and each Δ of the walk against
+    # OutcomeMemo.codes, its slow path, move by move
+    for g in connected_graph_corpus(5):
+        for k in (1, 2, 3):
+            h = build(g, k, scheduler)
+            class_by_code = class_table_by_code(h.class_of, g.n, k)
+            by_source = arcs_by_source(h)
+            for i, entry in enumerate(h.configs):
+                p = entry.form.orbits
+                moves = enumerate_moves(entry.rep, p)
+                arcs = by_source.get(i, ())
+                indices = sorted(j for a in arcs for j in a.moves)
+                assert indices == list(range(1, len(moves) + 1))
+                assert tuple(h.move(i, j) for j in indices) == moves
+                memo = OutcomeMemo(entry.rep, p, scheduler == "ssync")
+                for a in arcs:
+                    assert list(a.moves) == sorted(set(a.moves)) and 0 not in a.moves
+                    for j in a.moves:
+                        codes = memo.codes(h.move(i, j))
+                        assert tuple(sorted({class_by_code[x] for x in codes})) == a.delta
 
 
 def test_build_deterministic(k23):
@@ -289,7 +314,7 @@ def test_export_round_trip_property(n, k, scheduler, data):
     assert [tuple(c["lambda"]) for c in obj["configs"]] == [e.rep.lam for e in h.configs]
     assert [h.class_of[e.rep.lam] for e in h.configs] == list(range(len(h.configs)))
     assert obj["hyperarcs"] == [
-        {"source": a.source, "delta": list(a.delta), "moves": [m.to_json_obj() for m in a.moves]}
+        {"source": a.source, "delta": list(a.delta), "moves": [m.to_json_obj() for m in decoded_moves(h, a)]}
         for a in h.hyperarcs
     ]
 
@@ -381,7 +406,7 @@ def test_build_deltas_match_canonizer_oracle(scheduler, oracle):
         for k in (1, 2, 3):
             h = build(g, k, scheduler)
             index = index_by_encoding(h)
-            got = {(a.source, m, a.delta) for a in h.hyperarcs for m in a.moves}
+            got = {(a.source, m, a.delta) for a in h.hyperarcs for m in decoded_moves(h, a)}
             want = set()
             for i, entry in enumerate(h.configs):
                 p = canonical_form(entry.rep.graph, entry.rep.lam).orbits
@@ -404,7 +429,7 @@ def test_build_deltas_match_per_robot_oracle(scheduler, oracle):
             got = {}
             for a in h.hyperarcs:
                 p = h.configs[a.source].form.orbits
-                for m in a.moves:
+                for m in decoded_moves(h, a):
                     got[(a.source, frozenset(as_brute_move(p, m).items()))] = a.delta
             want = {}
             for i, entry in enumerate(h.configs):

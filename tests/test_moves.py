@@ -5,9 +5,15 @@ from hypothesis import strategies as st
 from oblot.canonical import canonical_form
 from oblot.errors import InternalError
 from oblot.graphs import Configuration, Graph
+from oblot.hypergraph import build
 from oblot.moves import (
     Move,
+    OutcomeMemo,
+    class_table_by_code,
     enumerate_moves,
+    move_at,
+    move_deltas,
+    option_sets,
     raw_fsync_outcomes,
     raw_ssync_outcomes,
 )
@@ -102,6 +108,36 @@ def test_compare_moves_swap_is_least_without_nil():
     ]
     least = min(both_move, key=Move.sort_key)
     assert least == Move(assignments=((1, 2), (2, 1)))
+
+
+def test_move_at_reads_the_option_product(k23):
+    # K23 with one robot per side: its rank 3 orbit ({2}) reaches ranks 2
+    # and 4, its rank 4 orbit ({0}) ranks 0 and 3; the first is most significant
+    c = Configuration(k23, (1, 0, 1, 0, 0))
+    factors = option_sets(c, canonical_form(c.graph, c.lam).orbits)
+    assert factors == ((3, (None, 2, 4)), (4, (None, 0, 3)))
+    assert move_at(factors, 3) == Move(assignments=((3, 2), (4, None)))
+    for index in (-1, 0, 9):
+        with pytest.raises(InternalError, match="outside the class's move product"):
+            move_at(factors, index)
+    for c in _configs(4, 3):
+        factors = option_sets(c, canonical_form(c.graph, c.lam).orbits)
+        moves = enumerate_moves(c, canonical_form(c.graph, c.lam).orbits)
+        assert tuple(move_at(factors, j) for j in range(1, len(moves) + 1)) == moves
+
+
+@pytest.mark.parametrize("ssync", [False, True])
+def test_move_deltas_reject_outcomes_outside_the_class_table(k23, ssync):
+    # whichever outcome code the table lacks, the walk names the broken invariant
+    c = Configuration(k23, (1, 0, 1, 0, 0))
+    p = canonical_form(c.graph, c.lam).orbits
+    table = class_table_by_code(build(k23, 2).class_of, 5, 2)
+    memo = OutcomeMemo(c, p, ssync)
+    reached = set().union(*(memo.codes(m) for m in enumerate_moves(c, p)))
+    for code in reached:
+        partial = {x: i for x, i in table.items() if x != code}
+        with pytest.raises(InternalError, match="robot conservation is violated"):
+            move_deltas(OutcomeMemo(c, p, ssync), option_sets(c, p), partial)
 
 
 def test_move_json_round_trip():

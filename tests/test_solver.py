@@ -16,6 +16,7 @@ from bruteforce import (
     arcs_by_source,
     config_isomorphic,
     connected_graph_corpus,
+    decoded_moves,
     game_solve,
     mtf_recursive,
     random_graph,
@@ -56,7 +57,7 @@ def test_k23_gathering_plan(k23):
     assert e.move == Move(assignments=((3, None), (4, 3)))
     # and the chosen arc lands on the three-side multiplicity
     mult3 = h.index_of(Configuration(k23, (0, 0, 2, 0, 0)))
-    arcs = {a.moves: a.delta for a in arcs_by_source(h)[mixed]}
+    arcs = {decoded_moves(h, a): a.delta for a in arcs_by_source(h)[mixed]}
     chosen = next(d for ms, d in arcs.items() if e.move in ms)
     assert chosen == (mult3,) == e.delta
 
@@ -169,6 +170,19 @@ def test_agrees_with_raw_game_oracle_random():
                 assert dist_raw[lam] == entries[i].distance
 
 
+def test_ssync_agrees_with_raw_game_oracle():
+    # the per-robot SSYNC oracle judges the walk's SSYNC fold end to end
+    for g in connected_graph_corpus(5):
+        for k in (1, 2, 3):
+            result = solution(build(g, k, "ssync"), GATHER)
+            solvable_raw, dist_raw = game_solve(g, k, _raw_gather_final(k), scheduler="ssync")
+            for lam in all_placements(g.n, k):
+                i = result.h.index_of(Configuration(g, lam))
+                assert (lam in solvable_raw) == (i in result.solvable)
+                if lam in solvable_raw:
+                    assert dist_raw[lam] == result.entries[i].distance
+
+
 def test_matches_recursive_transcription_k23(k23):
     h, fin, result = _gather_setup(k23, 2)
     entries = plan(h, fin, result)
@@ -197,7 +211,7 @@ def test_matches_recursive_transcription_corpus():
                 continue
             assert (d, m) == (entries[i].distance, entries[i].move)
             # the planned Δ is the outcome set of the arc carrying the move
-            arcs = [a for a in by_source.get(i, ()) if m in a.moves]
+            arcs = [a for a in by_source.get(i, ()) if m in decoded_moves(h, a)]
             assert entries[i].delta == (arcs[0].delta if arcs else ())
 
 

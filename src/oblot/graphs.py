@@ -117,8 +117,13 @@ def parse_json(text: str, what: str) -> object:
 
 
 def dump_json(obj: object) -> str:
-    """The one JSON output form: sorted keys, compact, one trailing newline."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """The one JSON output form: sorted keys, compact, one trailing newline.
+
+    Every document written is a tree the engine has just built, so it cannot
+    hold a cycle; the encoder's cycle check, an id-keyed insert and delete
+    per list and dict (a hypergraph export has one per move), is switched
+    off because it would buy nothing.  The output bytes are the same."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 
 def bounded_repr(value: object) -> str:

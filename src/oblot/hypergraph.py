@@ -21,12 +21,21 @@ and each one not yet in the class table founds a class, whose members are
 found by applying the generators of Aut(G) breadth-first.  The result is the
 class table ``class_of``, a map from every placement λ to its class index.
 A class's orbits come from its representative's form (``entry.form.orbits``),
-built from the automorphisms that same search found.  Every later class
-question is a lookup: the Δ of a move is the set of classes of its outcome
-placements' integer codes, read from the table re-keyed by code, and
-``index_of`` reads the table.  The Δs of one class come from one walk of its
-move product (:func:`oblot.moves.move_deltas`), in which moves that share a
-prefix of options share its folded codes.
+built from the automorphisms that same search found.
+
+The walk also records a Schreier vector (Holt, Eick & O'Brien, *Handbook of
+Computational Group Theory*, 2005): for every placement a generator reached,
+the index of that generator, so that its inverse leads back to the parent
+placement.  Founders have no entry.  Composing the generators along that
+chain gives ``h.transporter(λ)``, an automorphism of G that carries the
+class representative onto λ; the simulator maps the representative's
+outcomes through it instead of canonizing each placement it visits.
+
+Every later class question is a lookup: the Δ of a move is the set of
+classes of its outcome placements' integer codes, read from the table
+re-keyed by code, and ``index_of`` reads the table.  The Δs of one class
+come from one walk of its move product (:func:`oblot.moves.move_deltas`),
+in which moves that share a prefix of options share its folded codes.
 
 The JSON export is write-only: nothing reads a hypergraph back, so every
 answer comes from a build.
@@ -47,7 +56,7 @@ import weakref
 from dataclasses import dataclass, field
 
 from .canonical import CanonicalForm, canonical_form
-from .errors import InputError
+from .errors import InputError, InternalError
 from .graphs import Configuration, Graph, dump_json
 from .moves import (
     Move,
@@ -106,10 +115,43 @@ class ConfigHypergraph:
     class_of: dict[tuple[int, ...], int] = field(compare=False, repr=False)
     # Per class, the option sets whose product its move indices count in.
     option_sets: tuple[OptionSets, ...] = field(compare=False, repr=False)
+    # The generators of Aut(G) the class walk applied, and its Schreier
+    # vector: placement -> index of the generator that first reached it.
+    generators: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    schreier: dict[tuple[int, ...], int] = field(compare=False, repr=False)
 
     def move(self, source: int, index: int) -> Move:
         """The move a hyperarc of class ``source`` stores as ``index``."""
         return move_at(self.option_sets[source], index)
+
+    def transporter(self, lam: tuple[int, ...]) -> tuple[int, ...]:
+        """An automorphism π of G that carries the representative of ``lam``'s
+        class onto ``lam``: ``lam[v] == rep.lam[π[v]]`` for every vertex v.
+
+        π composes the generators along the Schreier chain from ``lam`` back
+        to the placement that founded its orbit.  That founder is the
+        representative unless the generators were incomplete, which raises
+        rather than falling back to a search.
+        """
+        try:
+            rep = self.configs[self.class_of[lam]].rep.lam
+        except KeyError:
+            raise self._foreign() from None
+        pi = tuple(range(self.graph.n))
+        cur = lam
+        while (j := self.schreier.get(cur)) is not None:
+            gen = self.generators[j]
+            pi = tuple(map(gen.__getitem__, pi))
+            # cur was reached as parent ∘ gen, so parent[gen[v]] == cur[v]
+            parent = [0] * len(cur)
+            for v, image in enumerate(gen):
+                parent[image] = cur[v]
+            cur = tuple(parent)
+        if cur != rep:
+            raise InternalError(
+                f"placement {lam} leads back to {cur}, not to its class representative {rep}"
+            )
+        return pi
 
     def index_of(self, c: Configuration) -> int:
         """Class index of ``c``, which must be a k-robot placement on this graph."""
@@ -134,24 +176,30 @@ def _weak_compositions(total: int, parts: int):
     return (tuple(map(operator.sub, (*c, total), (0, *c))) for c in cuts)
 
 
-def enumerate_configurations(
-    g: Graph, k: int
-) -> tuple[tuple[ConfigEntry, ...], dict[tuple[int, ...], int]]:
-    """One entry per isomorphism class of k-robot placements on g, plus the
-    class table mapping every placement to its entry's index.
+def enumerate_configurations(g: Graph, k: int) -> tuple[
+    tuple[ConfigEntry, ...],
+    dict[tuple[int, ...], int],
+    tuple[tuple[int, ...], ...],
+    dict[tuple[int, ...], int],
+]:
+    """One entry per isomorphism class of k-robot placements on g, the class
+    table mapping every placement to its entry's index, the generators of
+    Aut(G), and the walk's Schreier vector over those generators.
 
     Placements are walked in ascending lexicographic order; each one not yet
     in the table founds a class and, as its least member, represents it: it
     is canonized, and its orbit under the generators of Aut(G) is filled in
-    breadth-first.  Classes are keyed by encoding, so were the generators
-    incomplete, founders of one class would merge into the first.  Entries
-    are sorted by encoding bytes.
+    breadth-first, each new member recording the generator that reached it.
+    Classes are keyed by encoding, so were the generators incomplete,
+    founders of one class would merge into the first.  Entries are sorted by
+    encoding bytes.
     """
     if k < 1:
         raise InputError(f"robot count must be at least 1, got {k}")
     generators = canonical_form(g, (0,) * g.n).generators
     by_encoding: dict[bytes, ConfigEntry] = {}
     encoding_of: dict[tuple[int, ...], bytes] = {}
+    schreier: dict[tuple[int, ...], int] = {}
     for lam in _weak_compositions(k, g.n):
         if lam in encoding_of:
             continue
@@ -160,14 +208,16 @@ def enumerate_configurations(
         encoding_of[lam] = form.encoding
         orbit = [lam]
         for member in orbit:
-            for gen in generators:
+            for j, gen in enumerate(generators):
                 image = tuple(map(member.__getitem__, gen))
                 if image not in encoding_of:
                     encoding_of[image] = form.encoding
+                    schreier[image] = j
                     orbit.append(image)
     entries = tuple(entry for _, entry in sorted(by_encoding.items()))
     index = {entry.form.encoding: i for i, entry in enumerate(entries)}
-    return entries, {lam: index[enc] for lam, enc in encoding_of.items()}
+    class_of = {lam: index[enc] for lam, enc in encoding_of.items()}
+    return entries, class_of, generators, schreier
 
 
 def build(g: Graph, k: int, scheduler: str = "fsync") -> ConfigHypergraph:
@@ -183,7 +233,7 @@ def build(g: Graph, k: int, scheduler: str = "fsync") -> ConfigHypergraph:
     if scheduler not in SCHEDULERS:
         raise InputError(f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}")
     ssync = scheduler == "ssync"
-    entries, class_of = enumerate_configurations(g, k)
+    entries, class_of, generators, schreier = enumerate_configurations(g, k)
     class_by_code = class_table_by_code(class_of, g.n, k)
     factors = []
     hyperarcs = []
@@ -196,7 +246,7 @@ def build(g: Graph, k: int, scheduler: str = "fsync") -> ConfigHypergraph:
         )
     h = ConfigHypergraph(
         graph=g, k=k, scheduler=scheduler, configs=entries, hyperarcs=tuple(hyperarcs),
-        class_of=class_of, option_sets=tuple(factors),
+        class_of=class_of, option_sets=tuple(factors), generators=generators, schreier=schreier,
     )
     _built[id(g), k, scheduler] = h
     return h

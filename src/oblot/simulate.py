@@ -10,7 +10,10 @@ always picks the lexicographically smallest raw placement.
 The simulator solves each (G, k, problem) once and keeps it for consecutive
 calls.  When the caller still holds the FSYNC hypergraph it built from the
 very ``Graph`` object the start is placed on, that hypergraph is solved as it
-is; only otherwise does the simulator build one.
+is; only otherwise does the simulator build one.  A round makes no canonizer
+search: the raw outcomes of a class's planned move are computed once, on the
+class representative, and each round maps them onto its own placement
+through the hypergraph's transporter.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
-from .canonical import canonical_form
 from .errors import BudgetExceededError, InputError
 from .graphs import Configuration, Graph, dump_json, total_robots, validate_configuration
 from .hypergraph import build, built
@@ -93,17 +96,39 @@ class ExecutionTrace:
         return dump_json(self.to_json_obj())
 
 
+class _Solved(NamedTuple):
+    """One solved instance and, per class reached so far, the sorted raw
+    outcomes of its planned move on the class representative."""
+
+    sol: Solution
+    rep_outcomes: dict[int, tuple[tuple[int, ...], ...]]
+
+    def outcomes(self, idx: int, lam: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """The sorted raw outcomes of class ``idx``'s planned move on its
+        member ``lam``: the representative's, mapped by ``lam``'s transporter
+        (an automorphism carries outcomes to outcomes, orbit ranks included)."""
+        h = self.sol.h
+        raw = self.rep_outcomes.get(idx)
+        if raw is None:
+            entry = h.configs[idx]
+            move = self.sol.entries[idx].move
+            raw = self.rep_outcomes[idx] = raw_fsync_outcomes(entry.rep, entry.form.orbits, move)
+        pi = h.transporter(lam)
+        return sorted(tuple(map(o.__getitem__, pi)) for o in raw)
+
+
 @lru_cache(maxsize=1)
-def _solution(g: Graph, k: int, spec: ProblemSpec) -> Solution:
+def _solution(g: Graph, k: int, spec: ProblemSpec) -> _Solved:
     """The solved FSYNC hypergraph of (G, k, problem), kept for the next call
-    (callers simulate many starts on one instance in a row).  A hypergraph the
-    caller built from ``g`` and still holds is reused, not rebuilt."""
-    return solution(built(g, k, "fsync") or build(g, k, "fsync"), spec)
+    (callers simulate many starts on one instance in a row) together with
+    the outcomes its rounds have needed.  A hypergraph the caller built from
+    ``g`` and still holds is reused, not rebuilt."""
+    return _Solved(solution(built(g, k, "fsync") or build(g, k, "fsync"), spec), {})
 
 
 def _pick_outcome(
     sol: Solution,
-    outcomes: tuple[tuple[int, ...], ...],
+    outcomes: list[tuple[int, ...]],
     adversary: AdversaryStrategy,
     rng: random.Random | None,
 ) -> tuple[int, ...]:
@@ -135,15 +160,17 @@ def run_fsync(
     ``c0.graph`` and still holds is solved instead of built again; both are
     observationally identical to recomputing it (the decision is a pure
     function of the class).  Each round reads its class from the
-    hypergraph's class table, which lists every placement, and each step
-    canonizes its actual placement once, for the orbits the move is resolved
-    on.  An unsolvable start records a single nil round and stops: the
-    robots never move.  ``max_rounds`` bounds the number of executed steps
-    and defaults to plan distance + 1 when solvable, else 1, so an overrun
-    always signals a planner defect rather than a slow run.
+    hypergraph's class table, which lists every placement, and a step's raw
+    outcomes are those of its class representative, computed once per class
+    and mapped through the placement's transporter; no round canonizes.  An
+    unsolvable start records a single nil round and stops: the robots never
+    move.  ``max_rounds`` bounds the number of executed steps and defaults
+    to plan distance + 1 when solvable, else 1, so an overrun always signals
+    a planner defect rather than a slow run.
     """
     validate_configuration(c0)
-    sol = _solution(c0.graph, total_robots(c0), spec)
+    solved = _solution(c0.graph, total_robots(c0), spec)
+    sol = solved.sol
     rng = random.Random(adversary.seed) if adversary.kind == "random" else None
     idx0 = sol.h.index_of(c0)
     if max_rounds is None:
@@ -155,7 +182,8 @@ def run_fsync(
     cur = c0.lam
     t = 0
     while True:
-        decision = sol.decision(sol.h.class_of[cur])
+        idx = sol.h.class_of[cur]
+        decision = sol.decision(idx)
         if decision.status == FINAL:
             records.append(RoundRecord(round=t, lam=cur, decision=decision, outcome_lam=cur))
             return ExecutionTrace(status=REACHED_FINAL, rounds=tuple(records))
@@ -165,10 +193,7 @@ def run_fsync(
         if t >= max_rounds:
             return ExecutionTrace(status=MAX_ROUNDS_EXCEEDED, rounds=tuple(records))
         assert decision.status == STEP and decision.move is not None
-        conf = Configuration(graph=sol.h.graph, lam=cur)
-        p = canonical_form(conf.graph, cur).orbits
-        outcomes = raw_fsync_outcomes(conf, p, decision.move)
-        chosen = _pick_outcome(sol, outcomes, adversary, rng)
+        chosen = _pick_outcome(sol, solved.outcomes(idx, cur), adversary, rng)
         records.append(RoundRecord(round=t, lam=cur, decision=decision, outcome_lam=chosen))
         cur = chosen
         t += 1
@@ -197,7 +222,7 @@ def enumerate_adversary_plays(
     pathologically large explorations loudly instead of truncating them.
     """
     validate_configuration(c0)
-    sol = _solution(c0.graph, total_robots(c0), spec)
+    sol = _solution(c0.graph, total_robots(c0), spec).sol
     idx0 = sol.h.index_of(c0)
     if idx0 not in sol.solvable:
         raise InputError("start configuration is unsolvable; nothing to enumerate")

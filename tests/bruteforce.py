@@ -457,3 +457,10 @@ def random_placement(rng, n: int, k: int) -> tuple[int, ...]:
     for _ in range(k):
         lam[rng.randrange(n)] += 1
     return tuple(lam)
+
+
+def relabeled(rng, g: Graph) -> Graph:
+    """``g`` with its vertices renamed by a random permutation."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(n=g.n, edges=tuple((perm[a], perm[b]) for a, b in g.edges), name=g.name)

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import operator
+import random
 import warnings
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import oblot.canonical
 import oblot.hypergraph
 from oblot.canonical import canonical_form
-from oblot.errors import InputError
+from oblot.errors import InputError, InternalError
 from oblot.graphs import Configuration, Graph, load_configuration, load_graph
 from oblot.hypergraph import (
     SCHEDULERS,
@@ -39,6 +40,7 @@ from bruteforce import (
     raw_move_outcomes,
     raw_moves,
     raw_ssync_move_outcomes,
+    relabeled,
     ssync_outcomes,
 )
 
@@ -100,7 +102,7 @@ def test_k2_single_robot(k2):
 def test_class_counts_match_bruteforce():
     for g in connected_graph_corpus(4):
         for k in (1, 2):
-            entries, _ = enumerate_configurations(g, k)
+            entries = enumerate_configurations(g, k)[0]
             reps: list[tuple[int, ...]] = []
             for lam in all_placements(g.n, k):
                 if not any(
@@ -386,6 +388,33 @@ def test_class_table_survives_missing_generators(monkeypatch):
     monkeypatch.setattr(oblot.hypergraph, "canonical_form", without_generators)
     for (g, k), doc in want.items():
         assert export(build(g, k), "json") == doc
+
+
+def test_transporter_carries_the_representative_onto_each_member():
+    # every placement of every class, on each graph and on a relabelling
+    rng = random.Random(3)
+    for g0 in connected_graph_corpus(5):
+        for g in (g0, relabeled(rng, g0)):
+            edges = {frozenset(e) for e in g.edges}
+            for k in (1, 2, 3):
+                h = build(g, k)
+                for lam, i in h.class_of.items():
+                    pi = h.transporter(lam)
+                    assert sorted(pi) == list(range(g.n))
+                    assert {frozenset((pi[a], pi[b])) for a, b in g.edges} == edges
+                    rep = h.configs[i].rep.lam
+                    assert tuple(rep[pi[v]] for v in range(g.n)) == lam
+                    if lam == rep:
+                        assert pi == tuple(range(g.n))
+
+
+def test_transporter_refuses_what_its_vector_cannot_reach(k23_h):
+    member = next(lam for lam, i in k23_h.class_of.items() if lam != k23_h.configs[i].rep.lam)
+    emptied = dataclasses.replace(k23_h, schreier={})
+    with pytest.raises(InternalError, match="not to its class representative"):
+        emptied.transporter(member)
+    with pytest.raises(InputError, match="does not belong"):
+        k23_h.transporter((0, 0, 0, 0, 3))
 
 
 def test_class_table_matches_canonizer():

@@ -1,18 +1,20 @@
+import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
+def run_script(name, *args, flags=()):
     env = os.environ.copy()
     env["PYTHONPATH"] = str(ROOT / "src")
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / name), *args],
+        [sys.executable, *flags, str(ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
         env=env,
@@ -26,13 +28,44 @@ def test_k23_walkthrough_runs():
     assert "status: reached_final" in r.stdout
 
 
+def _sweep_report(stdout):
+    """The per-instance lines and the closing tally, without the time."""
+    *lines, _, closing = stdout.rstrip().splitlines()
+    m = re.fullmatch(r"(\d+)/(\d+) instances verified in [\d.]+s", closing)
+    assert m is not None, closing
+    return lines, (int(m.group(1)), int(m.group(2)))
+
+
 def test_sweep_small_instances_verifies_all():
     r = run_script("sweep_small_instances.py", "--max-n", "3", "--max-k", "2")
     assert r.returncode == 0, r.stderr
-    closing = r.stdout.rstrip().splitlines()[-1]
-    m = re.fullmatch(r"(\d+)/(\d+) instances verified in [\d.]+s", closing)
-    assert m is not None, closing
-    assert m.group(1) == m.group(2)
+    lines, (ok, total) = _sweep_report(r.stdout)
+    assert ok == total == len(lines) == 8
+    # -O strips asserts; the sweep's checks must not be asserts
+    optimized = run_script("sweep_small_instances.py", "--max-n", "3", "--max-k", "2",
+                           flags=("-O",))
+    assert optimized.returncode == 0, optimized.stderr
+    assert _sweep_report(optimized.stdout) == (lines, (ok, total))
+
+
+def test_sweep_small_instances_counts_failures(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("sweep", ROOT / "scripts" / "sweep_small_instances.py")
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    honest = sweep.run_fsync
+
+    def one_round_short(*args):
+        trace = honest(*args)
+        return replace(trace, rounds=trace.rounds[1:])
+
+    monkeypatch.setattr(sweep, "run_fsync", one_round_short)
+    monkeypatch.setattr(sys, "argv", ["sweep", "--max-n", "3", "--max-k", "2"])
+    assert sweep.main() == 1
+    out = capsys.readouterr().out
+    lines, (ok, total) = _sweep_report(out)
+    # the two instances with starts to certify fail, one line per start (2 + 1)
+    assert (ok, total) == (6, 8)
+    assert sum("FAILED class" in line and "worst run reached_final" in line for line in lines) == 3
 
 
 def test_benchmark_build_corpus_keeps_its_export_digests():

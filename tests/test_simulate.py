@@ -1,25 +1,31 @@
 import dataclasses
 import gc
 import json
+import random
 
 import pytest
 
+import oblot.canonical
 import oblot.simulate
-from bruteforce import all_placements, connected_graph_corpus
+from bruteforce import all_placements, connected_graph_corpus, relabeled
 from oblot.canonical import canonical_form
-from oblot.errors import BudgetExceededError, InputError
+from oblot.errors import BudgetExceededError, InputError, InternalError
 from oblot.graphs import Configuration, Graph
 from oblot.hypergraph import build, built, export
+from oblot.moves import raw_fsync_outcomes
 from oblot.problems import ProblemSpec
 from oblot.simulate import (
     AdversaryStrategy,
+    ExecutionTrace,
     PlaySummary,
+    RoundRecord,
+    _pick_outcome,
     _solution,
     enumerate_adversary_plays,
     parse_adversary,
     run_fsync,
 )
-from oblot.solver import solution
+from oblot.solver import STEP, solution
 
 GATHER = ProblemSpec(kind="gathering")
 WORST = AdversaryStrategy(kind="worst")
@@ -225,7 +231,7 @@ def test_held_build_is_found_by_graph_identity(k23):
     assert built(twin, 2, "fsync") is None
     # the simulator builds the equal graph for itself, under its own name
     run_fsync(Configuration(twin, (0, 0, 1, 1, 0)), GATHER, WORST)
-    mine = _solution(twin, 2, GATHER).h
+    mine = _solution(twin, 2, GATHER).sol.h
     assert mine is not h and mine.graph is twin
     assert json.loads(export(mine, "json"))["graph"]["name"] == "twin"
     assert export(mine, "json") != export(h, "json")
@@ -253,7 +259,7 @@ def test_build_record_keys_on_k_and_scheduler(k23, monkeypatch):
     calls = _count_builds(monkeypatch)
     run_fsync(Configuration(k23, (0, 0, 1, 1, 0)), GATHER, WORST)
     assert calls == [(k23, 2, "fsync")]
-    assert _solution(k23, 2, GATHER).h.scheduler == "fsync"
+    assert _solution(k23, 2, GATHER).sol.h.scheduler == "fsync"
 
 
 def test_held_build_is_transparent():
@@ -264,7 +270,7 @@ def test_held_build_is_transparent():
             starts = [Configuration(g, lam) for lam in all_placements(g.n, k)]
             h = build(g, k, "fsync")
             held = [_observe(c, GATHER) for c in starts]
-            assert _solution(g, k, GATHER).h is h
+            assert _solution(g, k, GATHER).sol.h is h
             del h
             _solution.cache_clear()
             gc.collect()
@@ -316,3 +322,82 @@ def test_errors_leave_the_slot_usable(k23, c4_cycle):
         enumerate_adversary_plays(spread, GATHER, node_cap=2)
     assert _observe(spread, GATHER) == want
     assert want[1] == PlaySummary(max_rounds_used=3, min_rounds_used=1, all_reach_final=True)
+
+
+def test_round_outcomes_match_the_canonizer():
+    # the representative's outcomes, transported, against the outcomes on
+    # the placement's own orbits, for every member of every class that steps
+    rng = random.Random(3)
+    for g0 in connected_graph_corpus(5):
+        for g in (g0, relabeled(rng, g0)):
+            for k in (1, 2, 3):
+                solved = _solution(g, k, GATHER)
+                sol = solved.sol
+                for lam, i in sol.h.class_of.items():
+                    if i not in sol.solvable or i in sol.final:
+                        continue
+                    c = Configuration(g, lam)
+                    want = raw_fsync_outcomes(c, canonical_form(g, lam).orbits, sol.entries[i].move)
+                    assert tuple(solved.outcomes(i, lam)) == want, (g, lam)
+
+
+def _canonizer_trace(sol, c0: Configuration, adversary: AdversaryStrategy) -> ExecutionTrace:
+    """The round loop of ``run_fsync`` on ``sol``, with each round's outcomes
+    taken from a canonizer search on its own placement."""
+    rng = random.Random(adversary.seed)
+    records = []
+    cur = c0.lam
+    while True:
+        decision = sol.decision(sol.h.class_of[cur])
+        if decision.status != STEP:
+            records.append(RoundRecord(round=len(records), lam=cur, decision=decision, outcome_lam=cur))
+            status = "reached_final" if decision.status == "final" else "unsolvable"
+            return ExecutionTrace(status=status, rounds=tuple(records))
+        assert len(records) < len(sol.h.configs), "the plan does not descend"
+        p = canonical_form(c0.graph, cur).orbits
+        outcomes = raw_fsync_outcomes(Configuration(c0.graph, cur), p, decision.move)
+        chosen = _pick_outcome(sol, outcomes, adversary, rng)
+        records.append(RoundRecord(round=len(records), lam=cur, decision=decision, outcome_lam=chosen))
+        cur = chosen
+
+
+C10 = Graph(n=10, edges=tuple((v, (v + 1) % 10) for v in range(10)), name="C10")
+
+
+@pytest.mark.parametrize("graph, k", [("k23", 2), ("C10", 5)])
+def test_rounds_make_no_canonizer_search(request, monkeypatch, graph, k):
+    g = C10 if graph == "C10" else request.getfixturevalue(graph)
+    h = build(g, k)  # held, so the simulator solves it without a build
+    sol = solution(h, GATHER)
+    adversaries = [WORST, FIRST, parse_adversary("random:3")]
+    starts = [Configuration(g, lam) for lam in h.class_of]
+    want = [_canonizer_trace(sol, c, a).to_json() for c in starts for a in adversaries]
+    searches = []
+    run = oblot.canonical._Canonizer.run
+
+    def counting(self):
+        searches.append(self.colors)
+        return run(self)
+
+    monkeypatch.setattr(oblot.canonical._Canonizer, "run", counting)
+    got = [run_fsync(c, GATHER, a).to_json() for c in starts for a in adversaries]
+    assert searches == []
+    assert got == want
+    assert _solution(g, k, GATHER).sol.h is h
+
+
+def test_emptied_schreier_vector_raises(k23, monkeypatch):
+    g = dataclasses.replace(k23)  # an object no other test has built from
+    sol = solution(build(g, 2), GATHER)
+    rep_of = {i: e.rep.lam for i, e in enumerate(sol.h.configs)}
+    member = next(
+        lam for lam, i in sol.h.class_of.items()
+        if i in sol.solvable and i not in sol.final and lam != rep_of[i]
+    )
+    del sol
+    gc.collect()
+    monkeypatch.setattr(
+        oblot.simulate, "build", lambda *args: dataclasses.replace(build(*args), schreier={})
+    )
+    with pytest.raises(InternalError, match="not to its class representative"):
+        run_fsync(Configuration(g, member), GATHER, WORST)

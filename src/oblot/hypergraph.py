@@ -61,7 +61,6 @@ from .graphs import Configuration, Graph, dump_json
 from .moves import (
     Move,
     OptionSets,
-    OutcomeMemo,
     class_table_by_code,
     move_at,
     move_deltas,
@@ -226,9 +225,9 @@ def build(g: Graph, k: int, scheduler: str = "fsync") -> ConfigHypergraph:
     For every configuration class, on the orbits its representative's form
     carries, and every one of its moves, the scheduler's outcome set Δ is
     the set of classes of the move's outcome codes, from one
-    :class:`OutcomeMemo` and one :func:`move_deltas` walk per class and the
-    class table keyed by code; moves with identical (source, Δ) merge into
-    one hyperarc, which keeps their indices.
+    :func:`move_deltas` walk per class and the class table keyed by code;
+    moves with identical (source, Δ) merge into one hyperarc, which keeps
+    their indices.
     """
     if scheduler not in SCHEDULERS:
         raise InputError(f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}")
@@ -240,7 +239,7 @@ def build(g: Graph, k: int, scheduler: str = "fsync") -> ConfigHypergraph:
     for i, entry in enumerate(entries):
         p = entry.form.orbits
         factors.append(option_sets(entry.rep, p))
-        deltas = move_deltas(OutcomeMemo(entry.rep, p, ssync), factors[i], class_by_code)
+        deltas = move_deltas(entry.rep, p, factors[i], ssync, class_by_code)
         hyperarcs += (
             Hyperarc(source=i, delta=d, moves=tuple(ms)) for d, ms in sorted(deltas.items())
         )

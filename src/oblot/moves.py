@@ -13,21 +13,21 @@ Outcomes are computed on integer codes: a k-robot placement λ on n vertices
 is Σ λ[v]·(k+1)**v, so distinct placements get distinct codes and a robot
 stepping from v to u adds (k+1)**u - (k+1)**v.  The destination multisets of
 one vertex's robots are the sums of one such step per robot; an orbit's
-joint destinations are the sumset of its vertices' sets.  An
-:class:`OutcomeMemo` keeps them per (occupied orbit rank, target) pair,
-computed the first time a move of the placement uses the pair, and a move's
-outcome codes are the sumset of its pairs' entries, restricted to the
-choices in which some robot moved.
+entry for a target holds its joint destinations, the sumset of its
+vertices' sets, and the codes in which some robot of the orbit moved.  A
+move's outcome codes fold its instructed orbits' entries, in rank order, as
+(moved ⊕ joint_o) ∪ moved_o; :func:`_fold` is that fold's one place.
 
 A placement's moves are the product of its :func:`option_sets`, one factor
 per occupied orbit, minus the all-nil element; a move is named by its
 mixed-radix index in that product (:func:`move_at`), and index order is the
 lexicographic move order.  ``build`` calls :func:`move_deltas` once per
-class: one walk of the product, in index order, that folds each prefix's
-codes once for every move sharing it and maps the last fold's codes to
-classes with one table.  ``raw_fsync_outcomes`` and ``raw_ssync_outcomes``
-decode the codes of one move to λ tuples on the input graph's own vertex
-indices.
+class: one walk of the product, in index order, that computes each entry
+once, folds each prefix's codes once for every move sharing it and maps
+each move's codes to classes with one table.  ``raw_fsync_outcomes`` and
+``raw_ssync_outcomes`` fold one move, which must instruct exactly the
+occupied orbits in ascending rank order, and decode its codes to λ tuples
+on the input graph's own vertex indices.
 """
 
 from __future__ import annotations
@@ -65,10 +65,6 @@ class Move:
     """
 
     assignments: tuple[tuple[int, int | None], ...]
-
-    @property
-    def sources(self) -> tuple[int, ...]:
-        return tuple(s for s, _ in self.assignments)
 
     def sort_key(self) -> tuple[tuple[int, int], ...]:
         return tuple((s, _target_key(t)) for s, t in self.assignments)
@@ -144,170 +140,121 @@ def class_table_by_code(class_of: dict[tuple[int, ...], int], n: int, k: int) ->
     return {_code(lam, powers): i for lam, i in class_of.items()}
 
 
-class OutcomeMemo:
-    """The raw outcome codes of one placement's moves, from a memo per
-    (occupied orbit rank, target) pair.
+# The (joint, moved) entry of one occupied orbit's robots sent to one target.
+_Entry = tuple[tuple[int, ...], tuple[int, ...]]
 
-    An entry holds two things for the robots of its orbit:
+
+def _entry(
+    c: Configuration,
+    p: OrbitPartition,
+    powers: tuple[int, ...],
+    code: int,
+    rank: int,
+    target: int,
+    ssync: bool,
+) -> _Entry:
+    """The entry of the robots of the occupied orbit ``rank`` sent to ``target``:
 
     - ``joint``: every joint destination, as a code delta from the orbit
       staying put (the sumset, over its vertices, of each vertex's
       destination multisets);
-    - ``moved``: the codes of the whole placements in which some robot of the
-      orbit moved and every other robot stayed.  Under SSYNC it is tracked per
-      vertex, because robots swapping inside an orbit reproduce its stay code.
-
-    Entries are computed the first time a move uses their pair.
+    - ``moved``: the codes of the whole placements, ``code`` being ``c``'s
+      own, in which some robot of the orbit moved and every other robot
+      stayed.  Under SSYNC it is tracked per vertex, because robots swapping
+      inside an orbit reproduce its stay code.
     """
-
-    __slots__ = ("c", "p", "ssync", "base", "powers", "code", "occupied", "_entries")
-
-    def __init__(self, c: Configuration, p: OrbitPartition, ssync: bool) -> None:
-        self.c, self.p, self.ssync = c, p, ssync
-        self.base = sum(c.lam) + 1
-        self.powers = _powers(c.graph.n, self.base - 1)
-        self.code = _code(c.lam, self.powers)
-        # the vertices of one orbit carry equal counts, so its first one tells
-        self.occupied = tuple(r for r, orbit in zip(p.ranks, p.orbits) if c.lam[orbit[0]])
-        self._entries: dict[tuple[int, int], tuple[tuple[int, ...], tuple[int, ...]]] = {}
-
-    def codes(self, m: Move) -> Collection[int]:
-        """The distinct codes of the placements ``m`` can produce: those in
-        which some robot moved, folded orbit by orbit as
-        (moved ⊕ joint_o) ∪ moved_o."""
-        pairs = m.assignments
-        if tuple(map(_source, pairs)) != self.occupied:
-            pairs = self._covering_pairs(m)
-        moved: Collection[int] = ()
-        for rank, target in pairs:
-            if target is None:
-                continue
-            joint, moved_o = self.entry(rank, target)
-            if not moved:
-                moved = moved_o
-                continue
-            moved = {a + b for a in moved for b in joint}
-            # under FSYNC an instructed robot always moves: no prefix stayed
-            if self.ssync:
-                moved.update(moved_o)
-        if not moved:
-            raise InternalError("a move without a movement instruction is not a move")
-        return moved
-
-    def entry(self, rank: int, target: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The (joint, moved) entry of the robots of the occupied orbit ``rank``
-        sent to ``target``, computed on first use."""
-        entry = self._entries.get((rank, target))
-        if entry is None:
-            entry = self._entries[rank, target] = self._entry(rank, target)
-        return entry
-
-    def _covering_pairs(self, m: Move) -> tuple[tuple[int, int | None], ...]:
-        """One pair per occupied orbit in rank order, the last assignment of a
-        source winning; a missing occupied orbit is an error."""
-        assigned = dict(m.assignments)
-        for rank in self.occupied:
-            if rank not in assigned:
-                raise InternalError(f"move has no assignment for orbit rank {rank}")
-        return tuple((rank, assigned[rank]) for rank in self.occupied)
-
-    def _entry(self, rank: int, target: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Joint code deltas and moved codes of the robots of the occupied orbit
-        ``rank`` sent to ``target``."""
-        c, p, powers, ssync = self.c, self.p, self.powers, self.ssync
-        rank_of = p.rank_of
-        joint: set[int] | None = None
-        for v in p.orbits[p.ranks.index(rank)]:
-            # one robot's code steps: to each neighbor in the target orbit
-            at = powers[v]
-            steps = [powers[u] - at for u in c.graph.neighbors[v] if rank_of[u] == target]
-            if not steps:
-                raise InternalError(
-                    f"vertex {v} has no neighbor in target orbit {target}; "
-                    "orbit adjacency is not symmetric"
-                )
+    rank_of = p.rank_of
+    joint: set[int] | None = None
+    for v in p.orbits[p.ranks.index(rank)]:
+        # one robot's code steps: to each neighbor in the target orbit
+        at = powers[v]
+        steps = [powers[u] - at for u in c.graph.neighbors[v] if rank_of[u] == target]
+        if not steps:
+            raise InternalError(
+                f"vertex {v} has no neighbor in target orbit {target}; "
+                "orbit adjacency is not symmetric"
+            )
+        if ssync:
+            steps.append(0)  # an idled robot stays
+        # the destination multisets of v's robots, one step per robot
+        dests = set(steps)
+        for _ in range(c.lam[v] - 1):
+            dests = {a + b for a in dests for b in steps}
+        if joint is None:
+            joint = dests
             if ssync:
-                steps.append(0)  # an idled robot stays
-            # the destination multisets of v's robots, one step per robot
-            dests = set(steps)
-            for _ in range(c.lam[v] - 1):
-                dests = {a + b for a in dests for b in steps}
-            if joint is None:
-                joint = dests
-                if ssync:
-                    moved = dests - {0}
-                continue
-            if ssync:
-                # v's robots all stayed iff its delta is 0; robots swapping
-                # between vertices can give a joint delta 0 too, so "moved"
-                # is kept apart
-                moved = {a + b for a in moved for b in dests}
-                moved |= dests - {0}
-            joint = {a + b for a in joint for b in dests}
-        # under FSYNC every robot of the orbit moves
-        return tuple(joint), tuple(map(self.code.__add__, moved if ssync else joint))
+                moved = dests - {0}
+            continue
+        if ssync:
+            # v's robots all stayed iff its delta is 0; robots swapping
+            # between vertices can give a joint delta 0 too, so "moved"
+            # is kept apart
+            moved = {a + b for a in moved for b in dests}
+            moved |= dests - {0}
+        joint = {a + b for a in joint for b in dests}
+    # under FSYNC every robot of the orbit moves
+    return tuple(joint), tuple(map(code.__add__, moved if ssync else joint))
+
+
+def _entries(
+    c: Configuration, p: OrbitPartition, factors: OptionSets, ssync: bool
+) -> list[list[_Entry | None]]:
+    """Per factor, per option: None for nil, otherwise that orbit's entry."""
+    powers = _powers(c.graph.n, sum(c.lam))
+    code = _code(c.lam, powers)
+    return [
+        [None if t is None else _entry(c, p, powers, code, rank, t, ssync) for t in opts]
+        for rank, opts in factors
+    ]
+
+
+def _fold(moved: Collection[int] | None, entry: _Entry, ssync: bool) -> Collection[int]:
+    """The codes of a prefix's ``moved`` codes (None: no robot instructed
+    yet) extended by one orbit's entry: (moved ⊕ joint_o) ∪ moved_o."""
+    joint, moved_o = entry
+    if moved is None:
+        return moved_o
+    folded = {a + b for a in moved for b in joint}
+    # under FSYNC an instructed robot always moves: no prefix stayed
+    if ssync:
+        folded.update(moved_o)
+    return folded
 
 
 def move_deltas(
-    memo: OutcomeMemo, factors: OptionSets, class_by_code: dict[int, int]
+    c: Configuration,
+    p: OrbitPartition,
+    factors: OptionSets,
+    ssync: bool,
+    class_by_code: dict[int, int],
 ) -> dict[tuple[int, ...], list[int]]:
-    """The moves of the memo's placement grouped by outcome set: each Δ, as
-    ascending class indices, maps to the ascending indices of its moves in
-    the product of ``factors`` (see :func:`move_at`).
+    """The moves of ``c`` grouped by outcome set: each Δ, as ascending class
+    indices, maps to the ascending indices of its moves in the product of
+    ``factors`` (see :func:`move_at`).
 
     One depth-first walk visits the product in index order.  It carries the
-    folded ``moved`` codes of the current prefix, folded as in
-    :meth:`OutcomeMemo.codes`, so moves sharing a prefix share its fold; at
-    the last factor the codes go straight to classes.  Every option of a
-    factor is used by some move, so the memo entries of all of them are
-    fetched up front.
+    folded ``moved`` codes of the current prefix, so moves sharing a prefix
+    share its fold, and maps each move's codes to classes.  Every option of
+    a factor is used by some move, so all entries are computed up front.
     """
-    ssync = memo.ssync
-    *inner, last_entries = [
-        [None if t is None else memo.entry(rank, t) for t in opts] for rank, opts in factors
-    ]
+    entries = _entries(c, p, factors, ssync)
+    last = len(entries) - 1
+    class_of_code = class_by_code.__getitem__
     groups: dict[frozenset[int], list[int]] = {}
     index = 0
 
-    def leaves(moved: Collection[int] | None) -> None:
+    def walk(depth: int, moved: Collection[int] | None) -> None:
         nonlocal index
-        for joint, own in last:
-            if joint is None:
-                if moved is None:  # index 0: the all-nil function is not a move
-                    index += 1
-                    continue
-                delta = frozenset([class_by_code[x] for x in moved])
-            elif moved is None:
-                delta = own
-            else:
-                delta = {class_by_code[a + b] for a in moved for b in joint}
-                # under FSYNC an instructed robot always moves: no prefix stayed
-                delta = frozenset(delta | own if ssync else delta)
-            groups.setdefault(delta, []).append(index)
+        for entry in entries[depth]:
+            folded = moved if entry is None else _fold(moved, entry, ssync)
+            if depth < last:
+                walk(depth + 1, folded)
+                continue
+            if folded is not None:  # index 0: the all-nil function is not a move
+                groups.setdefault(frozenset(map(class_of_code, folded)), []).append(index)
             index += 1
 
-    def walk(depth: int, moved: Collection[int] | None) -> None:
-        if depth == len(inner):
-            leaves(moved)
-            return
-        for entry in inner[depth]:
-            if entry is None:
-                walk(depth + 1, moved)
-            elif moved is None:
-                walk(depth + 1, entry[1])
-            else:
-                joint, moved_o = entry
-                folded = {a + b for a in moved for b in joint}
-                if ssync:
-                    folded.update(moved_o)
-                walk(depth + 1, folded)
-
     try:
-        # the classes of each last-factor entry's own moved codes
-        last = [
-            (None, None) if e is None else (e[0], frozenset([class_by_code[x] for x in e[1]]))
-            for e in last_entries
-        ]
         walk(0, None)
     except KeyError:
         raise InternalError(
@@ -327,9 +274,23 @@ def _decode(code: int, n: int, base: int) -> tuple[int, ...]:
 def _raw_outcomes(
     c: Configuration, p: OrbitPartition, m: Move, ssync: bool
 ) -> tuple[tuple[int, ...], ...]:
-    """The codes of one move, decoded to sorted λ tuples on ``c``'s own vertices."""
-    memo = OutcomeMemo(c, p, ssync)
-    return tuple(sorted(_decode(x, c.graph.n, memo.base) for x in memo.codes(m)))
+    """The codes of one move, decoded to sorted λ tuples on ``c``'s own vertices.
+
+    ``m`` must instruct exactly the occupied orbits, in ascending rank order.
+    """
+    # the vertices of one orbit carry equal counts, so its first one tells
+    occupied = tuple(r for r, orbit in zip(p.ranks, p.orbits) if c.lam[orbit[0]])
+    sources = tuple(map(_source, m.assignments))
+    if sources != occupied:
+        raise InternalError(f"move sources {sources} are not the occupied orbit ranks {occupied}")
+    moved: Collection[int] | None = None
+    for (entry,) in _entries(c, p, tuple((s, (t,)) for s, t in m.assignments), ssync):
+        if entry is not None:
+            moved = _fold(moved, entry, ssync)
+    if moved is None:
+        raise InternalError("a move without a movement instruction is not a move")
+    base = sum(c.lam) + 1
+    return tuple(sorted(_decode(x, c.graph.n, base) for x in moved))
 
 
 def raw_fsync_outcomes(c: Configuration, p: OrbitPartition, m: Move) -> tuple[tuple[int, ...], ...]:

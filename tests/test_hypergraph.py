@@ -24,7 +24,7 @@ from oblot.hypergraph import (
     export,
     to_dot,
 )
-from oblot.moves import OutcomeMemo, class_table_by_code, enumerate_moves
+from oblot.moves import enumerate_moves, raw_fsync_outcomes, raw_ssync_outcomes
 from oblot.problems import load_problem
 
 from bruteforce import (
@@ -155,11 +155,11 @@ def test_moves_within_arc_sorted(k23_h):
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
 def test_move_indices_name_the_option_product(scheduler):
     # stored indices against enumerate_moves, and each Δ of the walk against
-    # OutcomeMemo.codes, its slow path, move by move
+    # the one-move path, move by move
+    outcomes = raw_ssync_outcomes if scheduler == "ssync" else raw_fsync_outcomes
     for g in connected_graph_corpus(5):
         for k in (1, 2, 3):
             h = build(g, k, scheduler)
-            class_by_code = class_table_by_code(h.class_of, g.n, k)
             by_source = arcs_by_source(h)
             for i, entry in enumerate(h.configs):
                 p = entry.form.orbits
@@ -168,12 +168,11 @@ def test_move_indices_name_the_option_product(scheduler):
                 indices = sorted(j for a in arcs for j in a.moves)
                 assert indices == list(range(1, len(moves) + 1))
                 assert tuple(h.move(i, j) for j in indices) == moves
-                memo = OutcomeMemo(entry.rep, p, scheduler == "ssync")
                 for a in arcs:
                     assert list(a.moves) == sorted(set(a.moves)) and 0 not in a.moves
                     for j in a.moves:
-                        codes = memo.codes(h.move(i, j))
-                        assert tuple(sorted({class_by_code[x] for x in codes})) == a.delta
+                        raw = outcomes(entry.rep, p, h.move(i, j))
+                        assert tuple(sorted({h.class_of[lam] for lam in raw})) == a.delta
 
 
 def test_build_deterministic(k23):

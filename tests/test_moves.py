@@ -8,7 +8,6 @@ from oblot.graphs import Configuration, Graph
 from oblot.hypergraph import build
 from oblot.moves import (
     Move,
-    OutcomeMemo,
     class_table_by_code,
     enumerate_moves,
     move_at,
@@ -42,7 +41,7 @@ def test_k23_mixed_has_eight_sorted_moves(k23):
     p = canonical_form(c.graph, c.lam).orbits
     moves = enumerate_moves(c, p)
     assert len(moves) == 8
-    assert all(m.sources == (3, 4) for m in moves)
+    assert all(tuple(s for s, _ in m.assignments) == (3, 4) for m in moves)
     keys = [m.sort_key() for m in moves]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
@@ -131,13 +130,13 @@ def test_move_deltas_reject_outcomes_outside_the_class_table(k23, ssync):
     # whichever outcome code the table lacks, the walk names the broken invariant
     c = Configuration(k23, (1, 0, 1, 0, 0))
     p = canonical_form(c.graph, c.lam).orbits
-    table = class_table_by_code(build(k23, 2).class_of, 5, 2)
-    memo = OutcomeMemo(c, p, ssync)
-    reached = set().union(*(memo.codes(m) for m in enumerate_moves(c, p)))
-    for code in reached:
-        partial = {x: i for x, i in table.items() if x != code}
+    class_of = build(k23, 2).class_of
+    outcomes = raw_ssync_outcomes if ssync else raw_fsync_outcomes
+    reached = {lam for m in enumerate_moves(c, p) for lam in outcomes(c, p, m)}
+    for lam in reached:
+        partial = class_table_by_code({x: i for x, i in class_of.items() if x != lam}, 5, 2)
         with pytest.raises(InternalError, match="robot conservation is violated"):
-            move_deltas(OutcomeMemo(c, p, ssync), option_sets(c, p), partial)
+            move_deltas(c, p, option_sets(c, p), ssync, partial)
 
 
 def test_move_json_round_trip():
@@ -145,17 +144,25 @@ def test_move_json_round_trip():
     assert m.to_json_obj() == [[0, None], [3, 1]]
 
 
-def test_outcomes_reject_a_move_foreign_to_the_orbits(k23):
+@pytest.mark.parametrize(
+    "outcomes", [raw_fsync_outcomes, raw_ssync_outcomes], ids=["fsync", "ssync"]
+)
+def test_outcomes_need_exactly_the_occupied_orbits_in_order(k23, outcomes):
     # K23 with one robot per side: ranks 0 ({3, 4}), 2 ({1}), 3 ({2}) and
     # 4 ({0}), of which 3 and 4 are occupied; rank 1 names no orbit
     c = Configuration(k23, (1, 0, 1, 0, 0))
     p = canonical_form(c.graph, c.lam).orbits
     assert p.ranks == (0, 2, 3, 4)
     assert raw_fsync_outcomes(c, p, Move(assignments=((3, None), (4, 3)))) == ((0, 0, 2, 0, 0),)
-    with pytest.raises(InternalError, match="no assignment for orbit rank 4"):
-        raw_fsync_outcomes(c, p, Move(assignments=((3, None),)))
+    for assignments in (
+        ((3, None),),  # omits occupied rank 4
+        ((0, 2), (3, None), (4, 3)),  # instructs the empty rank 0
+        ((4, 3), (3, None)),  # sources out of order
+    ):
+        with pytest.raises(InternalError, match="are not the occupied orbit ranks"):
+            outcomes(c, p, Move(assignments=assignments))
     with pytest.raises(InternalError, match="no neighbor in target orbit 1"):
-        raw_fsync_outcomes(c, p, Move(assignments=((3, None), (4, 1))))
+        outcomes(c, p, Move(assignments=((3, None), (4, 1))))
 
 
 def test_ssync_swap_inside_an_orbit_is_an_outcome(k2):
@@ -174,16 +181,6 @@ def test_outcomes_reject_the_all_nil_function(k23):
     for outcomes in (raw_fsync_outcomes, raw_ssync_outcomes):
         with pytest.raises(InternalError, match="not a move"):
             outcomes(c, p, Move(assignments=((3, None), (4, None))))
-
-
-def test_outcomes_ignore_assignments_to_empty_orbits(k23):
-    # rank 0 ({3, 4}) carries no robot: its instruction changes nothing
-    c = Configuration(k23, (1, 0, 1, 0, 0))
-    p = canonical_form(c.graph, c.lam).orbits
-    m = Move(assignments=((3, None), (4, 3)))
-    padded = Move(assignments=((0, 2), (3, None), (4, 3)))
-    for outcomes in (raw_fsync_outcomes, raw_ssync_outcomes):
-        assert outcomes(c, p, padded) == outcomes(c, p, m)
 
 
 def test_k2_swap_keeps_class(k2):

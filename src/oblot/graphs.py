@@ -116,14 +116,19 @@ def parse_json(text: str, what: str) -> object:
         raise InputError(f"{what} parse error: {e}") from e
 
 
-def dump_json(obj: object) -> str:
-    """The one JSON output form: sorted keys, compact, one trailing newline.
+def compact_json(obj: object) -> str:
+    """The one JSON output form, without the newline: sorted keys, compact.
 
-    Every document written is a tree the engine has just built, so it cannot
+    Every value written is a tree the engine has just built, so it cannot
     hold a cycle; the encoder's cycle check, an id-keyed insert and delete
-    per list and dict (a hypergraph export has one per move), is switched
-    off because it would buy nothing.  The output bytes are the same."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
+    per list and dict, is switched off because it would buy nothing.  The
+    output bytes are the same."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
+def dump_json(obj: object) -> str:
+    """A whole output document: :func:`compact_json` and one trailing newline."""
+    return compact_json(obj) + "\n"
 
 
 def bounded_repr(value: object) -> str:

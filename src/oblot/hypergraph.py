@@ -11,8 +11,8 @@ A hyperarc stores its moves as ints: each is the move's index in its source
 class's move product, the product of the option sets the hypergraph keeps
 per class (``option_sets``), and index order is lexicographic move order.
 Only the edges decode them: ``h.move(source, index)`` gives the ``Move``,
-the solver decodes one per solvable class, and the export decodes each
-class through one table of the product.
+the solver decodes one per solvable class, and the JSON export writes each
+class's moves from one table of move texts over the product.
 
 Robots cannot tell automorphic placements apart, so a class is an orbit of
 Aut(G) on placements.  Class enumeration runs one canonizer search for G and
@@ -38,7 +38,10 @@ come from one walk of its move product (:func:`oblot.moves.move_deltas`),
 in which moves that share a prefix of options share its folded codes.
 
 The JSON export is write-only: nothing reads a hypergraph back, so every
-answer comes from a build.
+answer comes from a build.  It is written as text, not through a tree of
+dicts: the hyperarcs, one string each, are joined between the other values,
+which the ``json`` module writes, in sorted key order.  The bytes are those
+``dump_json`` writes for the same document.
 
 ``build`` always builds, and records what it returns weakly, keyed by the
 identity of its ``Graph`` object, k and the scheduler.  While a caller still
@@ -49,7 +52,6 @@ The record keeps nothing alive.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 import weakref
@@ -57,7 +59,7 @@ from dataclasses import dataclass, field
 
 from .canonical import CanonicalForm, canonical_form
 from .errors import InputError, InternalError
-from .graphs import Configuration, Graph, dump_json
+from .graphs import Configuration, Graph, compact_json
 from .moves import (
     Move,
     OptionSets,
@@ -259,33 +261,34 @@ def built(g: Graph, k: int, scheduler: str) -> ConfigHypergraph | None:
     return h if h is not None and h.graph is g else None
 
 
-def to_json_obj(h: ConfigHypergraph) -> dict:
-    """The export document.  Its sequences may be tuples, which ``json`` writes
-    as arrays; λ and Δ are passed as stored, and each move's assignments are
-    read from its class's product of (rank, option) pairs, built once per
-    class (arcs come grouped by source)."""
-
-    @functools.lru_cache(maxsize=1)
-    def table(source: int) -> tuple[tuple[tuple[int, int | None], ...], ...]:
-        return tuple(itertools.product(
-            *(tuple((rank, t) for t in opts) for rank, opts in h.option_sets[source])
-        ))
-
-    return {
-        "format_version": FORMAT_VERSION,
-        "graph": h.graph.to_json_obj(),
-        "k": h.k,
-        "scheduler": h.scheduler,
-        "configs": [{"lambda": e.rep.lam} for e in h.configs],
-        "hyperarcs": [
-            {
-                "source": a.source,
-                "delta": a.delta,
-                "moves": list(map(table(a.source).__getitem__, a.moves)),
-            }
-            for a in h.hyperarcs
-        ],
-    }
+def _json_document(h: ConfigHypergraph) -> str:
+    """The JSON export, assembled from pieces in sorted key order.  Every value
+    but the hyperarcs goes through :func:`compact_json`; each hyperarc is one
+    string, its moves taken from its class's table of move texts, entry i
+    the text of move index i.  A table is built once per class, as arcs
+    come grouped by source."""
+    arcs = []
+    for source, group in itertools.groupby(h.hyperarcs, key=operator.attrgetter("source")):
+        factors = (
+            [f"[{rank},{'null' if t is None else t}]" for t in opts]
+            for rank, opts in h.option_sets[source]
+        )
+        moves = ["[" + ",".join(pairs) + "]" for pairs in itertools.product(*factors)]
+        tail = f'],"source":{source}}}'
+        arcs += (
+            '{"delta":[' + ",".join(map(str, a.delta)) + '],"moves":['
+            + ",".join(map(moves.__getitem__, a.moves)) + tail
+            for a in group
+        )
+    return "".join((
+        '{"configs":', compact_json([{"lambda": e.rep.lam} for e in h.configs]),
+        ',"format_version":', compact_json(FORMAT_VERSION),
+        ',"graph":', compact_json(h.graph.to_json_obj()),
+        ',"hyperarcs":[', ",".join(arcs),
+        '],"k":', compact_json(h.k),
+        ',"scheduler":', compact_json(h.scheduler),
+        "}\n",
+    ))
 
 
 def to_dot(h: ConfigHypergraph) -> str:
@@ -305,8 +308,10 @@ def to_dot(h: ConfigHypergraph) -> str:
 
 
 def export(h: ConfigHypergraph, format: str) -> str:
+    """``h`` as a JSON document (``"json"``: compact, sorted keys, one trailing
+    newline; see README "File formats") or as Graphviz text (``"dot"``)."""
     if format == "json":
-        return dump_json(to_json_obj(h))
+        return _json_document(h)
     if format == "dot":
         return to_dot(h)
     raise InputError(f"unknown export format {format!r}; expected 'json' or 'dot'")

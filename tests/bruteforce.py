@@ -23,6 +23,7 @@ from functools import cached_property, lru_cache
 from oblot.canonical import CanonicalForm, OrbitPartition, canonical_form
 from oblot.errors import InternalError
 from oblot.graphs import Configuration, Graph
+from oblot.hypergraph import FORMAT_VERSION
 from oblot.moves import Move, raw_fsync_outcomes, raw_ssync_outcomes
 
 
@@ -361,6 +362,36 @@ def arcs_by_source(h) -> dict:
 def decoded_moves(h, arc) -> tuple[Move, ...]:
     """The moves ``arc`` stores as indices, decoded."""
     return tuple(h.move(arc.source, j) for j in arc.moves)
+
+
+def export_obj(h) -> dict:
+    """The export document as a tree for ``dump_json``, the oracle of the
+    text writer.  Its sequences may be tuples, which ``json`` writes as
+    arrays; λ and Δ are passed as stored, and each move's assignments are
+    read from its class's product of (rank, option) pairs, built once per
+    class (arcs come grouped by source)."""
+
+    @lru_cache(maxsize=1)
+    def table(source: int) -> tuple[tuple[tuple[int, int | None], ...], ...]:
+        return tuple(itertools.product(
+            *(tuple((rank, t) for t in opts) for rank, opts in h.option_sets[source])
+        ))
+
+    return {
+        "format_version": FORMAT_VERSION,
+        "graph": h.graph.to_json_obj(),
+        "k": h.k,
+        "scheduler": h.scheduler,
+        "configs": [{"lambda": e.rep.lam} for e in h.configs],
+        "hyperarcs": [
+            {
+                "source": a.source,
+                "delta": a.delta,
+                "moves": list(map(table(a.source).__getitem__, a.moves)),
+            }
+            for a in h.hyperarcs
+        ],
+    }
 
 
 def mtf_recursive(h, final: frozenset[int], solvable: frozenset[int], c: int):

@@ -9,14 +9,14 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oblot.canonical
 import oblot.hypergraph
 from oblot.canonical import canonical_form
 from oblot.errors import InputError, InternalError
-from oblot.graphs import Configuration, Graph, load_configuration, load_graph
+from oblot.graphs import Configuration, Graph, dump_json, load_configuration, load_graph
 from oblot.hypergraph import (
     SCHEDULERS,
     build,
@@ -35,6 +35,7 @@ from bruteforce import (
     config_isomorphic,
     connected_graph_corpus,
     decoded_moves,
+    export_obj,
     fsync_outcomes,
     index_by_encoding,
     raw_move_outcomes,
@@ -318,6 +319,30 @@ def test_export_round_trip_property(n, k, scheduler, data):
         {"source": a.source, "delta": list(a.delta), "moves": [m.to_json_obj() for m in decoded_moves(h, a)]}
         for a in h.hyperarcs
     ]
+
+
+# bit b of an edge mask keeps the b-th pair (i, j), i < j, in lexicographic order
+K23_MASK = 0b1111110
+
+
+@given(
+    st.integers(1, 6),
+    st.integers(0, 2**15 - 1),
+    st.integers(1, 3),
+    st.sampled_from(SCHEDULERS),
+    st.none() | st.text(),
+)
+@example(1, 0, 2, "fsync", None)
+@example(5, K23_MASK, 2, "fsync", 'a "quoted" name')
+@example(5, K23_MASK, 2, "ssync", "back\\slash\\")
+@example(5, K23_MASK, 3, "fsync", "K₂,₃ — é")
+@example(5, K23_MASK, 2, "ssync", "lone \ud800 surrogate")
+@example(5, K23_MASK, 2, "fsync", '"hyperarcs":[]')
+def test_export_text_matches_the_tree_oracle(n, mask, k, scheduler, name):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    g = Graph(n=n, edges=tuple(p for b, p in enumerate(pairs) if mask >> b & 1), name=name)
+    h = build(g, k, scheduler)
+    assert export(h, "json") == dump_json(export_obj(h))
 
 
 def test_arc_sources_cover_only_movable_classes():

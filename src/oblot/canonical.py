@@ -28,18 +28,16 @@ suite.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
-from functools import cached_property
+from typing import NamedTuple
 
 from .errors import InternalError
-from .graphs import Configuration, Graph
+from .graphs import Configuration, Frozen, Graph
 
 # Colors are encoded as unsigned 32-bit big-endian integers.
 _COLOR_LIMIT = 2**32
 
 
-@dataclass(frozen=True, eq=False)
-class CanonicalForm:
+class CanonicalForm(Frozen):
     """Order-invariant encoding of a colored graph, plus its automorphisms.
 
     ``encoding`` is a pure function of the isomorphism class; ``labeling``
@@ -51,17 +49,25 @@ class CanonicalForm:
     encoding.
     """
 
-    encoding: bytes
-    labeling: tuple[int, ...]
-    generators: tuple[tuple[int, ...], ...] = field(repr=False)
+    __slots__ = ("encoding", "labeling", "generators", "_orbits")
 
-    @cached_property
+    def __init__(
+        self, encoding: bytes, labeling: tuple[int, ...], generators: tuple[tuple[int, ...], ...]
+    ) -> None:
+        self._set(encoding=encoding, labeling=labeling, generators=generators, _orbits=None)
+
+    @property
     def orbits(self) -> OrbitPartition:
-        """Vertex orbits, closed from the generators by union-find.
+        """Vertex orbits, closed from the generators by union-find on first use.
 
         Each orbit is ranked by the minimum canonical label among its
         vertices and the sequence is sorted by rank.
         """
+        if self._orbits is None:
+            self._set(_orbits=self._close_orbits())
+        return self._orbits
+
+    def _close_orbits(self) -> OrbitPartition:
         n = len(self.labeling)
         parent = list(range(n))
 
@@ -87,10 +93,8 @@ class CanonicalForm:
             rank_of=tuple(rank[find(v)] for v in range(n)),
         )
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, CanonicalForm):
-            return NotImplemented
-        return self.encoding == other.encoding
+    def _key(self) -> tuple:
+        return (self.encoding,)
 
     def __hash__(self) -> int:
         return hash(self.encoding)
@@ -99,8 +103,7 @@ class CanonicalForm:
         return self.encoding.hex()
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
+class OrbitPartition(NamedTuple):
     """Vertex orbits under the color-preserving automorphism group.
 
     ``orbits`` partitions the vertex set; the sequence is sorted by rank,
@@ -108,12 +111,12 @@ class OrbitPartition:
     vertices.  Ranks identify orbits everywhere downstream (moves, plans,
     traces) because they are invariant across isomorphic copies.
     ``rank_of[v]``, the rank of vertex v's orbit, is the one table the moves
-    layer reads; derived from the other two fields, it is left out of equality.
+    layer reads; it is derived from the other two fields.
     """
 
     orbits: tuple[tuple[int, ...], ...]
     ranks: tuple[int, ...]
-    rank_of: tuple[int, ...] = field(compare=False, repr=False)
+    rank_of: tuple[int, ...]
 
 
 def _refine(adj: tuple[frozenset[int], ...], cells: list[list[int]]) -> list[list[int]]:

@@ -23,7 +23,6 @@ from .graphs import Configuration, Graph, dump_json, load_configuration_file, lo
 from .graphs import total_robots
 from .hypergraph import FORMAT_VERSION, ConfigHypergraph, build, export
 from .problems import load_problem_file
-from .simulate import MAX_ROUNDS_EXCEEDED, parse_adversary, run_fsync
 from .solver import UNSOLVABLE, solution
 
 EXIT_OK = 0
@@ -146,6 +145,9 @@ def cmd_move(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # imported here, so that the other commands never load the simulator
+    from .simulate import MAX_ROUNDS_EXCEEDED, parse_adversary, run_fsync
+
     c = load_configuration_file(args.config)
     spec = load_problem_file(args.problem)
     adversary = parse_adversary(args.adversary)

@@ -3,6 +3,12 @@
 A configuration pairs a graph with a per-vertex robot count.  Both types are
 immutable values; every operation that mutates conceptually returns a new
 object.  Vertices are dense integer indices ``0..n-1``.
+
+The package's value types are named tuples where a record is all they are,
+and :class:`Frozen` subclasses where a type validates or normalizes its
+fields, leaves one out of equality or builds a table on first use.  Neither
+needs ``dataclasses``, whose import and per-class code generation would
+add tens of milliseconds to every process start.
 """
 
 from __future__ import annotations
@@ -10,8 +16,6 @@ from __future__ import annotations
 import json
 import reprlib
 import warnings
-from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 from .errors import InputError
@@ -20,50 +24,103 @@ from .errors import InputError
 MAX_VERTICES = 2**32
 
 
-@dataclass(frozen=True)
-class Graph:
+class Frozen:
+    """Base of the value classes that are not named tuples: slotted and immutable.
+
+    A subclass's public slots are its constructor's fields, in order; its
+    ``__init__`` sets each slot once through :meth:`_set`, after which
+    assignment and deletion raise AttributeError, as they do on a frozen
+    dataclass.  Equality and hashing read the tuple ``_key()``, and
+    instances of different classes never compare equal.  ``repr``, ``copy``
+    and ``pickle`` go through the constructor's fields.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _set(self, **fields: object) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        raise NotImplementedError
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _items(self) -> list[tuple[str, object]]:
+        return [(f, getattr(self, f)) for f in self.__slots__ if not f.startswith("_")]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={value!r}" for f, value in self._items())
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(value for _, value in self._items())
+
+
+class Graph(Frozen):
     """Finite undirected graph with vertices ``0..n-1``.
 
     ``edges`` is normalized at construction: each pair sorted, the sequence
     sorted and duplicate-free.  Equality is structural (``n`` plus edge set)
     and independent of the order edges were supplied in; ``name`` is a
-    decorative tag that never participates in comparisons.
+    decorative tag that never participates in comparisons.  The adjacency
+    tables are built on first use.
     """
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    name: str | None = field(default=None, compare=False)
+    __slots__ = ("n", "edges", "name", "_neighbors", "_adjacency_sets")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise InputError(f"vertex count must be nonnegative, got {bounded_repr(self.n)}")
+    def __init__(
+        self, n: int, edges: tuple[tuple[int, int], ...], name: str | None = None
+    ) -> None:
+        if n < 0:
+            raise InputError(f"vertex count must be nonnegative, got {bounded_repr(n)}")
         seen: set[tuple[int, int]] = set()
-        for pair in self.edges:
+        for pair in edges:
             if len(pair) != 2:
                 raise InputError(f"edge must be a pair, got {pair!r}")
             u, v = pair
             if u == v:
                 raise InputError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                pair, n = bounded_repr(pair), bounded_repr(self.n)
-                raise InputError(f"edge endpoint out of range: {pair} with n={n}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise InputError(
+                    f"edge endpoint out of range: {bounded_repr(pair)} with n={bounded_repr(n)}"
+                )
             key = (min(u, v), max(u, v))
             if key in seen:
                 raise InputError(f"duplicate edge {bounded_repr(key)}")
             seen.add(key)
-        object.__setattr__(self, "edges", tuple(sorted(seen)))
+        self._set(n=n, edges=tuple(sorted(seen)), name=name, _neighbors=None, _adjacency_sets=None)
 
-    @cached_property
+    def _key(self) -> tuple:
+        return (self.n, self.edges)
+
+    @property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
+        if self._neighbors is None:
+            adj: list[list[int]] = [[] for _ in range(self.n)]
+            for u, v in self.edges:
+                adj[u].append(v)
+                adj[v].append(u)
+            self._set(_neighbors=tuple(tuple(sorted(a)) for a in adj))
+        return self._neighbors
 
-    @cached_property
+    @property
     def adjacency_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(a) for a in self.neighbors)
+        if self._adjacency_sets is None:
+            self._set(_adjacency_sets=tuple(frozenset(a) for a in self.neighbors))
+        return self._adjacency_sets
 
     def to_json_obj(self) -> dict:
         obj: dict = {"n": self.n, "edges": [list(e) for e in self.edges]}
@@ -72,15 +129,16 @@ class Graph:
         return obj
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(Frozen):
     """A graph plus the number of robots sitting on each vertex."""
 
-    graph: Graph
-    lam: tuple[int, ...]
+    __slots__ = ("graph", "lam")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lam", tuple(int(x) for x in self.lam))
+    def __init__(self, graph: Graph, lam: tuple[int, ...]) -> None:
+        self._set(graph=graph, lam=tuple(int(x) for x in lam))
+
+    def _key(self) -> tuple:
+        return (self.graph, self.lam)
 
 
 def validate_configuration(c: Configuration) -> None:

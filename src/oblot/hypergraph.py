@@ -55,11 +55,11 @@ from __future__ import annotations
 import itertools
 import operator
 import weakref
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .canonical import CanonicalForm, canonical_form
 from .errors import InputError, InternalError
-from .graphs import Configuration, Graph, compact_json
+from .graphs import Configuration, Frozen, Graph, compact_json
 from .moves import (
     Move,
     OptionSets,
@@ -79,8 +79,7 @@ SCHEDULERS = ("fsync", "ssync")
 _built: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-@dataclass(frozen=True)
-class ConfigEntry:
+class ConfigEntry(NamedTuple):
     """One hypergraph vertex: a canonical class plus a concrete representative.
 
     The representative is the lexicographically smallest placement of the
@@ -94,8 +93,7 @@ class ConfigEntry:
     rep: Configuration
 
 
-@dataclass(frozen=True, slots=True)
-class Hyperarc:
+class Hyperarc(NamedTuple):
     """The moves of one class that share the outcome set ``delta``, as
     ascending indices into the class's move product (see
     :meth:`ConfigHypergraph.move`)."""
@@ -105,21 +103,42 @@ class Hyperarc:
     moves: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ConfigHypergraph:
-    graph: Graph
-    k: int
-    scheduler: str
-    configs: tuple[ConfigEntry, ...]
-    hyperarcs: tuple[Hyperarc, ...]
-    # Placement λ -> class index, for every k-robot placement on ``graph``.
-    class_of: dict[tuple[int, ...], int] = field(compare=False, repr=False)
-    # Per class, the option sets whose product its move indices count in.
-    option_sets: tuple[OptionSets, ...] = field(compare=False, repr=False)
-    # The generators of Aut(G) the class walk applied, and its Schreier
-    # vector: placement -> index of the generator that first reached it.
-    generators: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
-    schreier: dict[tuple[int, ...], int] = field(compare=False, repr=False)
+class ConfigHypergraph(Frozen):
+    """The configuration hypergraph of (``graph``, ``k``) under ``scheduler``.
+
+    Equality and hashing read the graph, k, the scheduler, the classes and
+    the hyperarcs; the lookup tables below derive from them.  The object is
+    weakly referenceable, for the record :func:`build` keeps.
+    """
+
+    __slots__ = (
+        "graph", "k", "scheduler", "configs", "hyperarcs",
+        "class_of", "option_sets", "generators", "schreier", "__weakref__",
+    )
+
+    def __init__(
+        self,
+        graph: Graph,
+        k: int,
+        scheduler: str,
+        configs: tuple[ConfigEntry, ...],
+        hyperarcs: tuple[Hyperarc, ...],
+        # Placement λ -> class index, for every k-robot placement on ``graph``.
+        class_of: dict[tuple[int, ...], int],
+        # Per class, the option sets whose product its move indices count in.
+        option_sets: tuple[OptionSets, ...],
+        # The generators of Aut(G) the class walk applied, and its Schreier
+        # vector: placement -> index of the generator that first reached it.
+        generators: tuple[tuple[int, ...], ...],
+        schreier: dict[tuple[int, ...], int],
+    ) -> None:
+        self._set(
+            graph=graph, k=k, scheduler=scheduler, configs=configs, hyperarcs=hyperarcs,
+            class_of=class_of, option_sets=option_sets, generators=generators, schreier=schreier,
+        )
+
+    def _key(self) -> tuple:
+        return (self.graph, self.k, self.scheduler, self.configs, self.hyperarcs)
 
     def move(self, source: int, index: int) -> Move:
         """The move a hyperarc of class ``source`` stores as ``index``."""

@@ -21,10 +21,11 @@ move's outcome codes fold its instructed orbits' entries, in rank order, as
 A placement's moves are the product of its :func:`option_sets`, one factor
 per occupied orbit, minus the all-nil element; a move is named by its
 mixed-radix index in that product (:func:`move_at`), and index order is the
-lexicographic move order.  ``build`` calls :func:`move_deltas` once per
-class: one walk of the product, in index order, that computes each entry
-once, folds each prefix's codes once for every move sharing it and maps
-each move's codes to classes with one table.  ``raw_fsync_outcomes`` and
+lexicographic move order, in which nil precedes every orbit rank.
+``build`` calls :func:`move_deltas` once per class: one walk of the
+product, in index order, that computes each entry once, folds each
+prefix's codes once for every move sharing it and maps each move's codes
+to classes with one table.  ``raw_fsync_outcomes`` and
 ``raw_ssync_outcomes`` fold one move, which must instruct exactly the
 occupied orbits in ascending rank order, and decode its codes to λ tuples
 on the input graph's own vertex indices.
@@ -33,17 +34,13 @@ on the input graph's own vertex indices.
 from __future__ import annotations
 
 import functools
-import itertools
 import operator
 from collections.abc import Collection
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .canonical import OrbitPartition, occupied_orbits
 from .errors import InternalError
 from .graphs import Configuration
-
-# Sort key for a target: nil precedes every orbit rank.
-_NIL_KEY = -1
 
 _source = operator.itemgetter(0)
 
@@ -51,23 +48,15 @@ _source = operator.itemgetter(0)
 OptionSets = tuple[tuple[int, tuple[int | None, ...]], ...]
 
 
-def _target_key(target: int | None) -> int:
-    return _NIL_KEY if target is None else target
-
-
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """One assignment (source orbit rank, target rank or None) per occupied orbit.
 
     Assignments are kept in ascending source-rank order; None is the nil
     instruction.  The all-nil function is not a move and is never constructed
-    by :func:`enumerate_moves`.
+    by :func:`move_at`.
     """
 
     assignments: tuple[tuple[int, int | None], ...]
-
-    def sort_key(self) -> tuple[tuple[int, int], ...]:
-        return tuple((s, _target_key(t)) for s, t in self.assignments)
 
     def to_json_obj(self) -> list[list[int | None]]:
         return [[s, t] for s, t in self.assignments]
@@ -89,19 +78,6 @@ def option_sets(c: Configuration, p: OrbitPartition) -> OptionSets:
         if rank_of[v] in adjacent:
             adjacent[rank_of[v]].update(rank_of[u] for u in nbrs)
     return tuple((rank, (None, *sorted(adjacent[rank]))) for rank in occupied)
-
-
-def enumerate_moves(c: Configuration, p: OrbitPartition) -> tuple[Move, ...]:
-    """All moves of ``c`` in ascending lexicographic order, which is index order.
-
-    Factor-wise sorted options make the product enumeration itself emit the
-    lexicographic order, so no final sort is needed.
-    """
-    factors = option_sets(c, p)
-    ranks = tuple(rank for rank, _ in factors)
-    # nil leads every factor, so the all-nil function is the product's first element
-    combos = itertools.islice(itertools.product(*(opts for _, opts in factors)), 1, None)
-    return tuple(Move(assignments=tuple(zip(ranks, combo))) for combo in combos)
 
 
 def move_at(factors: OptionSets, index: int) -> Move:
@@ -164,11 +140,12 @@ def _entry(
       inside an orbit reproduce its stay code.
     """
     rank_of = p.rank_of
+    neighbors = c.graph.neighbors
     joint: set[int] | None = None
     for v in p.orbits[p.ranks.index(rank)]:
         # one robot's code steps: to each neighbor in the target orbit
         at = powers[v]
-        steps = [powers[u] - at for u in c.graph.neighbors[v] if rank_of[u] == target]
+        steps = [powers[u] - at for u in neighbors[v] if rank_of[u] == target]
         if not steps:
             raise InternalError(
                 f"vertex {v} has no neighbor in target orbit {target}; "

@@ -8,20 +8,18 @@ isomorphism-invariant, which is what makes F well defined on classes.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
 
 from .canonical import canonical_form
 from .errors import InputError
-from .graphs import Configuration, bounded_repr, is_json_int, parse_json, read_input_file
+from .graphs import Configuration, Frozen, bounded_repr, is_json_int, parse_json, read_input_file
 from .graphs import total_robots
 from .hypergraph import ConfigHypergraph
 
 KINDS = ("gathering", "pattern", "explicit", "geodesic_mutual_visibility")
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(Frozen):
     """Problem kind plus target placements for the kinds that need them.
 
     ``targets`` is empty for gathering and geodesic mutual visibility; for
@@ -30,17 +28,17 @@ class ProblemSpec:
     and cannot tell isomorphic placements apart).
     """
 
-    kind: str
-    targets: tuple[tuple[int, ...], ...] = ()
+    __slots__ = ("kind", "targets")
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise InputError(f"unknown problem kind {self.kind!r}; expected one of {KINDS}")
-        if self.kind not in ("pattern", "explicit") and self.targets:
-            raise InputError(f"{self.kind} problem carries no targets")
-        object.__setattr__(
-            self, "targets", tuple(tuple(int(x) for x in t) for t in self.targets)
-        )
+    def __init__(self, kind: str, targets: tuple[tuple[int, ...], ...] = ()) -> None:
+        if kind not in KINDS:
+            raise InputError(f"unknown problem kind {kind!r}; expected one of {KINDS}")
+        if kind not in ("pattern", "explicit") and targets:
+            raise InputError(f"{kind} problem carries no targets")
+        self._set(kind=kind, targets=tuple(tuple(int(x) for x in t) for t in targets))
+
+    def _key(self) -> tuple:
+        return (self.kind, self.targets)
 
 
 def _check_target_dims(spec: ProblemSpec, n: int, k: int) -> None:
@@ -63,9 +61,9 @@ def _has_clear_geodesic(c: Configuration, u: int, v: int) -> bool:
     that satisfy this and are unoccupied (except the endpoints) and ask
     whether v stays reachable.
     """
-    g = c.graph
-    du = _bfs_distances(g, u)
-    dv = _bfs_distances(g, v)
+    adj = c.graph.adjacency_sets
+    du = _bfs_distances(adj, u)
+    dv = _bfs_distances(adj, v)
     d = du[v]
     if d is None:
         return False
@@ -81,20 +79,20 @@ def _has_clear_geodesic(c: Configuration, u: int, v: int) -> bool:
         w = queue.popleft()
         if w == v:
             return True
-        for x in g.adjacency_sets[w]:
+        for x in adj[w]:
             if x not in seen and du[x] == du[w] + 1 and usable(x):
                 seen.add(x)
                 queue.append(x)
     return False
 
 
-def _bfs_distances(g, source: int) -> list[int | None]:
-    dist: list[int | None] = [None] * g.n
+def _bfs_distances(adj: tuple[frozenset[int], ...], source: int) -> list[int | None]:
+    dist: list[int | None] = [None] * len(adj)
     dist[source] = 0
     queue = deque([source])
     while queue:
         w = queue.popleft()
-        for x in g.adjacency_sets[w]:
+        for x in adj[w]:
             if dist[x] is None:
                 dist[x] = dist[w] + 1
                 queue.append(x)

@@ -19,12 +19,12 @@ through the hypergraph's transporter.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, InputError
-from .graphs import Configuration, Graph, dump_json, total_robots, validate_configuration
+from .graphs import Configuration, Frozen, Graph, dump_json, total_robots
+from .graphs import validate_configuration
 from .hypergraph import build, built
 from .moves import raw_fsync_outcomes
 from .problems import ProblemSpec
@@ -36,18 +36,21 @@ MAX_ROUNDS_EXCEEDED = "max_rounds_exceeded"
 ADVERSARY_KINDS = ("worst", "random", "first")
 
 
-@dataclass(frozen=True)
-class AdversaryStrategy:
-    kind: str
-    seed: int | None = None
+class AdversaryStrategy(Frozen):
+    """Which adversary resolves a simulated round: ``worst``, ``first``, or
+    ``random`` with its seed."""
 
-    def __post_init__(self) -> None:
-        if self.kind not in ADVERSARY_KINDS:
-            raise InputError(
-                f"unknown adversary {self.kind!r}; expected one of {ADVERSARY_KINDS}"
-            )
-        if (self.kind == "random") != (self.seed is not None):
+    __slots__ = ("kind", "seed")
+
+    def __init__(self, kind: str, seed: int | None = None) -> None:
+        if kind not in ADVERSARY_KINDS:
+            raise InputError(f"unknown adversary {kind!r}; expected one of {ADVERSARY_KINDS}")
+        if (kind == "random") != (seed is not None):
             raise InputError("exactly the random adversary takes a seed")
+        self._set(kind=kind, seed=seed)
+
+    def _key(self) -> tuple:
+        return (self.kind, self.seed)
 
 
 def parse_adversary(text: str) -> AdversaryStrategy:
@@ -65,8 +68,7 @@ def parse_adversary(text: str) -> AdversaryStrategy:
     )
 
 
-@dataclass(frozen=True)
-class RoundRecord:
+class RoundRecord(NamedTuple):
     round: int
     lam: tuple[int, ...]
     decision: MoveDecision
@@ -81,8 +83,7 @@ class RoundRecord:
         }
 
 
-@dataclass(frozen=True)
-class ExecutionTrace:
+class ExecutionTrace(NamedTuple):
     status: str
     rounds: tuple[RoundRecord, ...]
 
@@ -199,8 +200,7 @@ def run_fsync(
         t += 1
 
 
-@dataclass(frozen=True)
-class PlaySummary:
+class PlaySummary(NamedTuple):
     max_rounds_used: int
     min_rounds_used: int
     all_reach_final: bool

@@ -21,9 +21,10 @@ so the pass runs in O(|hyperarcs| + Σ|Δ|).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InputError, InternalError
+from .graphs import Frozen
 from .hypergraph import ConfigHypergraph, Hyperarc
 from .moves import Move
 from .problems import ProblemSpec, resolve_final_set
@@ -33,8 +34,7 @@ UNSOLVABLE = "unsolvable"
 STEP = "step"
 
 
-@dataclass(frozen=True)
-class PlanEntry:
+class PlanEntry(NamedTuple):
     """Worst-case distance to F, the first move to perform, and its Δ.
 
     ``move`` is None and ``delta`` empty exactly for final classes (the nil
@@ -47,8 +47,7 @@ class PlanEntry:
     delta: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MoveDecision:
+class MoveDecision(NamedTuple):
     """Round verdict for one configuration: final, unsolvable, or a step."""
 
     status: str
@@ -72,18 +71,27 @@ def _check_final_indices(h: ConfigHypergraph, final) -> frozenset[int]:
     return fin
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(Frozen):
     """A hypergraph solved for one final set: the attractor and its plan.
 
     ``solvable`` is the attractor of ``final``; ``entries`` holds every
-    solvable class's plan entry.
+    solvable class's plan entry and, derived from the rest, stays out of
+    equality and hashing.
     """
 
-    h: ConfigHypergraph
-    final: frozenset[int]
-    solvable: frozenset[int]
-    entries: dict[int, PlanEntry] = field(compare=False)
+    __slots__ = ("h", "final", "solvable", "entries")
+
+    def __init__(
+        self,
+        h: ConfigHypergraph,
+        final: frozenset[int],
+        solvable: frozenset[int],
+        entries: dict[int, PlanEntry],
+    ) -> None:
+        self._set(h=h, final=final, solvable=solvable, entries=entries)
+
+    def _key(self) -> tuple:
+        return (self.h, self.final, self.solvable)
 
     def decision(self, idx: int) -> MoveDecision:
         """What the robots seeing a configuration of class ``idx`` should do."""

@@ -23,8 +23,8 @@ from functools import cached_property, lru_cache
 from oblot.canonical import CanonicalForm, OrbitPartition, canonical_form
 from oblot.errors import InternalError
 from oblot.graphs import Configuration, Graph
-from oblot.hypergraph import FORMAT_VERSION
-from oblot.moves import Move, raw_fsync_outcomes, raw_ssync_outcomes
+from oblot.hypergraph import FORMAT_VERSION, ConfigHypergraph
+from oblot.moves import Move, option_sets, raw_fsync_outcomes, raw_ssync_outcomes
 
 
 def _edge_set(edges) -> frozenset[tuple[int, int]]:
@@ -144,6 +144,26 @@ def _connected(g: Graph) -> bool:
                 seen.add(u)
                 stack.append(u)
     return len(seen) == g.n
+
+
+# ---------------------------------------------------------------------------
+# Move order: the lexicographic order that move indices count in.
+
+
+def move_sort_key(m: Move) -> tuple[tuple[int, int], ...]:
+    """``m``'s assignments with nil read as -1, so that nil precedes every
+    orbit rank; ascending keys are the lexicographic move order."""
+    return tuple((s, -1 if t is None else t) for s, t in m.assignments)
+
+
+def enumerate_moves(c: Configuration, p: OrbitPartition) -> tuple[Move, ...]:
+    """All moves of ``c`` in the product order of its option sets, minus the
+    all-nil function, which leads the product; the tests check that this is
+    ascending :func:`move_sort_key` order and that ``move_at`` counts in it."""
+    factors = option_sets(c, p)
+    ranks = tuple(rank for rank, _ in factors)
+    combos = itertools.islice(itertools.product(*(opts for _, opts in factors)), 1, None)
+    return tuple(Move(assignments=tuple(zip(ranks, combo))) for combo in combos)
 
 
 # ---------------------------------------------------------------------------
@@ -359,6 +379,15 @@ def arcs_by_source(h) -> dict:
     return {s: tuple(arcs) for s, arcs in out.items()}
 
 
+def without_schreier(h: ConfigHypergraph) -> ConfigHypergraph:
+    """``h`` with an empty Schreier vector, so that no placement but a class's
+    founder leads back to its representative."""
+    return ConfigHypergraph(
+        graph=h.graph, k=h.k, scheduler=h.scheduler, configs=h.configs, hyperarcs=h.hyperarcs,
+        class_of=h.class_of, option_sets=h.option_sets, generators=h.generators, schreier={},
+    )
+
+
 def decoded_moves(h, arc) -> tuple[Move, ...]:
     """The moves ``arc`` stores as indices, decoded."""
     return tuple(h.move(arc.source, j) for j in arc.moves)
@@ -396,7 +425,7 @@ def export_obj(h) -> dict:
 
 def mtf_recursive(h, final: frozenset[int], solvable: frozenset[int], c: int):
     """Returns (distance, move or None) for class index c.  Moves are compared
-    decoded, by :meth:`Move.sort_key`, not by their stored indices."""
+    decoded, by :func:`move_sort_key`, not by their stored indices."""
     arcs = arcs_by_source(h)
     memo: dict = {}
 
@@ -418,11 +447,11 @@ def mtf_recursive(h, final: frozenset[int], solvable: frozenset[int], c: int):
                 d, _ = rec(child, visited)
                 if d > d_max:
                     d_max = d
-            candidates.append((d_max, min(decoded_moves(h, arc), key=Move.sort_key)))
+            candidates.append((d_max, min(decoded_moves(h, arc), key=move_sort_key)))
         if not candidates:
             memo[key] = (math.inf, None)
             return memo[key]
-        d_star, m_star = min(candidates, key=lambda dm: (dm[0], dm[1].sort_key()))
+        d_star, m_star = min(candidates, key=lambda dm: (dm[0], move_sort_key(dm[1])))
         memo[key] = (d_star + 1, m_star)
         return memo[key]
 

@@ -15,7 +15,7 @@ import time
 from oblot.canonical import canonical_form, occupied_orbits
 from oblot.graphs import Configuration, Graph
 from oblot.hypergraph import build, export
-from oblot.moves import Move, enumerate_moves
+from oblot.moves import Move
 from oblot.problems import ProblemSpec, resolve_final_set
 from oblot.simulate import (
     AdversaryStrategy,
@@ -30,6 +30,7 @@ from bruteforce import (
     color_isomorphic,
     configuration_graph,
     connected_graph_corpus,
+    enumerate_moves,
     fsync_outcomes,
     game_solve,
     random_graph,

@@ -1,5 +1,4 @@
 import copy
-import dataclasses
 import functools
 import hashlib
 import json
@@ -14,7 +13,7 @@ from hypothesis import strategies as st
 
 import oblot.canonical
 import oblot.hypergraph
-from oblot.canonical import canonical_form
+from oblot.canonical import CanonicalForm, canonical_form
 from oblot.errors import InputError, InternalError
 from oblot.graphs import Configuration, Graph, dump_json, load_configuration, load_graph
 from oblot.hypergraph import (
@@ -24,7 +23,7 @@ from oblot.hypergraph import (
     export,
     to_dot,
 )
-from oblot.moves import enumerate_moves, raw_fsync_outcomes, raw_ssync_outcomes
+from oblot.moves import raw_fsync_outcomes, raw_ssync_outcomes
 from oblot.problems import load_problem
 
 from bruteforce import (
@@ -35,14 +34,17 @@ from bruteforce import (
     config_isomorphic,
     connected_graph_corpus,
     decoded_moves,
+    enumerate_moves,
     export_obj,
     fsync_outcomes,
     index_by_encoding,
+    move_sort_key,
     raw_move_outcomes,
     raw_moves,
     raw_ssync_move_outcomes,
     relabeled,
     ssync_outcomes,
+    without_schreier,
 )
 
 
@@ -130,8 +132,8 @@ def test_every_move_in_exactly_one_arc(k23_h):
         arc_moves = [
             m for a in arcs_by_source(k23_h).get(i, ()) for m in decoded_moves(k23_h, a)
         ]
-        assert sorted(m.sort_key() for m in arc_moves) == sorted(
-            m.sort_key() for m in all_moves
+        assert sorted(move_sort_key(m) for m in arc_moves) == sorted(
+            move_sort_key(m) for m in all_moves
         )
         assert len(set(arc_moves)) == len(arc_moves)
 
@@ -149,7 +151,7 @@ def test_recomputed_outcomes_reproduce_delta(k23_h):
 
 def test_moves_within_arc_sorted(k23_h):
     for a in k23_h.hyperarcs:
-        keys = [m.sort_key() for m in decoded_moves(k23_h, a)]
+        keys = [move_sort_key(m) for m in decoded_moves(k23_h, a)]
         assert keys == sorted(keys)
 
 
@@ -403,7 +405,9 @@ def test_class_table_survives_missing_generators(monkeypatch):
     # one class must merge by encoding, so the export cannot change
     def without_generators(g, coloring):
         form = canonical_form(g, coloring)
-        return dataclasses.replace(form, generators=()) if not any(coloring) else form
+        if any(coloring):
+            return form
+        return CanonicalForm(form.encoding, form.labeling, generators=())
 
     want = {
         (g, k): export(build(g, k), "json")
@@ -434,7 +438,7 @@ def test_transporter_carries_the_representative_onto_each_member():
 
 def test_transporter_refuses_what_its_vector_cannot_reach(k23_h):
     member = next(lam for lam, i in k23_h.class_of.items() if lam != k23_h.configs[i].rep.lam)
-    emptied = dataclasses.replace(k23_h, schreier={})
+    emptied = without_schreier(k23_h)
     with pytest.raises(InternalError, match="not to its class representative"):
         emptied.transporter(member)
     with pytest.raises(InputError, match="does not belong"):

@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,7 +55,7 @@ def test_sweep_small_instances_counts_failures(monkeypatch, capsys):
 
     def one_round_short(*args):
         trace = honest(*args)
-        return replace(trace, rounds=trace.rounds[1:])
+        return trace._replace(rounds=trace.rounds[1:])
 
     monkeypatch.setattr(sweep, "run_fsync", one_round_short)
     monkeypatch.setattr(sys, "argv", ["sweep", "--max-n", "3", "--max-k", "2"])

@@ -7,6 +7,7 @@ individualization-refinement:
 
 * start from the ordered partition of vertices by color (colors ascending),
 * refine to an equitable partition by splitting cells on neighbor counts,
+  one split per sweep of the vertices' neighbors (see :func:`_refine`),
 * when a cell with several vertices remains, branch on each of its members,
 * at each discrete leaf, read off a candidate labeling and keep the one whose
   adjacency encoding is lexicographically smallest.
@@ -69,6 +70,12 @@ class CanonicalForm(Frozen):
 
     def _close_orbits(self) -> OrbitPartition:
         n = len(self.labeling)
+        if not self.generators:
+            # a trivial group: singleton orbits, ranked by label
+            order = sorted(range(n), key=self.labeling.__getitem__)
+            return OrbitPartition(
+                orbits=tuple((v,) for v in order), ranks=tuple(range(n)), rank_of=self.labeling
+            )
         parent = list(range(n))
 
         def find(x: int) -> int:
@@ -122,45 +129,67 @@ class OrbitPartition(NamedTuple):
 def _refine(adj: tuple[frozenset[int], ...], cells: list[list[int]]) -> list[list[int]]:
     """Split cells on neighbor counts until the ordered partition is equitable.
 
-    Fragments replace their cell in place, ordered by ascending count, so the
-    process is equivariant under isomorphism: corresponding partitions of
-    isomorphic graphs refine to corresponding partitions.
+    Each pass tables every vertex's cell, then sweeps the neighbors of each
+    vertex of each non-singleton cell once, giving it a count vector over the
+    cells.  The first cell whose vectors differ splits on the first cell
+    index where they differ: the first target and splitter for which some
+    counts differ, so the split sequence, and with it every label, is that of
+    a scan of (target, splitter) pairs restarted at the first cell after each
+    split.  The fragments replace their cell in place, ordered by ascending
+    count, so the process is equivariant under isomorphism: corresponding
+    partitions of isomorphic graphs refine to corresponding partitions.
     """
     cells = [sorted(c) for c in cells]
-    changed = True
-    while changed:
-        changed = False
+    cell_of = [0] * len(adj)
+    renumber = 0  # cells before the last split keep their indices
+    while True:
+        for i in range(renumber, len(cells)):
+            for v in cells[i]:
+                cell_of[v] = i
+        width = len(cells)
         for ti, target in enumerate(cells):
             if len(target) == 1:
                 continue
-            for splitter in cells:
-                sset = frozenset(splitter)
-                counts = [len(adj[v] & sset) for v in target]
-                if len(set(counts)) > 1:
-                    groups: dict[int, list[int]] = {}
-                    for v, cnt in zip(target, counts):
-                        groups.setdefault(cnt, []).append(v)
-                    frags = [groups[cnt] for cnt in sorted(groups)]
-                    cells[ti : ti + 1] = frags
-                    changed = True
-                    break
-            if changed:
-                break
-    return cells
+            vectors = []
+            for v in target:
+                vec = [0] * width
+                for u in adj[v]:
+                    vec[cell_of[u]] += 1
+                vectors.append(vec)
+            if vectors.count(vectors[0]) == len(vectors):
+                continue
+            # the extreme vectors first differ where not all vectors agree
+            split = [*map(int.__eq__, min(vectors), max(vectors))].index(False)
+            groups: dict[int, list[int]] = {}
+            for v, vec in zip(target, vectors):
+                groups.setdefault(vec[split], []).append(v)
+            cells[ti : ti + 1] = [groups[cnt] for cnt in sorted(groups)]
+            renumber = ti
+            break
+        else:
+            return cells
 
 
 def _adjacency_bits(n: int, adj: tuple[frozenset[int], ...], order: list[int]) -> bytes:
-    """Upper-triangular adjacency bits row-major under the given vertex order."""
-    bits = bytearray((n * (n - 1) // 2 + 7) // 8)
-    idx = 0
-    for i in range(n):
-        vi = order[i]
-        nbrs = adj[vi]
-        for j in range(i + 1, n):
-            if order[j] in nbrs:
-                bits[idx >> 3] |= 0x80 >> (idx & 7)
-            idx += 1
-    return bytes(bits)
+    """Upper-triangular adjacency bits row-major under the given vertex order.
+
+    The pair of positions i < j is bit ``i*n - i*(i+1)/2 + j-i-1``, counted
+    from the most significant bit of the first byte; each edge sets its bit
+    once, from its earlier endpoint's row.
+    """
+    size = (n * (n - 1) // 2 + 7) // 8
+    pos = [0] * n
+    for i, v in enumerate(order):
+        pos[v] = i
+    bits = 0
+    top = 8 * size  # minus row i's first pair index: pair (i, j) is integer bit top + i - j
+    for i, v in enumerate(order):
+        for u in adj[v]:
+            j = pos[u]
+            if j > i:
+                bits |= 1 << (top + i - j)
+        top -= n - 1 - i
+    return bits.to_bytes(size, "big")
 
 
 class _Canonizer:
@@ -243,13 +272,10 @@ class _Canonizer:
         return False
 
 
-def _pack_field(payload: bytes) -> bytes:
-    return struct.pack(">I", len(payload)) + payload
-
-
 def _encode(n: int, colors_in_canonical_order: list[int], bits: bytes) -> bytes:
-    color_bytes = b"".join(struct.pack(">I", c) for c in colors_in_canonical_order)
-    return _pack_field(struct.pack(">I", n)) + _pack_field(color_bytes) + _pack_field(bits)
+    """Three length-prefixed fields: n, the colors and the adjacency bits, all
+    as unsigned 32-bit big-endian integers but the bits."""
+    return struct.pack(f">3I{n}II", 4, n, 4 * n, *colors_in_canonical_order, len(bits)) + bits
 
 
 def _canonize(g: Graph, colors: tuple[int, ...]) -> CanonicalForm:

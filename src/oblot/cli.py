@@ -11,7 +11,6 @@ invariant of the engine), 6 a computation budget exceeded.  Errors print one
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 from pathlib import Path
@@ -45,6 +44,8 @@ def _load_colored(args) -> tuple[Graph, tuple[int, ...]]:
 def _cache_path(cache_dir: str | None, g: Graph, k: int, scheduler: str) -> Path | None:
     if not cache_dir:
         return None
+    import hashlib  # here: the OpenSSL binding costs a few ms to load
+
     # The decorative name stays out of the key: equal graphs share one entry.
     shape = {"n": g.n, "edges": [list(e) for e in g.edges]}
     key_material = (

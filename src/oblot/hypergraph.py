@@ -217,6 +217,8 @@ def enumerate_configurations(g: Graph, k: int) -> tuple[
     if k < 1:
         raise InputError(f"robot count must be at least 1, got {k}")
     generators = canonical_form(g, (0,) * g.n).generators
+    # the image of a placement under a generator, as one C call
+    images = [operator.itemgetter(*gen) for gen in generators]
     by_encoding: dict[bytes, ConfigEntry] = {}
     encoding_of: dict[tuple[int, ...], bytes] = {}
     schreier: dict[tuple[int, ...], int] = {}
@@ -228,8 +230,8 @@ def enumerate_configurations(g: Graph, k: int) -> tuple[
         encoding_of[lam] = form.encoding
         orbit = [lam]
         for member in orbit:
-            for j, gen in enumerate(generators):
-                image = tuple(map(member.__getitem__, gen))
+            for j, image_of in enumerate(images):
+                image = image_of(member)
                 if image not in encoding_of:
                     encoding_of[image] = form.encoding
                     schreier[image] = j
@@ -261,9 +263,7 @@ def build(g: Graph, k: int, scheduler: str = "fsync") -> ConfigHypergraph:
         p = entry.form.orbits
         factors.append(option_sets(entry.rep, p))
         deltas = move_deltas(entry.rep, p, factors[i], ssync, class_by_code)
-        hyperarcs += (
-            Hyperarc(source=i, delta=d, moves=tuple(ms)) for d, ms in sorted(deltas.items())
-        )
+        hyperarcs += (Hyperarc(i, d, tuple(ms)) for d, ms in sorted(deltas.items()))
     h = ConfigHypergraph(
         graph=g, k=k, scheduler=scheduler, configs=entries, hyperarcs=tuple(hyperarcs),
         class_of=class_of, option_sets=tuple(factors), generators=generators, schreier=schreier,

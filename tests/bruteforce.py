@@ -9,13 +9,16 @@ permutation sweeps).
 The one exception is the canonizer-based outcome oracle (``fsync_outcomes``,
 ``ssync_outcomes``): it canonizes every raw outcome placement, which is what
 the hypergraph's class table replaces with a lookup, so it is the slow
-counterpart the table is checked against.
+counterpart the table is checked against.  Likewise the canonizer's kernels
+keep their first, direct form here (``refine``, ``adjacency_bits``,
+``encode``, ``union_find_orbits``), as the oracles of the faster ones.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import struct
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -144,6 +147,93 @@ def _connected(g: Graph) -> bool:
                 seen.add(u)
                 stack.append(u)
     return len(seen) == g.n
+
+
+# ---------------------------------------------------------------------------
+# The canonizer's kernels in their direct form.
+
+
+def refine(adj: tuple[frozenset[int], ...], cells: list[list[int]]) -> list[list[int]]:
+    """Split cells on neighbor counts until the ordered partition is equitable.
+
+    After every split the scan restarts at the first cell: the first target
+    cell on which some splitter cell's neighbor counts differ splits on the
+    first such splitter, into fragments of ascending count.
+    """
+    cells = [sorted(c) for c in cells]
+    changed = True
+    while changed:
+        changed = False
+        for ti, target in enumerate(cells):
+            if len(target) == 1:
+                continue
+            for splitter in cells:
+                sset = frozenset(splitter)
+                counts = [len(adj[v] & sset) for v in target]
+                if len(set(counts)) > 1:
+                    groups: dict[int, list[int]] = {}
+                    for v, cnt in zip(target, counts):
+                        groups.setdefault(cnt, []).append(v)
+                    frags = [groups[cnt] for cnt in sorted(groups)]
+                    cells[ti : ti + 1] = frags
+                    changed = True
+                    break
+            if changed:
+                break
+    return cells
+
+
+def adjacency_bits(n: int, adj: tuple[frozenset[int], ...], order: list[int]) -> bytes:
+    """Upper-triangular adjacency bits row-major under the given vertex order,
+    one test per vertex pair."""
+    bits = bytearray((n * (n - 1) // 2 + 7) // 8)
+    idx = 0
+    for i in range(n):
+        vi = order[i]
+        nbrs = adj[vi]
+        for j in range(i + 1, n):
+            if order[j] in nbrs:
+                bits[idx >> 3] |= 0x80 >> (idx & 7)
+            idx += 1
+    return bytes(bits)
+
+
+def encode(n: int, colors_in_canonical_order: list[int], bits: bytes) -> bytes:
+    """n, the colors and the bits, each field prefixed by its byte length."""
+    color_bytes = b"".join(struct.pack(">I", c) for c in colors_in_canonical_order)
+    fields = (struct.pack(">I", n), color_bytes, bits)
+    return b"".join(struct.pack(">I", len(field)) + field for field in fields)
+
+
+def union_find_orbits(
+    labeling: tuple[int, ...], generators: tuple[tuple[int, ...], ...]
+) -> OrbitPartition:
+    """The orbits the generators close, by union-find, each ranked by its
+    least canonical label."""
+    n = len(labeling)
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for gen in generators:
+        for v in range(n):
+            ra, rb = find(v), find(gen[v])
+            if ra != rb:
+                parent[rb] = ra
+    groups: dict[int, list[int]] = {}
+    for v in range(n):
+        groups.setdefault(find(v), []).append(v)
+    rank = {root: min(labeling[v] for v in orbit) for root, orbit in groups.items()}
+    ranked = sorted((rank[root], tuple(orbit)) for root, orbit in groups.items())
+    return OrbitPartition(
+        orbits=tuple(orbit for _, orbit in ranked),
+        ranks=tuple(r for r, _ in ranked),
+        rank_of=tuple(rank[find(v)] for v in range(n)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +587,27 @@ def gmv_oracle(g: Graph, lam: tuple[int, ...]) -> bool:
             if not any(all(lam[w] == 0 for w in p[1:-1]) for p in paths):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Named graphs beyond the permutation sweeps' reach.
+
+
+def cycle(n: int) -> Graph:
+    return Graph(n=n, edges=tuple((i, (i + 1) % n) for i in range(n)))
+
+
+def grid(rows: int, cols: int) -> Graph:
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph(n=rows * cols, edges=tuple(edges))
+
+
+def petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(n=10, edges=tuple(outer + spokes + inner))
 
 
 # ---------------------------------------------------------------------------

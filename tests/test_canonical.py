@@ -1,19 +1,28 @@
+import hashlib
 import itertools
+import json
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oblot import canonical
 from oblot.canonical import canonical_form, occupied_orbits
 from oblot.errors import InternalError
 from oblot.graphs import Configuration, Graph
-from oblot.hypergraph import build
+from oblot.hypergraph import build, enumerate_configurations
 
+import bruteforce
 from bruteforce import (
     all_placements,
     brute_orbits,
     color_isomorphic,
     connected_graph_corpus,
+    cycle,
+    grid,
+    petersen,
 )
 
 
@@ -179,3 +188,110 @@ def test_encoding_distinguishes_robot_counts(k2):
     one = canonical_form(k2, (1, 0))
     two = canonical_form(k2, (2, 0))
     assert one != two
+
+
+# ---------------------------------------------------------------------------
+# The kernels against their direct forms in ``bruteforce``.
+
+
+@st.composite
+def graphs(draw, max_n: int) -> Graph:
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    density = draw(st.sampled_from((0.15, 0.3, 0.5, 0.8)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return Graph(n=n, edges=tuple(p for p in pairs if rng.random() < density))
+
+
+@given(graphs(18), st.data())
+def test_refine_matches_the_pair_scan_oracle(g, data):
+    # a random ordered partition, cells and their members in random order
+    order = data.draw(st.permutations(range(g.n)))
+    cuts = sorted(data.draw(st.sets(st.integers(1, g.n - 1), max_size=g.n - 1)) if g.n > 1 else [])
+    cells = [list(order[a:b]) for a, b in zip([0, *cuts], [*cuts, g.n])]
+    adj = g.adjacency_sets
+    assert canonical._refine(adj, cells) == bruteforce.refine(adj, cells)
+
+
+@given(graphs(18), st.data())
+def test_adjacency_bits_match_the_pair_sweep_oracle(g, data):
+    order = list(data.draw(st.permutations(range(g.n))))
+    adj = g.adjacency_sets
+    assert canonical._adjacency_bits(g.n, adj, order) == bruteforce.adjacency_bits(g.n, adj, order)
+
+
+@given(graphs(12), st.data())
+def test_canonical_form_matches_the_search_on_the_oracle_kernels(g, data):
+    colors = tuple(data.draw(st.lists(st.integers(0, 3), min_size=g.n, max_size=g.n)))
+    fast = canonical_form(g, colors)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(canonical, "_refine", bruteforce.refine)
+        mp.setattr(canonical, "_adjacency_bits", bruteforce.adjacency_bits)
+        mp.setattr(canonical, "_encode", bruteforce.encode)
+        slow = canonical_form(g, colors)
+    assert (fast.encoding, fast.labeling, fast.generators) == (
+        slow.encoding, slow.labeling, slow.generators
+    )
+    assert fast.orbits == bruteforce.union_find_orbits(slow.labeling, slow.generators)
+
+
+@pytest.mark.parametrize("g, k", [(cycle(10), 5), (grid(3, 4), 3)], ids=["C10-k5", "grid3x4-k3"])
+def test_orbits_without_generators_match_the_union_find_closure(g, k):
+    forms = [entry.form for entry in enumerate_configurations(g, k)[0]]
+    trivial = [form for form in forms if not form.generators]
+    # the fast path is the common case here
+    assert 2 * len(trivial) > len(forms)
+    for form in forms:
+        assert form.orbits == bruteforce.union_find_orbits(form.labeling, form.generators)
+
+
+# ---------------------------------------------------------------------------
+# Golden label digests.
+
+K23 = Graph(n=5, edges=((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)))
+
+# The benchmark's build corpus, one entry per (G, k): the scheduler of its
+# two grid 3x4 instances is not read by any canonical form.
+DIGEST_CORPUS = {
+    "K23 k=2": (K23, 2),
+    "petersen k=3": (petersen(), 3),
+    "C8 k=4": (cycle(8), 4),
+    "C10 k=5": (cycle(10), 5),
+    "grid3x3 k=3": (grid(3, 3), 3),
+    "grid3x4 k=3": (grid(3, 4), 3),
+    "grid4x4 k=3": (grid(4, 4), 3),
+}
+
+
+def _digest(forms) -> str:
+    # every label fits a byte: these graphs have at most 16 vertices
+    h = hashlib.sha256()
+    for form in forms:
+        h.update(form.encoding)
+        h.update(bytes(form.labeling))
+    return h.hexdigest()
+
+
+def canon_digests() -> dict[str, str]:
+    """SHA-256 of the encoding and labeling of every class representative of
+    each corpus instance, in class order, and of each of 50 seeded random
+    colored graphs on at most 16 vertices."""
+    got = {
+        key: _digest(entry.form for entry in enumerate_configurations(g, k)[0])
+        for key, (g, k) in DIGEST_CORPUS.items()
+    }
+    rng = random.Random(17)
+    for i in range(50):
+        n = rng.randint(1, 16)
+        density = rng.choice((0.15, 0.3, 0.5, 0.8))
+        pairs = itertools.combinations(range(n), 2)
+        g = Graph(n=n, edges=tuple(p for p in pairs if rng.random() < density))
+        palette = rng.randint(1, 4)
+        colors = tuple(rng.randrange(palette) for _ in range(n))
+        got[f"random {i:02d} n={n}"] = _digest([canonical_form(g, colors)])
+    return got
+
+
+def test_canonical_forms_match_golden_digests():
+    golden = json.loads((Path(__file__).parent / "canon_digests.json").read_text())
+    assert canon_digests() == golden

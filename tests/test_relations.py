@@ -19,22 +19,11 @@ import random
 
 import pytest
 
-from oblot.graphs import Graph
 from oblot.hypergraph import SCHEDULERS, build, export
 from oblot.problems import ProblemSpec
 from oblot.solver import solution
 
-from bruteforce import relabeled
-
-
-def grid(rows: int, cols: int) -> Graph:
-    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
-    edges += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
-    return Graph(n=rows * cols, edges=tuple(edges))
-
-
-def cycle(n: int) -> Graph:
-    return Graph(n=n, edges=tuple((i, (i + 1) % n) for i in range(n)))
+from bruteforce import cycle, grid, relabeled
 
 
 INSTANCES = {"grid3x4-k3": (grid(3, 4), 3), "C10-k5": (cycle(10), 5), "grid2x5-k4": (grid(2, 5), 4)}

@@ -34,8 +34,8 @@ outcomes through it instead of canonizing each placement it visits.
 Every later class question is a lookup: the Δ of a move is the set of
 classes of its outcome placements' integer codes, read from the table
 re-keyed by code, and ``index_of`` reads the table.  The Δs of one class
-come from one walk of its move product (:func:`oblot.moves.move_deltas`),
-in which moves that share a prefix of options share its folded codes.
+come from one sweep of its occupied orbits' vertices and one list of move
+outcome codes per factor of its move product (:func:`oblot.moves.class_moves`).
 
 The JSON export is write-only: nothing reads a hypergraph back, so every
 answer comes from a build.  It is written as text, not through a tree of
@@ -60,14 +60,7 @@ from typing import NamedTuple
 from .canonical import CanonicalForm, canonical_form
 from .errors import InputError, InternalError
 from .graphs import Configuration, Frozen, Graph, compact_json
-from .moves import (
-    Move,
-    OptionSets,
-    class_table_by_code,
-    move_at,
-    move_deltas,
-    option_sets,
-)
+from .moves import Move, OptionSets, class_moves, class_table_by_code, move_at
 
 FORMAT_VERSION = 1
 
@@ -216,6 +209,8 @@ def enumerate_configurations(g: Graph, k: int) -> tuple[
     """
     if k < 1:
         raise InputError(f"robot count must be at least 1, got {k}")
+    if not g.n:
+        raise InputError(f"robot count {k} needs a graph with at least one vertex")
     generators = canonical_form(g, (0,) * g.n).generators
     # the image of a placement under a generator, as one C call
     images = [operator.itemgetter(*gen) for gen in generators]
@@ -248,7 +243,7 @@ def build(g: Graph, k: int, scheduler: str = "fsync") -> ConfigHypergraph:
     For every configuration class, on the orbits its representative's form
     carries, and every one of its moves, the scheduler's outcome set Δ is
     the set of classes of the move's outcome codes, from one
-    :func:`move_deltas` walk per class and the class table keyed by code;
+    :func:`class_moves` sweep per class and the class table keyed by code;
     moves with identical (source, Δ) merge into one hyperarc, which keeps
     their indices.
     """
@@ -260,9 +255,8 @@ def build(g: Graph, k: int, scheduler: str = "fsync") -> ConfigHypergraph:
     factors = []
     hyperarcs = []
     for i, entry in enumerate(entries):
-        p = entry.form.orbits
-        factors.append(option_sets(entry.rep, p))
-        deltas = move_deltas(entry.rep, p, factors[i], ssync, class_by_code)
+        options, deltas = class_moves(entry.rep, entry.form.orbits, ssync, class_by_code)
+        factors.append(options)
         hyperarcs += (Hyperarc(i, d, tuple(ms)) for d, ms in sorted(deltas.items()))
     h = ConfigHypergraph(
         graph=g, k=k, scheduler=scheduler, configs=entries, hyperarcs=tuple(hyperarcs),

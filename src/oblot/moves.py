@@ -14,28 +14,27 @@ is Σ λ[v]·(k+1)**v, so distinct placements get distinct codes and a robot
 stepping from v to u adds (k+1)**u - (k+1)**v.  The destination multisets of
 one vertex's robots are the sums of one such step per robot; an orbit's
 entry for a target holds its joint destinations, the sumset of its
-vertices' sets, and the codes in which some robot of the orbit moved.  A
-move's outcome codes fold its instructed orbits' entries, in rank order, as
-(moved ⊕ joint_o) ∪ moved_o; :func:`_fold` is that fold's one place.
+vertices' sets, and under SSYNC the codes in which some robot of the orbit
+moved.  A move's outcome codes fold its instructed orbits' entries, in rank
+order: under FSYNC their sumset, under SSYNC (moved ⊕ joint_o) ∪ moved_o.
 
 A placement's moves are the product of its :func:`option_sets`, one factor
 per occupied orbit, minus the all-nil element; a move is named by its
 mixed-radix index in that product (:func:`move_at`), and index order is the
 lexicographic move order, in which nil precedes every orbit rank.
-``build`` calls :func:`move_deltas` once per class: one walk of the
-product, in index order, that computes each entry once, folds each
-prefix's codes once for every move sharing it and maps each move's codes
-to classes with one table.  ``raw_fsync_outcomes`` and
-``raw_ssync_outcomes`` fold one move, which must instruct exactly the
-occupied orbits in ascending rank order, and decode its codes to λ tuples
-on the input graph's own vertex indices.
+``build`` calls :func:`class_moves` once per class: one sweep over the
+occupied orbits' vertices gives the factors and every option's entry, one
+list per factor every move's outcome codes in index order, a plain int for
+a move with one outcome, and one pass maps them to classes with one table.
+``raw_fsync_outcomes`` and ``raw_ssync_outcomes`` fold one move from the
+same entries; it must instruct exactly the occupied orbits in ascending rank
+order, and its codes are decoded to λ tuples on the graph's own vertices.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
-from collections.abc import Collection
 from typing import NamedTuple
 
 from .canonical import OrbitPartition, occupied_orbits
@@ -116,128 +115,142 @@ def class_table_by_code(class_of: dict[tuple[int, ...], int], n: int, k: int) ->
     return {_code(lam, powers): i for lam, i in class_of.items()}
 
 
-# The (joint, moved) entry of one occupied orbit's robots sent to one target.
-_Entry = tuple[tuple[int, ...], tuple[int, ...]]
+_ASYMMETRIC = "vertex {} has no neighbor in target orbit {}; orbit adjacency is not symmetric"
 
 
-def _entry(
-    c: Configuration,
-    p: OrbitPartition,
-    powers: tuple[int, ...],
-    code: int,
-    rank: int,
-    target: int,
-    ssync: bool,
-) -> _Entry:
-    """The entry of the robots of the occupied orbit ``rank`` sent to ``target``:
+def _sumset(a, b):
+    """{x + y : x in a, y in b}, an int standing for the set holding it; two
+    ints give their sum."""
+    if a.__class__ is int is b.__class__:
+        return a + b
+    a = (a,) if a.__class__ is int else a
+    return frozenset([x + y for x in a for y in ((b,) if b.__class__ is int else b)])
 
-    - ``joint``: every joint destination, as a code delta from the orbit
-      staying put (the sumset, over its vertices, of each vertex's
-      destination multisets);
-    - ``moved``: the codes of the whole placements, ``code`` being ``c``'s
-      own, in which some robot of the orbit moved and every other robot
-      stayed.  Under SSYNC it is tracked per vertex, because robots swapping
-      inside an orbit reproduce its stay code.
+
+def _option_table(
+    c: Configuration, p: OrbitPartition, ssync: bool
+) -> tuple[OptionSets, list[list], int | frozenset[int]]:
+    """The factors of ``c``'s move product, equal to :func:`option_sets`; per
+    factor, the column of its options' entries, nil's first; and the
+    outcome codes :func:`_outcomes` starts from.
+
+    The entry of an occupied orbit's robots sent to a target holds its joint
+    destinations, as code deltas from the orbit staying put: the sumset,
+    over its vertices, of each vertex's destination multisets.  Under FSYNC
+    every robot moves, so that is the entry, an int when it is one delta,
+    and nil's entry is 0.  Under SSYNC the entry is (joint, moved), where
+    moved holds the codes of the whole placements in which some robot of the
+    orbit moved and every other robot stayed, tracked per vertex because
+    robots swapping inside an orbit reproduce its stay code; nil's is None.
     """
+    lam = c.lam
+    powers = _powers(c.graph.n, sum(lam))
+    code = _code(lam, powers)
     rank_of = p.rank_of
     neighbors = c.graph.neighbors
-    joint: set[int] | None = None
-    for v in p.orbits[p.ranks.index(rank)]:
-        # one robot's code steps: to each neighbor in the target orbit
-        at = powers[v]
-        steps = [powers[u] - at for u in neighbors[v] if rank_of[u] == target]
-        if not steps:
-            raise InternalError(
-                f"vertex {v} has no neighbor in target orbit {target}; "
-                "orbit adjacency is not symmetric"
-            )
-        if ssync:
-            steps.append(0)  # an idled robot stays
-        # the destination multisets of v's robots, one step per robot
-        dests = set(steps)
-        for _ in range(c.lam[v] - 1):
-            dests = {a + b for a in dests for b in steps}
-        if joint is None:
-            joint = dests
-            if ssync:
-                moved = dests - {0}
+    factors = []
+    columns = []
+    for orbit, rank in zip(p.orbits, p.ranks):
+        # the vertices of one orbit carry equal counts, so its first one tells
+        if not lam[orbit[0]]:
             continue
-        if ssync:
-            # v's robots all stayed iff its delta is 0; robots swapping
-            # between vertices can give a joint delta 0 too, so "moved"
-            # is kept apart
-            moved = {a + b for a in moved for b in dests}
-            moved |= dests - {0}
-        joint = {a + b for a in joint for b in dests}
-    # under FSYNC every robot of the orbit moves
-    return tuple(joint), tuple(map(code.__add__, moved if ssync else joint))
+        # each vertex's code steps, one per neighbor, by the rank it reaches
+        steps_of = []
+        for v in orbit:
+            at = powers[v]
+            steps: dict[int, list[int]] = {}
+            for u in neighbors[v]:
+                steps.setdefault(rank_of[u], []).append(powers[u] - at)
+            steps_of.append(steps)
+        targets = sorted(set().union(*steps_of))
+        column = [None if ssync else 0]
+        for target in targets:
+            joint = moved = None
+            for v, steps in zip(orbit, steps_of):
+                step = steps.get(target)
+                if step is None:
+                    raise InternalError(_ASYMMETRIC.format(v, target))
+                if ssync:
+                    step = [*step, 0]  # an idled robot stays
+                # the destination multisets of v's robots, one step per robot
+                if len(step) == 1:
+                    dests = step[0] * lam[v]
+                else:
+                    dests = frozenset(step)
+                    for _ in range(lam[v] - 1):
+                        dests = _sumset(dests, step)
+                if joint is None:
+                    joint, moved = dests, dests - {0} if ssync else None
+                    continue
+                if ssync:
+                    # v's robots all stayed iff its delta is 0; robots swapping
+                    # between vertices can give a joint delta 0 too, so "moved"
+                    # is kept apart
+                    moved = _sumset(moved, dests) | (dests - {0})
+                joint = _sumset(joint, dests)
+            column.append((joint, frozenset([code + x for x in moved])) if ssync else joint)
+        factors.append((rank, (None, *targets)))
+        columns.append(column)
+    # under SSYNC a code counts only once some robot moved
+    return tuple(factors), columns, frozenset() if ssync else code
 
 
-def _entries(
-    c: Configuration, p: OrbitPartition, factors: OptionSets, ssync: bool
-) -> list[list[_Entry | None]]:
-    """Per factor, per option: None for nil, otherwise that orbit's entry."""
-    powers = _powers(c.graph.n, sum(c.lam))
-    code = _code(c.lam, powers)
-    return [
-        [None if t is None else _entry(c, p, powers, code, rank, t, ssync) for t in opts]
-        for rank, opts in factors
-    ]
+def _outcomes(start: int | frozenset[int], columns: list[list], ssync: bool) -> list:
+    """The outcome codes of every element of the product of ``columns``, in
+    index order: the previous factors' codes are the outer loop, so the first
+    factor is the most significant digit, as in :func:`move_at`.
 
-
-def _fold(moved: Collection[int] | None, entry: _Entry, ssync: bool) -> Collection[int]:
-    """The codes of a prefix's ``moved`` codes (None: no robot instructed
-    yet) extended by one orbit's entry: (moved ⊕ joint_o) ∪ moved_o."""
-    joint, moved_o = entry
-    if moved is None:
-        return moved_o
-    folded = {a + b for a in moved for b in joint}
-    # under FSYNC an instructed robot always moves: no prefix stayed
-    if ssync:
-        folded.update(moved_o)
-    return folded
-
-
-def move_deltas(
-    c: Configuration,
-    p: OrbitPartition,
-    factors: OptionSets,
-    ssync: bool,
-    class_by_code: dict[int, int],
-) -> dict[tuple[int, ...], list[int]]:
-    """The moves of ``c`` grouped by outcome set: each Δ, as ascending class
-    indices, maps to the ascending indices of its moves in the product of
-    ``factors`` (see :func:`move_at`).
-
-    One depth-first walk visits the product in index order.  It carries the
-    folded ``moved`` codes of the current prefix, so moves sharing a prefix
-    share its fold, and maps each move's codes to classes.  Every option of
-    a factor is used by some move, so all entries are computed up front.
+    Under FSYNC an element is the sumset of ``start``, the placement's own
+    code, and the entries it picks, an int while that is one code.  Under
+    SSYNC the codes start empty, nil keeps them, and each entry (joint,
+    moved) extends them to (codes ⊕ joint) ∪ moved.
     """
-    entries = _entries(c, p, factors, ssync)
-    last = len(entries) - 1
+    level = [start]
+    for column in columns:
+        if ssync:
+            level = [
+                m if e is None else _sumset(m, e[0]) | e[1]
+                for m in level for e in column
+            ]
+        else:
+            level = [
+                a + b if a.__class__ is int is b.__class__ else _sumset(a, b)
+                for a in level for b in column
+            ]
+    return level
+
+
+def class_moves(
+    c: Configuration, p: OrbitPartition, ssync: bool, class_by_code: dict[int, int]
+) -> tuple[OptionSets, dict[tuple[int, ...], list[int]]]:
+    """The factors of ``c``'s move product, equal to :func:`option_sets`, and
+    its moves grouped by outcome set: each Δ, as ascending class indices,
+    maps to the ascending indices of its moves in that product (see
+    :func:`move_at`).  ``p`` must be ``c``'s orbit partition.
+    """
+    factors, columns, start = _option_table(c, p, ssync)
+    level = _outcomes(start, columns, ssync)
     class_of_code = class_by_code.__getitem__
-    groups: dict[frozenset[int], list[int]] = {}
-    index = 0
-
-    def walk(depth: int, moved: Collection[int] | None) -> None:
-        nonlocal index
-        for entry in entries[depth]:
-            folded = moved if entry is None else _fold(moved, entry, ssync)
-            if depth < last:
-                walk(depth + 1, folded)
-                continue
-            if folded is not None:  # index 0: the all-nil function is not a move
-                groups.setdefault(frozenset(map(class_of_code, folded)), []).append(index)
-            index += 1
-
+    # a Δ of one class is keyed by that class
+    groups: dict[int | frozenset[int], list[int]] = {}
     try:
-        walk(0, None)
+        # index 0 is the all-nil function, not a move
+        for index in range(1, len(level)):
+            codes = level[index]
+            if codes.__class__ is int:
+                delta = class_of_code(codes)
+            else:
+                delta = frozenset(map(class_of_code, codes))
+                if len(delta) == 1:
+                    (delta,) = delta
+            groups.setdefault(delta, []).append(index)
     except KeyError:
         raise InternalError(
             "move outcome escapes the configuration set; robot conservation is violated"
         ) from None
-    return {tuple(sorted(delta)): indices for delta, indices in groups.items()}
+    return factors, {
+        (d,) if d.__class__ is int else tuple(sorted(d)): ms for d, ms in groups.items()
+    }
 
 
 def _decode(code: int, n: int, base: int) -> tuple[int, ...]:
@@ -255,19 +268,22 @@ def _raw_outcomes(
 
     ``m`` must instruct exactly the occupied orbits, in ascending rank order.
     """
-    # the vertices of one orbit carry equal counts, so its first one tells
-    occupied = tuple(r for r, orbit in zip(p.ranks, p.orbits) if c.lam[orbit[0]])
+    factors, columns, start = _option_table(c, p, ssync)
+    occupied = tuple(map(_source, factors))
     sources = tuple(map(_source, m.assignments))
     if sources != occupied:
         raise InternalError(f"move sources {sources} are not the occupied orbit ranks {occupied}")
-    moved: Collection[int] | None = None
-    for (entry,) in _entries(c, p, tuple((s, (t,)) for s, t in m.assignments), ssync):
-        if entry is not None:
-            moved = _fold(moved, entry, ssync)
-    if moved is None:
+    if all(t is None for _, t in m.assignments):
         raise InternalError("a move without a movement instruction is not a move")
+    picked = []
+    for (s, t), (_, options), column in zip(m.assignments, factors, columns):
+        if t not in options:
+            raise InternalError(_ASYMMETRIC.format(p.orbits[p.ranks.index(s)][0], t))
+        picked.append([column[options.index(t)]])
+    (codes,) = _outcomes(start, picked, ssync)
     base = sum(c.lam) + 1
-    return tuple(sorted(_decode(x, c.graph.n, base) for x in moved))
+    codes = (codes,) if codes.__class__ is int else codes
+    return tuple(sorted(_decode(x, c.graph.n, base) for x in codes))
 
 
 def raw_fsync_outcomes(c: Configuration, p: OrbitPartition, m: Move) -> tuple[tuple[int, ...], ...]:

@@ -401,6 +401,99 @@ def ssync_outcomes(c: Configuration, p: OrbitPartition, m: Move) -> OutcomeSet:
 
 
 # ---------------------------------------------------------------------------
+# A class's Δs by one depth-first walk of its move product: the build's
+# first form, the oracle of ``moves.class_moves``.  An orbit's entry for a
+# target is computed on its own, and each prefix of options folds its codes
+# once for every move sharing it.
+
+
+def _entry(
+    c: Configuration, p: OrbitPartition, powers, code: int, rank: int, target: int, ssync: bool
+):
+    """(joint, moved) of the robots of occupied orbit ``rank`` sent to
+    ``target``: every joint destination as a code delta, and the whole
+    placement codes in which some robot of the orbit moved (under SSYNC
+    tracked per vertex, since robots swapping inside an orbit reproduce its
+    stay code; under FSYNC every robot moves)."""
+    rank_of = p.rank_of
+    neighbors = c.graph.neighbors
+    joint = None
+    for v in p.orbits[p.ranks.index(rank)]:
+        at = powers[v]
+        steps = [powers[u] - at for u in neighbors[v] if rank_of[u] == target]
+        if not steps:
+            raise InternalError(
+                f"vertex {v} has no neighbor in target orbit {target}; "
+                "orbit adjacency is not symmetric"
+            )
+        if ssync:
+            steps.append(0)
+        dests = set(steps)
+        for _ in range(c.lam[v] - 1):
+            dests = {a + b for a in dests for b in steps}
+        if joint is None:
+            joint = dests
+            if ssync:
+                moved = dests - {0}
+            continue
+        if ssync:
+            moved = {a + b for a in moved for b in dests}
+            moved |= dests - {0}
+        joint = {a + b for a in joint for b in dests}
+    return tuple(joint), tuple(map(code.__add__, moved if ssync else joint))
+
+
+def _entries(c: Configuration, p: OrbitPartition, factors, ssync: bool):
+    """Per factor, per option: None for nil, otherwise that orbit's entry."""
+    k = sum(c.lam)
+    powers = tuple((k + 1) ** v for v in range(c.graph.n))
+    code = sum(x * y for x, y in zip(c.lam, powers))
+    return [
+        [None if t is None else _entry(c, p, powers, code, rank, t, ssync) for t in opts]
+        for rank, opts in factors
+    ]
+
+
+def _fold(moved, entry, ssync: bool):
+    """A prefix's ``moved`` codes (None: no robot instructed yet) extended by
+    one orbit's entry: (moved ⊕ joint_o) ∪ moved_o."""
+    joint, moved_o = entry
+    if moved is None:
+        return moved_o
+    folded = {a + b for a in moved for b in joint}
+    if ssync:
+        folded.update(moved_o)
+    return folded
+
+
+def move_deltas(
+    c: Configuration, p: OrbitPartition, factors, ssync: bool, class_by_code: dict[int, int]
+) -> dict[tuple[int, ...], list[int]]:
+    """The moves of ``c`` grouped by outcome set: each Δ, as ascending class
+    indices, maps to the ascending indices of its moves in the product of
+    ``factors``, found by one depth-first walk of that product in index
+    order."""
+    entries = _entries(c, p, factors, ssync)
+    last = len(entries) - 1
+    groups: dict[frozenset[int], list[int]] = {}
+    index = 0
+
+    def walk(depth: int, moved) -> None:
+        nonlocal index
+        for entry in entries[depth]:
+            folded = moved if entry is None else _fold(moved, entry, ssync)
+            if depth < last:
+                walk(depth + 1, folded)
+                continue
+            if folded is not None:  # index 0: the all-nil function is not a move
+                groups.setdefault(frozenset(class_by_code[x] for x in folded), []).append(index)
+            index += 1
+
+    walk(0, None)
+    return {tuple(sorted(delta)): indices for delta, indices in groups.items()}
+
+
+# ---------------------------------------------------------------------------
 # Minimax game solving on raw placements.
 
 

@@ -410,6 +410,17 @@ def test_input_errors_exit_two(files, tmp_path):
         assert r1.returncode == 2
         assert r1.stderr == "error: robot count must be at least 1, got 0\n"
 
+    # no vertex can hold a robot
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"n": 0, "edges": []}')
+    for argv in (
+        ("build", "--graph", str(empty), "-k", "1", "--out", str(tmp_path / "h0.json")),
+        ("solve", "--graph", str(empty), "-k", "1", "--problem", files["gathering"]),
+    ):
+        r1 = run_cli(*argv)
+        assert (r1.returncode, r1.stdout) == (2, "")
+        assert r1.stderr == "error: robot count 1 needs a graph with at least one vertex\n"
+
     r2 = run_cli("canon", "--graph", str(tmp_path / "missing.json"))
     assert r2.returncode == 2
     assert "error:" in r2.stderr

@@ -1,5 +1,6 @@
 import copy
 import functools
+import gc
 import hashlib
 import json
 import operator
@@ -24,7 +25,8 @@ from oblot.hypergraph import (
     to_dot,
 )
 from oblot.moves import raw_fsync_outcomes, raw_ssync_outcomes
-from oblot.problems import load_problem
+from oblot.problems import load_problem, resolve_final_set
+from oblot.solver import solve
 
 from bruteforce import (
     all_placements,
@@ -33,10 +35,12 @@ from bruteforce import (
     brute_orbits,
     config_isomorphic,
     connected_graph_corpus,
+    cycle,
     decoded_moves,
     enumerate_moves,
     export_obj,
     fsync_outcomes,
+    grid,
     index_by_encoding,
     move_sort_key,
     raw_move_outcomes,
@@ -224,6 +228,35 @@ def test_index_of_foreign_configuration(k23_h, p3):
 def test_enumerate_configurations_rejects_zero_robots(k2):
     with pytest.raises(InputError, match="at least 1"):
         enumerate_configurations(k2, 0)
+
+
+def test_enumerate_configurations_rejects_robots_without_vertices():
+    # no vertex can hold a robot; canonizing the empty graph stays fine
+    empty = Graph(n=0, edges=())
+    assert canonical_form(empty, ()).orbits.orbits == ()
+    for k in (1, 3):
+        with pytest.raises(InputError, match="needs a graph with at least one vertex"):
+            enumerate_configurations(empty, k)
+        with pytest.raises(InputError, match="needs a graph with at least one vertex"):
+            build(empty, k, "ssync")
+
+
+def test_pipeline_leaves_no_reference_cycles():
+    # with the collector off, a build, its final set, solve and export leave
+    # nothing that only the cyclic collector can free
+    gathering = load_problem('{"type": "gathering"}')
+    gc.collect()
+    gc.disable()
+    try:
+        for g, k in ((cycle(10), 5), (grid(3, 4), 3)):
+            for scheduler in SCHEDULERS:
+                h = build(g, k, scheduler)
+                solve(h, resolve_final_set(gathering, h))
+                export(h, "json")
+                del h
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_build_rejects_unknown_scheduler(k2):

@@ -2,15 +2,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oblot.canonical import canonical_form
+from oblot.canonical import OrbitPartition, canonical_form
 from oblot.errors import InternalError
 from oblot.graphs import Configuration, Graph
 from oblot.hypergraph import build
 from oblot.moves import (
     Move,
+    class_moves,
     class_table_by_code,
     move_at,
-    move_deltas,
     option_sets,
     raw_fsync_outcomes,
     raw_ssync_outcomes,
@@ -22,6 +22,7 @@ from bruteforce import (
     connected_graph_corpus,
     enumerate_moves,
     fsync_outcomes,
+    move_deltas,
     move_sort_key,
     raw_move_outcomes,
     raw_moves,
@@ -128,7 +129,7 @@ def test_move_at_reads_the_option_product(k23):
 
 @pytest.mark.parametrize("ssync", [False, True])
 def test_move_deltas_reject_outcomes_outside_the_class_table(k23, ssync):
-    # whichever outcome code the table lacks, the walk names the broken invariant
+    # whichever outcome code the table lacks, the class's moves name the broken invariant
     c = Configuration(k23, (1, 0, 1, 0, 0))
     p = canonical_form(c.graph, c.lam).orbits
     class_of = build(k23, 2).class_of
@@ -137,7 +138,40 @@ def test_move_deltas_reject_outcomes_outside_the_class_table(k23, ssync):
     for lam in reached:
         partial = class_table_by_code({x: i for x, i in class_of.items() if x != lam}, 5, 2)
         with pytest.raises(InternalError, match="robot conservation is violated"):
-            move_deltas(c, p, option_sets(c, p), ssync, partial)
+            class_moves(c, p, ssync, partial)
+
+
+@given(st.integers(1, 8), st.integers(1, 4), st.booleans(), st.data())
+def test_class_moves_match_the_walk_oracle(n, k, ssync, data):
+    # random graphs, isolated vertices and several components included, a
+    # random placement and every class representative, whose symmetries give
+    # orbits with several destinations: the same factors as option_sets, and
+    # each Δ the same move indices, in the same order, as the depth-first walk
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    g = Graph(n=n, edges=tuple(e for e in pairs if data.draw(st.booleans())))
+    lam = [0] * n
+    for v in data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k)):
+        lam[v] += 1
+    h = build(g, k)
+    table = class_table_by_code(h.class_of, n, k)
+    for c in (Configuration(g, tuple(lam)), *(e.rep for e in h.configs)):
+        p = canonical_form(g, c.lam).orbits
+        factors, deltas = class_moves(c, p, ssync, table)
+        assert factors == option_sets(c, p)
+        assert deltas == move_deltas(c, p, factors, ssync, table)
+
+
+def test_class_moves_reject_an_asymmetric_partition(p3):
+    # a forged partition joining vertices 0 and 1 of the path 0-1-2: vertex 1
+    # reaches orbit 2, vertex 0 does not
+    c = Configuration(p3, (1, 1, 0))
+    forged = OrbitPartition(orbits=((0, 1), (2,)), ranks=(0, 2), rank_of=(0, 0, 2))
+    table = class_table_by_code(build(p3, 2).class_of, 3, 2)
+    for ssync in (False, True):
+        with pytest.raises(
+            InternalError, match="vertex 0 has no neighbor in target orbit 2; .* not symmetric"
+        ):
+            class_moves(c, forged, ssync, table)
 
 
 def test_move_json_round_trip():

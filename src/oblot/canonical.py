@@ -59,7 +59,8 @@ class CanonicalForm(Frozen):
 
     @property
     def orbits(self) -> OrbitPartition:
-        """Vertex orbits, closed from the generators by union-find on first use.
+        """Vertex orbits, closed from the generators in one breadth-first sweep
+        on first use.
 
         Each orbit is ranked by the minimum canonical label among its
         vertices and the sequence is sorted by rank.
@@ -76,28 +77,25 @@ class CanonicalForm(Frozen):
             return OrbitPartition(
                 orbits=tuple((v,) for v in order), ranks=tuple(range(n)), rank_of=self.labeling
             )
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for gen in self.generators:
-            for v in range(n):
-                ra, rb = find(v), find(gen[v])
-                if ra != rb:
-                    parent[rb] = ra
-        groups: dict[int, list[int]] = {}
+        # each orbit is swept from its least vertex, marking each vertex once
+        founder = [-1] * n
+        found = {}
         for v in range(n):
-            groups.setdefault(find(v), []).append(v)
-        rank = {root: min(self.labeling[v] for v in orbit) for root, orbit in groups.items()}
-        ranked = sorted((rank[root], tuple(orbit)) for root, orbit in groups.items())
+            if founder[v] >= 0:
+                continue
+            founder[v] = v
+            orbit = [v]
+            for u in orbit:
+                for gen in self.generators:
+                    if founder[w := gen[u]] < 0:
+                        founder[w] = v
+                        orbit.append(w)
+            found[v] = (min(map(self.labeling.__getitem__, orbit)), tuple(sorted(orbit)))
+        ranked = sorted(found.values())
         return OrbitPartition(
             orbits=tuple(orbit for _, orbit in ranked),
             ranks=tuple(r for r, _ in ranked),
-            rank_of=tuple(rank[find(v)] for v in range(n)),
+            rank_of=tuple(found[f][0] for f in founder),
         )
 
     def _key(self) -> tuple:

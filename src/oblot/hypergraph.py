@@ -257,7 +257,8 @@ def build(g: Graph, k: int, scheduler: str = "fsync") -> ConfigHypergraph:
     for i, entry in enumerate(entries):
         options, deltas = class_moves(entry.rep, entry.form.orbits, ssync, class_by_code)
         factors.append(options)
-        hyperarcs += (Hyperarc(i, d, tuple(ms)) for d, ms in sorted(deltas.items()))
+        # tuple.__new__ skips the named tuple's Python-level constructor
+        hyperarcs += [tuple.__new__(Hyperarc, (i, d, tuple(ms))) for d, ms in sorted(deltas.items())]
     h = ConfigHypergraph(
         graph=g, k=k, scheduler=scheduler, configs=entries, hyperarcs=tuple(hyperarcs),
         class_of=class_of, option_sets=tuple(factors), generators=generators, schreier=schreier,
@@ -277,22 +278,23 @@ def built(g: Graph, k: int, scheduler: str) -> ConfigHypergraph | None:
 def _json_document(h: ConfigHypergraph) -> str:
     """The JSON export, assembled from pieces in sorted key order.  Every value
     but the hyperarcs goes through :func:`compact_json`; each hyperarc is one
-    string, its moves taken from its class's table of move texts, entry i
-    the text of move index i.  A table is built once per class, as arcs
-    come grouped by source."""
+    string.  Each text is made once: a class's move texts, entry i the open
+    text of move index i, factor by factor over its move product (the later
+    factors' texts start with the comma; the join closes each move), and
+    each distinct Δ's head from a memo that lives for this export."""
     arcs = []
-    for source, group in itertools.groupby(h.hyperarcs, key=operator.attrgetter("source")):
-        factors = (
-            [f"[{rank},{'null' if t is None else t}]" for t in opts]
-            for rank, opts in h.option_sets[source]
-        )
-        moves = ["[" + ",".join(pairs) + "]" for pairs in itertools.product(*factors)]
+    heads: dict[tuple[int, ...], str] = {}
+    for source, group in itertools.groupby(h.hyperarcs, key=operator.itemgetter(0)):
+        level = [""]
+        for j, (rank, opts) in enumerate(h.option_sets[source]):
+            texts = [f"{',' if j else '['}[{rank},{'null' if t is None else t}]" for t in opts]
+            level = [a + b for a in level for b in texts]
         tail = f'],"source":{source}}}'
-        arcs += (
-            '{"delta":[' + ",".join(map(str, a.delta)) + '],"moves":['
-            + ",".join(map(moves.__getitem__, a.moves)) + tail
-            for a in group
-        )
+        arcs += [
+            (heads.get(d) or heads.setdefault(d, '{"delta":[' + ",".join(map(str, d)) + '],"moves":['))
+            + "],".join(map(level.__getitem__, ms)) + "]" + tail
+            for _, d, ms in group
+        ]
     return "".join((
         '{"configs":', compact_json([{"lambda": e.rep.lam} for e in h.configs]),
         ',"format_version":', compact_json(FORMAT_VERSION),

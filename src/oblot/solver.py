@@ -16,7 +16,8 @@ distance.  Such an arc's worst case is exactly r + 1, the least any arc of an
 unassigned source can achieve, so the worst-case-optimal choice reduces to
 the move tie-break: the source takes the minimal representative move among
 the arcs completed for it at that level.  Each Δ membership is visited once,
-so the pass runs in O(|hyperarcs| + Σ|Δ|).
+so the pass runs in O(|hyperarcs| + Σ|Δ|).  Round dispatch is then one
+lookup in the decision table the :class:`Solution` makes.
 """
 
 from __future__ import annotations
@@ -63,6 +64,10 @@ class MoveDecision(NamedTuple):
         return obj
 
 
+_FINAL = MoveDecision(FINAL)
+_UNSOLVABLE = MoveDecision(UNSOLVABLE)
+
+
 def _check_final_indices(h: ConfigHypergraph, final) -> frozenset[int]:
     fin = frozenset(final)
     for i in fin:
@@ -76,10 +81,11 @@ class Solution(Frozen):
 
     ``solvable`` is the attractor of ``final``; ``entries`` holds every
     solvable class's plan entry and, derived from the rest, stays out of
-    equality and hashing.
+    equality and hashing.  The constructor tables every class's decision,
+    privately: repr, pickle and equality never read the table.
     """
 
-    __slots__ = ("h", "final", "solvable", "entries")
+    __slots__ = ("h", "final", "solvable", "entries", "_decisions")
 
     def __init__(
         self,
@@ -88,14 +94,20 @@ class Solution(Frozen):
         solvable: frozenset[int],
         entries: dict[int, PlanEntry],
     ) -> None:
-        self._set(h=h, final=final, solvable=solvable, entries=entries)
+        decisions = dict.fromkeys(final, _FINAL)
+        for i in solvable - final:
+            entry = entries[i]
+            if entry.move is None or entry.distance < 1:
+                raise InternalError(f"non-final solvable class {i} has no planned move")
+            decisions[i] = MoveDecision(STEP, entry.move, entry.distance)
+        self._set(h=h, final=final, solvable=solvable, entries=entries, _decisions=decisions)
 
     def _key(self) -> tuple:
         return (self.h, self.final, self.solvable)
 
     def decision(self, idx: int) -> MoveDecision:
         """What the robots seeing a configuration of class ``idx`` should do."""
-        return decide(self.h, self.final, self, self.entries, idx)
+        return self._decisions.get(idx, _UNSOLVABLE)
 
 
 def solve(h: ConfigHypergraph, final) -> Solution:
@@ -154,15 +166,12 @@ def decide(
     entries: dict[int, PlanEntry],
     idx: int,
 ) -> MoveDecision:
-    """The MoveDecision for class ``idx`` given precomputed solver state."""
-    if idx in final:
-        return MoveDecision(status=FINAL)
-    if idx not in solvability.solvable:
-        return MoveDecision(status=UNSOLVABLE)
-    entry = entries[idx]
-    if entry.move is None or entry.distance < 1:
-        raise InternalError(f"non-final solvable class {idx} has no planned move")
-    return MoveDecision(status=STEP, move=entry.move, distance=entry.distance)
+    """``solvability.decision(idx)``, once ``final`` and ``entries`` are
+    checked to be (the same as, or equal to) those it was solved with."""
+    if (final is not solvability.final and final != solvability.final
+            or entries is not solvability.entries and entries != solvability.entries):
+        raise InputError("solvability result was computed for a different final set")
+    return solvability._decisions.get(idx, _UNSOLVABLE)
 
 
 def solution(h: ConfigHypergraph, spec: ProblemSpec) -> Solution:

@@ -11,7 +11,9 @@ The one exception is the canonizer-based outcome oracle (``fsync_outcomes``,
 the hypergraph's class table replaces with a lookup, so it is the slow
 counterpart the table is checked against.  Likewise the canonizer's kernels
 keep their first, direct form here (``refine``, ``adjacency_bits``,
-``encode``, ``union_find_orbits``), as the oracles of the faster ones.
+``encode``, ``union_find_orbits``), as the oracles of the faster ones, and
+the solver's round decision keeps its check-by-check form (``decide``) as
+the oracle of the solution's decision table.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from oblot.errors import InternalError
 from oblot.graphs import Configuration, Graph
 from oblot.hypergraph import FORMAT_VERSION, ConfigHypergraph
 from oblot.moves import Move, option_sets, raw_fsync_outcomes, raw_ssync_outcomes
+from oblot.solver import FINAL, STEP, UNSOLVABLE, MoveDecision
 
 
 def _edge_set(edges) -> frozenset[tuple[int, int]]:
@@ -639,6 +642,19 @@ def mtf_recursive(h, final: frozenset[int], solvable: frozenset[int], c: int):
         return memo[key]
 
     return rec(c, frozenset())
+
+
+def decide(h, final, solvability, entries, idx: int) -> MoveDecision:
+    """The round decision as ``solver.decide`` once computed it, check by
+    check on every call, the oracle of the solution's decision table."""
+    if idx in final:
+        return MoveDecision(status=FINAL)
+    if idx not in solvability.solvable:
+        return MoveDecision(status=UNSOLVABLE)
+    entry = entries[idx]
+    if entry.move is None or entry.distance < 1:
+        raise InternalError(f"non-final solvable class {idx} has no planned move")
+    return MoveDecision(status=STEP, move=entry.move, distance=entry.distance)
 
 
 # ---------------------------------------------------------------------------

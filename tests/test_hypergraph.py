@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import oblot.canonical
 import oblot.hypergraph
-from oblot.canonical import CanonicalForm, canonical_form
+from oblot.canonical import CanonicalForm, canonical_form, occupied_orbits
 from oblot.errors import InputError, InternalError
 from oblot.graphs import Configuration, Graph, dump_json, load_configuration, load_graph
 from oblot.hypergraph import (
@@ -358,6 +358,27 @@ def test_export_round_trip_property(n, k, scheduler, data):
 
 # bit b of an edge mask keeps the b-th pair (i, j), i < j, in lexicographic order
 K23_MASK = 0b1111110
+# a triangle with a pendant vertex: at k=3 a class occupies three orbits
+PAW_MASK = 0b101011
+# K4 minus an edge: at k=2 two sources share a Δ of several classes
+DIAMOND_MASK = 0b011111
+
+
+def _masked_graph(n, mask, name=None):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return Graph(n=n, edges=tuple(p for b, p in enumerate(pairs) if mask >> b & 1), name=name)
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_export_examples_have_their_properties(scheduler):
+    paw = build(_masked_graph(4, PAW_MASK), 3, scheduler)
+    assert max(len(occupied_orbits(e.form.orbits, e.rep)) for e in paw.configs) == 3
+    diamond = build(_masked_graph(4, DIAMOND_MASK), 2, scheduler)
+    sources: dict = {}
+    for a in diamond.hyperarcs:
+        if len(a.delta) > 1:
+            sources.setdefault(a.delta, set()).add(a.source)
+    assert max(map(len, sources.values())) >= 2
 
 
 @given(
@@ -373,10 +394,12 @@ K23_MASK = 0b1111110
 @example(5, K23_MASK, 3, "fsync", "K₂,₃ — é")
 @example(5, K23_MASK, 2, "ssync", "lone \ud800 surrogate")
 @example(5, K23_MASK, 2, "fsync", '"hyperarcs":[]')
+@example(4, PAW_MASK, 3, "fsync", None)
+@example(4, PAW_MASK, 3, "ssync", None)
+@example(4, DIAMOND_MASK, 2, "fsync", None)
+@example(4, DIAMOND_MASK, 2, "ssync", None)
 def test_export_text_matches_the_tree_oracle(n, mask, k, scheduler, name):
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    g = Graph(n=n, edges=tuple(p for b, p in enumerate(pairs) if mask >> b & 1), name=name)
-    h = build(g, k, scheduler)
+    h = build(_masked_graph(n, mask, name), k, scheduler)
     assert export(h, "json") == dump_json(export_obj(h))
 
 

@@ -1,12 +1,13 @@
 import itertools
 import math
+import pickle
 import random
 
 import pytest
 
 from oblot.errors import InputError
 from oblot.graphs import Configuration, Graph, total_robots
-from oblot.hypergraph import build
+from oblot.hypergraph import SCHEDULERS, build
 from oblot.moves import Move
 from oblot.problems import ProblemSpec, resolve_final_set
 from oblot.solver import MoveDecision, decide, plan, solution, solve
@@ -16,11 +17,14 @@ from bruteforce import (
     arcs_by_source,
     config_isomorphic,
     connected_graph_corpus,
+    cycle,
     decoded_moves,
     game_solve,
+    grid,
     mtf_recursive,
     random_graph,
 )
+from bruteforce import decide as decide_oracle
 
 GATHER = ProblemSpec(kind="gathering")
 GMV = ProblemSpec(kind="geodesic_mutual_visibility")
@@ -262,3 +266,43 @@ def test_decide_uses_class_of_argument(k23):
     mixed = h.index_of(Configuration(k23, (0, 1, 0, 0, 1)))
     d = decide(h, fin, result, entries, mixed)
     assert d.status == "step" and d.distance == 1
+
+
+# (graph, k, one pattern target) per instance of the decision-table checks
+DECISION_INSTANCES = {
+    "C10-k5": (cycle(10), 5, (1, 1, 1, 1, 1, 0, 0, 0, 0, 0)),
+    "grid3x4-k3": (grid(3, 4), 3, (1, 1, 1) + (0,) * 9),
+}
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+@pytest.mark.parametrize("name", DECISION_INSTANCES)
+def test_decisions_match_the_oracle(name, scheduler):
+    g, k, target = DECISION_INSTANCES[name]
+    h = build(g, k, scheduler)
+    statuses = set()
+    for spec in (GATHER, GMV, ProblemSpec(kind="pattern", targets=(target,))):
+        sol = solution(h, spec)
+        thawed = pickle.loads(pickle.dumps(sol))
+        assert thawed == sol and repr(thawed) == repr(sol)
+        # equal but not the same objects take the equality fallback
+        final, entries = frozenset(set(sol.final)), dict(sol.entries)
+        assert final is not sol.final
+        for i in range(-1, len(h.configs) + 1):
+            want = decide_oracle(h, sol.final, sol, sol.entries, i)
+            statuses.add(want.status)
+            assert sol.decision(i) == want
+            assert thawed.decision(i) == want
+            assert decide(h, sol.final, sol, sol.entries, i) == want
+            assert decide(h, final, sol, entries, i) == want
+    assert statuses == {"final", "step", "unsolvable"}
+
+
+def test_decide_rejects_a_foreign_final_set(k23):
+    h, fin, result = _gather_setup(k23, 2)
+    assert fin == {0, 1} and 2 not in result.solvable
+    for i in range(len(h.configs)):
+        with pytest.raises(InputError, match="different final set"):
+            decide(h, frozenset({2}), result, result.entries, i)
+    with pytest.raises(InputError, match="different final set"):
+        decide(h, fin, result, {}, 0)

@@ -1,8 +1,10 @@
 """Walk through the complete-bipartite worked example end to end.
 
 Builds the configuration hypergraph of K_{2,3} with two robots, solves
-gathering on it, prints the plan, and simulates the worst-case execution
-from the mixed class.  Everything printed here is deterministic.
+gathering on it, prints the plan, and simulates the worst-case FSYNC
+execution from the mixed class (the simulator runs FSYNC only, whichever
+scheduler the hypergraph was built for).  Everything printed here is
+deterministic.
 """
 
 import argparse
@@ -44,7 +46,7 @@ def main() -> None:
 
     mixed = Configuration(K23, (1, 0, 1, 0, 0))
     trace = run_fsync(mixed, spec, AdversaryStrategy(kind="worst"))
-    print("\nworst-case run from the mixed class:")
+    print("\nworst-case FSYNC run from the mixed class:")
     for record in trace.rounds:
         print(f"  round {record.round}: lambda={record.lam} "
               f"decision={record.decision.status} -> {record.outcome_lam}")

@@ -124,7 +124,7 @@ class OrbitPartition(NamedTuple):
     rank_of: tuple[int, ...]
 
 
-def _refine(adj: tuple[frozenset[int], ...], cells: list[list[int]]) -> list[list[int]]:
+def _refine(adj: tuple[tuple[int, ...], ...], cells: list[list[int]]) -> list[list[int]]:
     """Split cells on neighbor counts until the ordered partition is equitable.
 
     Each pass tables every vertex's cell, then sweeps the neighbors of each
@@ -168,7 +168,7 @@ def _refine(adj: tuple[frozenset[int], ...], cells: list[list[int]]) -> list[lis
             return cells
 
 
-def _adjacency_bits(n: int, adj: tuple[frozenset[int], ...], order: list[int]) -> bytes:
+def _adjacency_bits(n: int, adj: tuple[tuple[int, ...], ...], order: list[int]) -> bytes:
     """Upper-triangular adjacency bits row-major under the given vertex order.
 
     The pair of positions i < j is bit ``i*n - i*(i+1)/2 + j-i-1``, counted
@@ -193,12 +193,14 @@ def _adjacency_bits(n: int, adj: tuple[frozenset[int], ...], order: list[int]) -
 class _Canonizer:
     """One individualization-refinement search over a colored graph."""
 
-    def __init__(self, n: int, adj: tuple[frozenset[int], ...], colors: tuple[int, ...]):
+    def __init__(self, n: int, adj: tuple[tuple[int, ...], ...], colors: tuple[int, ...]):
         self.n = n
         self.adj = adj
         self.colors = colors
         self.best_bits: bytes | None = None
         self.best_order: list[int] | None = None
+        # the best leaf's labeling: vertex -> its position in best_order
+        self.best_labeling: list[int] | None = None
         self.generators: list[tuple[int, ...]] = []
 
     def run(self) -> None:
@@ -232,21 +234,17 @@ class _Canonizer:
         if self.best_bits is None or bits < self.best_bits:
             self.best_bits = bits
             self.best_order = order
+            labeling = [0] * self.n
+            for pos, v in enumerate(order):
+                labeling[v] = pos
+            self.best_labeling = labeling
         elif bits == self.best_bits:
             # Equal encodings mean the two leaf labelings differ by a
             # color-preserving automorphism: send u to the vertex this leaf
             # placed where the best leaf placed u.
-            phi = tuple(order[pos] for pos in self._best_labeling)
+            phi = tuple(map(order.__getitem__, self.best_labeling))
             if any(phi[v] != v for v in range(self.n)):
                 self.generators.append(phi)
-
-    @property
-    def _best_labeling(self) -> list[int]:
-        assert self.best_order is not None
-        lab = [0] * self.n
-        for pos, v in enumerate(self.best_order):
-            lab[v] = pos
-        return lab
 
     def _in_explored_orbit(self, w: int, explored: list[int], prefix: tuple[int, ...]) -> bool:
         """Skip a branch whose subtree is the automorphic image of an explored one."""
@@ -280,17 +278,13 @@ def _canonize(g: Graph, colors: tuple[int, ...]) -> CanonicalForm:
     n = g.n
     if n == 0:
         return CanonicalForm(encoding=_encode(0, [], b""), labeling=(), generators=())
-    engine = _Canonizer(n, g.adjacency_sets, colors)
+    engine = _Canonizer(n, g.neighbors, colors)
     engine.run()
-    assert engine.best_order is not None
-    order = engine.best_order
-    labeling = [0] * n
-    for pos, v in enumerate(order):
-        labeling[v] = pos
-    canon_colors = [colors[v] for v in order]
+    assert engine.best_order is not None and engine.best_labeling is not None
+    canon_colors = [colors[v] for v in engine.best_order]
     return CanonicalForm(
         encoding=_encode(n, canon_colors, engine.best_bits or b""),
-        labeling=tuple(labeling),
+        labeling=tuple(engine.best_labeling),
         generators=tuple(engine.generators),
     )
 

@@ -76,10 +76,10 @@ class Graph(Frozen):
     sorted and duplicate-free.  Equality is structural (``n`` plus edge set)
     and independent of the order edges were supplied in; ``name`` is a
     decorative tag that never participates in comparisons.  The adjacency
-    tables are built on first use.
+    table ``neighbors`` is built on first use.
     """
 
-    __slots__ = ("n", "edges", "name", "_neighbors", "_adjacency_sets")
+    __slots__ = ("n", "edges", "name", "_neighbors")
 
     def __init__(
         self, n: int, edges: tuple[tuple[int, int], ...], name: str | None = None
@@ -101,7 +101,7 @@ class Graph(Frozen):
             if key in seen:
                 raise InputError(f"duplicate edge {bounded_repr(key)}")
             seen.add(key)
-        self._set(n=n, edges=tuple(sorted(seen)), name=name, _neighbors=None, _adjacency_sets=None)
+        self._set(n=n, edges=tuple(sorted(seen)), name=name, _neighbors=None)
 
     def _key(self) -> tuple:
         return (self.n, self.edges)
@@ -115,12 +115,6 @@ class Graph(Frozen):
                 adj[v].append(u)
             self._set(_neighbors=tuple(tuple(sorted(a)) for a in adj))
         return self._neighbors
-
-    @property
-    def adjacency_sets(self) -> tuple[frozenset[int], ...]:
-        if self._adjacency_sets is None:
-            self._set(_adjacency_sets=tuple(frozenset(a) for a in self.neighbors))
-        return self._adjacency_sets
 
     def to_json_obj(self) -> dict:
         obj: dict = {"n": self.n, "edges": [list(e) for e in self.edges]}
@@ -196,11 +190,12 @@ def bounded_repr(value: object) -> str:
     return text if len(text) <= 120 else text[:117] + "..."
 
 
-def _warn_unknown_fields(obj: dict, known: set[str], what: str) -> None:
+def _warn_unknown_fields(obj: dict, known: set[str], what: str, stacklevel: int = 3) -> None:
     for key in obj:
         if key not in known:
             warnings.warn(
-                f"ignoring unknown field {bounded_repr(key)} in {what} document", stacklevel=3
+                f"ignoring unknown field {bounded_repr(key)} in {what} document",
+                stacklevel=stacklevel,
             )
 
 
@@ -210,13 +205,19 @@ def load_graph(text: str) -> Graph:
     Pure function of the document content; identical bytes yield equal graphs.
     Unknown fields warn rather than fail.
     """
-    obj = parse_json(text, "graph")
+    return _graph_from_obj(parse_json(text, "graph"))
+
+
+def _graph_from_obj(obj: object) -> Graph:
+    """The graph of a parsed graph document, for :func:`load_graph` and for a
+    configuration's inline graph alike.  An unknown field's warning points at
+    the code that called the loader."""
     if not isinstance(obj, dict):
         raise InputError("graph document must be a JSON object")
     for req in ("n", "edges"):
         if req not in obj:
             raise InputError(f"graph document missing field {req!r}")
-    _warn_unknown_fields(obj, {"name", "n", "edges"}, "graph")
+    _warn_unknown_fields(obj, {"name", "n", "edges"}, "graph", stacklevel=4)
     n = obj["n"]
     if not is_json_int(n):
         raise InputError(f"field 'n' must be an integer, got {bounded_repr(n)}")
@@ -271,7 +272,7 @@ def load_configuration(text: str, base_dir: str | Path | None = None) -> Configu
             gpath = Path(base_dir) / gpath
         graph = load_graph_file(gpath)
     elif isinstance(gfield, dict):
-        graph = load_graph(json.dumps(gfield))
+        graph = _graph_from_obj(gfield)
     else:
         raise InputError("field 'graph' must be an object or a file path string")
     lam = obj["lambda"]

@@ -8,8 +8,9 @@ encoding, hyperarcs by (source index, Δ index tuple), moves in lexicographic
 move order.
 
 A hyperarc stores its moves as ints: each is the move's index in its source
-class's move product, the product of the option sets the hypergraph keeps
-per class (``option_sets``), and index order is lexicographic move order.
+class's move product, the product of the option sets that
+:func:`oblot.moves.class_moves` gives and ``h.option_sets`` keeps per class,
+and index order is lexicographic move order.
 Only the edges decode them: ``h.move(source, index)`` gives the ``Move``,
 the solver decodes one per solvable class, and the JSON export writes each
 class's moves from one table of move texts over the product.

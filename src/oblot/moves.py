@@ -18,14 +18,16 @@ vertices' sets, and under SSYNC the codes in which some robot of the orbit
 moved.  A move's outcome codes fold its instructed orbits' entries, in rank
 order: under FSYNC their sumset, under SSYNC (moved ⊕ joint_o) ∪ moved_o.
 
-A placement's moves are the product of its :func:`option_sets`, one factor
-per occupied orbit, minus the all-nil element; a move is named by its
-mixed-radix index in that product (:func:`move_at`), and index order is the
-lexicographic move order, in which nil precedes every orbit rank.
-``build`` calls :func:`class_moves` once per class: one sweep over the
-occupied orbits' vertices gives the factors and every option's entry, one
-list per factor every move's outcome codes in index order, a plain int for
-a move with one outcome, and one pass maps them to classes with one table.
+A placement's moves are the product of its option sets, one factor per
+occupied orbit (nil, then the ranks of the orbits an edge joins it to,
+itself included, ascending), minus the all-nil element; a move is named by
+its mixed-radix index in that product (:func:`move_at`), and index order is
+the lexicographic move order, in which nil precedes every orbit rank.
+``build`` calls :func:`class_moves` once per class and keeps its factors as
+``h.option_sets``: one sweep over the occupied orbits' vertices gives the
+factors and every option's entry, one list per factor every move's outcome
+codes in index order, a plain int for a move with one outcome, and one pass
+maps them to classes with one table.
 ``raw_fsync_outcomes`` and ``raw_ssync_outcomes`` fold one move from the
 same entries; it must instruct exactly the occupied orbits in ascending rank
 order, and its codes are decoded to λ tuples on the graph's own vertices.
@@ -37,7 +39,7 @@ import functools
 import operator
 from typing import NamedTuple
 
-from .canonical import OrbitPartition, occupied_orbits
+from .canonical import OrbitPartition
 from .errors import InternalError
 from .graphs import Configuration
 
@@ -59,24 +61,6 @@ class Move(NamedTuple):
 
     def to_json_obj(self) -> list[list[int | None]]:
         return [[s, t] for s, t in self.assignments]
-
-
-def option_sets(c: Configuration, p: OrbitPartition) -> OptionSets:
-    """The factors of ``c``'s move product: one (rank, options) pair per
-    occupied orbit, in ascending rank order.
-
-    An orbit's options are nil, then the ranks of the orbits an edge joins it
-    to (itself included), ascending.  A move is one option per factor, so a
-    class's moves are the product of its option sets minus the all-nil
-    element; :func:`move_at` names them by index.
-    """
-    occupied = occupied_orbits(p, c)
-    rank_of = p.rank_of
-    adjacent: dict[int, set[int]] = {rank: set() for rank in occupied}
-    for v, nbrs in enumerate(c.graph.neighbors):
-        if rank_of[v] in adjacent:
-            adjacent[rank_of[v]].update(rank_of[u] for u in nbrs)
-    return tuple((rank, (None, *sorted(adjacent[rank]))) for rank in occupied)
 
 
 def move_at(factors: OptionSets, index: int) -> Move:
@@ -130,9 +114,10 @@ def _sumset(a, b):
 def _option_table(
     c: Configuration, p: OrbitPartition, ssync: bool
 ) -> tuple[OptionSets, list[list], int | frozenset[int]]:
-    """The factors of ``c``'s move product, equal to :func:`option_sets`; per
-    factor, the column of its options' entries, nil's first; and the
-    outcome codes :func:`_outcomes` starts from.
+    """The factors of ``c``'s move product, one (rank, options) pair per
+    occupied orbit in ascending rank order; per factor, the column of its
+    options' entries, nil's first; and the outcome codes :func:`_outcomes`
+    starts from.
 
     The entry of an occupied orbit's robots sent to a target holds its joint
     destinations, as code deltas from the orbit staying put: the sumset,
@@ -223,9 +208,9 @@ def _outcomes(start: int | frozenset[int], columns: list[list], ssync: bool) -> 
 def class_moves(
     c: Configuration, p: OrbitPartition, ssync: bool, class_by_code: dict[int, int]
 ) -> tuple[OptionSets, dict[tuple[int, ...], list[int]]]:
-    """The factors of ``c``'s move product, equal to :func:`option_sets`, and
-    its moves grouped by outcome set: each Δ, as ascending class indices,
-    maps to the ascending indices of its moves in that product (see
+    """The factors of ``c``'s move product, as :func:`_option_table` gives
+    them, and its moves grouped by outcome set: each Δ, as ascending class
+    indices, maps to the ascending indices of its moves in that product (see
     :func:`move_at`).  ``p`` must be ``c``'s orbit partition.
     """
     factors, columns, start = _option_table(c, p, ssync)

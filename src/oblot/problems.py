@@ -61,7 +61,7 @@ def _has_clear_geodesic(c: Configuration, u: int, v: int) -> bool:
     that satisfy this and are unoccupied (except the endpoints) and ask
     whether v stays reachable.
     """
-    adj = c.graph.adjacency_sets
+    adj = c.graph.neighbors
     du = _bfs_distances(adj, u)
     dv = _bfs_distances(adj, v)
     d = du[v]
@@ -86,7 +86,7 @@ def _has_clear_geodesic(c: Configuration, u: int, v: int) -> bool:
     return False
 
 
-def _bfs_distances(adj: tuple[frozenset[int], ...], source: int) -> list[int | None]:
+def _bfs_distances(adj: tuple[tuple[int, ...], ...], source: int) -> list[int | None]:
     dist: list[int | None] = [None] * len(adj)
     dist[source] = 0
     queue = deque([source])
@@ -127,16 +127,14 @@ def is_final(spec: ProblemSpec, c: Configuration) -> bool:
 def resolve_final_set(spec: ProblemSpec, h: ConfigHypergraph) -> frozenset[int]:
     """Indices of the hypergraph classes that are final for the problem.
 
-    Pattern and explicit targets are canonized once each and compared with
-    the canonical forms the hypergraph already stores; every other kind is
-    decided by :func:`is_final` on the class representative.
+    A pattern or explicit target, once checked to be a k-robot placement on
+    ``h``'s graph, is looked up in the class table: its class is
+    ``h.class_of[t]``, the class of every placement isomorphic to it.  Every
+    other kind is decided by :func:`is_final` on the class representative.
     """
     if spec.kind in ("pattern", "explicit"):
         _check_target_dims(spec, h.graph.n, h.k)
-        targets = {canonical_form(h.graph, t).encoding for t in spec.targets}
-        return frozenset(
-            i for i, entry in enumerate(h.configs) if entry.form.encoding in targets
-        )
+        return frozenset(h.class_of[t] for t in spec.targets)
     return frozenset(
         i for i, entry in enumerate(h.configs) if is_final(spec, entry.rep)
     )

@@ -166,8 +166,10 @@ def decide(
     entries: dict[int, PlanEntry],
     idx: int,
 ) -> MoveDecision:
-    """``solvability.decision(idx)``, once ``final`` and ``entries`` are
-    checked to be (the same as, or equal to) those it was solved with."""
+    """``solvability.decision(idx)``, once ``h``, ``final`` and ``entries``
+    are checked to be (the same as, or equal to) those it was solved with."""
+    if h is not solvability.h and h != solvability.h:
+        raise InputError("solvability result was computed for a different hypergraph")
     if (final is not solvability.final and final != solvability.final
             or entries is not solvability.entries and entries != solvability.entries):
         raise InputError("solvability result was computed for a different final set")

@@ -11,9 +11,11 @@ The one exception is the canonizer-based outcome oracle (``fsync_outcomes``,
 the hypergraph's class table replaces with a lookup, so it is the slow
 counterpart the table is checked against.  Likewise the canonizer's kernels
 keep their first, direct form here (``refine``, ``adjacency_bits``,
-``encode``, ``union_find_orbits``), as the oracles of the faster ones, and
-the solver's round decision keeps its check-by-check form (``decide``) as
-the oracle of the solution's decision table.
+``encode``, ``union_find_orbits``), as the oracles of the faster ones, a
+class's move factors theirs (``option_sets``), as the oracle of the factors
+``class_moves`` gives, and the solver's round decision keeps its
+check-by-check form (``decide``) as the oracle of the solution's decision
+table.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from oblot.canonical import CanonicalForm, OrbitPartition, canonical_form
+from oblot.canonical import CanonicalForm, OrbitPartition, canonical_form, occupied_orbits
 from oblot.errors import InternalError
 from oblot.graphs import Configuration, Graph
 from oblot.hypergraph import FORMAT_VERSION, ConfigHypergraph
-from oblot.moves import Move, option_sets, raw_fsync_outcomes, raw_ssync_outcomes
+from oblot.moves import Move, OptionSets, raw_fsync_outcomes, raw_ssync_outcomes
 from oblot.solver import FINAL, STEP, UNSOLVABLE, MoveDecision
 
 
@@ -145,7 +147,7 @@ def _connected(g: Graph) -> bool:
     stack = [0]
     while stack:
         v = stack.pop()
-        for u in g.adjacency_sets[v]:
+        for u in g.neighbors[v]:
             if u not in seen:
                 seen.add(u)
                 stack.append(u)
@@ -156,7 +158,7 @@ def _connected(g: Graph) -> bool:
 # The canonizer's kernels in their direct form.
 
 
-def refine(adj: tuple[frozenset[int], ...], cells: list[list[int]]) -> list[list[int]]:
+def refine(adj: tuple[tuple[int, ...], ...], cells: list[list[int]]) -> list[list[int]]:
     """Split cells on neighbor counts until the ordered partition is equitable.
 
     After every split the scan restarts at the first cell: the first target
@@ -172,7 +174,7 @@ def refine(adj: tuple[frozenset[int], ...], cells: list[list[int]]) -> list[list
                 continue
             for splitter in cells:
                 sset = frozenset(splitter)
-                counts = [len(adj[v] & sset) for v in target]
+                counts = [len(sset.intersection(adj[v])) for v in target]
                 if len(set(counts)) > 1:
                     groups: dict[int, list[int]] = {}
                     for v, cnt in zip(target, counts):
@@ -186,7 +188,7 @@ def refine(adj: tuple[frozenset[int], ...], cells: list[list[int]]) -> list[list
     return cells
 
 
-def adjacency_bits(n: int, adj: tuple[frozenset[int], ...], order: list[int]) -> bytes:
+def adjacency_bits(n: int, adj: tuple[tuple[int, ...], ...], order: list[int]) -> bytes:
     """Upper-triangular adjacency bits row-major under the given vertex order,
     one test per vertex pair."""
     bits = bytearray((n * (n - 1) // 2 + 7) // 8)
@@ -247,6 +249,25 @@ def move_sort_key(m: Move) -> tuple[tuple[int, int], ...]:
     """``m``'s assignments with nil read as -1, so that nil precedes every
     orbit rank; ascending keys are the lexicographic move order."""
     return tuple((s, -1 if t is None else t) for s, t in m.assignments)
+
+
+def option_sets(c: Configuration, p: OrbitPartition) -> OptionSets:
+    """The factors of ``c``'s move product: one (rank, options) pair per
+    occupied orbit, in ascending rank order.
+
+    An orbit's options are nil, then the ranks of the orbits an edge joins it
+    to (itself included), ascending.  A move is one option per factor, so a
+    class's moves are the product of its option sets minus the all-nil
+    element; ``move_at`` names them by index.  ``class_moves`` gives the same
+    factors from its sweep, and the tests check that it does.
+    """
+    occupied = occupied_orbits(p, c)
+    rank_of = p.rank_of
+    adjacent: dict[int, set[int]] = {rank: set() for rank in occupied}
+    for v, nbrs in enumerate(c.graph.neighbors):
+        if rank_of[v] in adjacent:
+            adjacent[rank_of[v]].update(rank_of[u] for u in nbrs)
+    return tuple((rank, (None, *sorted(adjacent[rank]))) for rank in occupied)
 
 
 def enumerate_moves(c: Configuration, p: OrbitPartition) -> tuple[Move, ...]:
@@ -671,7 +692,7 @@ def all_shortest_paths(g: Graph, u: int, v: int) -> list[tuple[int, ...]]:
         w, path = queue.popleft()
         if shortest is not None and len(path) > shortest:
             continue
-        for x in g.adjacency_sets[w]:
+        for x in g.neighbors[w]:
             if x in path:
                 continue
             if x == v:

@@ -209,14 +209,14 @@ def test_refine_matches_the_pair_scan_oracle(g, data):
     order = data.draw(st.permutations(range(g.n)))
     cuts = sorted(data.draw(st.sets(st.integers(1, g.n - 1), max_size=g.n - 1)) if g.n > 1 else [])
     cells = [list(order[a:b]) for a, b in zip([0, *cuts], [*cuts, g.n])]
-    adj = g.adjacency_sets
+    adj = g.neighbors
     assert canonical._refine(adj, cells) == bruteforce.refine(adj, cells)
 
 
 @given(graphs(18), st.data())
 def test_adjacency_bits_match_the_pair_sweep_oracle(g, data):
     order = list(data.draw(st.permutations(range(g.n))))
-    adj = g.adjacency_sets
+    adj = g.neighbors
     assert canonical._adjacency_bits(g.n, adj, order) == bruteforce.adjacency_bits(g.n, adj, order)
 
 

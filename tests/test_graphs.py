@@ -122,8 +122,14 @@ def test_load_graph_bounds_n_by_the_encoding_field():
 
 
 def test_load_graph_unknown_field_warns():
-    with pytest.warns(UserWarning, match="unknown field"):
-        load_graph('{"n": 1, "edges": [], "weight": 3}')
+    # the warning points at the loader's caller, for an inline graph too
+    for load, text in (
+        (load_graph, '{"n": 1, "edges": [], "weight": 3}'),
+        (load_configuration, '{"graph": {"n": 1, "edges": [], "weight": 3}, "lambda": [1]}'),
+    ):
+        with pytest.warns(UserWarning, match="unknown field 'weight' in graph") as record:
+            load(text)
+        assert [w.filename for w in record] == [__file__]
 
 
 def test_load_configuration_inline_and_by_path(tmp_path, k23):

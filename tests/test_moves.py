@@ -11,7 +11,6 @@ from oblot.moves import (
     class_moves,
     class_table_by_code,
     move_at,
-    option_sets,
     raw_fsync_outcomes,
     raw_ssync_outcomes,
 )
@@ -24,6 +23,7 @@ from bruteforce import (
     fsync_outcomes,
     move_deltas,
     move_sort_key,
+    option_sets,
     raw_move_outcomes,
     raw_moves,
     raw_ssync_move_outcomes,

@@ -147,7 +147,7 @@ def test_resolve_final_set_k23_gathering(k23):
 
 
 def test_resolve_target_final_sets_match_is_final():
-    # the stored-form comparison agrees with the per-class predicate
+    # the class-table lookup agrees with the per-class predicate
     for g in connected_graph_corpus(4):
         for k in (1, 2, 3):
             h = build(g, k)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -21,9 +23,13 @@ def run_script(name, *args, flags=()):
     )
 
 
-def test_k23_walkthrough_runs():
-    r = run_script("k23_walkthrough.py")
+@pytest.mark.parametrize("scheduler", ["fsync", "ssync"])
+def test_k23_walkthrough_runs(scheduler):
+    r = run_script("k23_walkthrough.py", "--scheduler", scheduler)
     assert r.returncode == 0, r.stderr
+    assert f"scheduler={scheduler}" in r.stdout
+    # the simulator runs FSYNC only, whichever scheduler the hypergraph has
+    assert "\nworst-case FSYNC run from the mixed class:\n" in r.stdout
     assert "status: reached_final" in r.stdout
 
 
@@ -67,16 +73,19 @@ def test_sweep_small_instances_counts_failures(monkeypatch, capsys):
     assert sum("FAILED class" in line and "worst run reached_final" in line for line in lines) == 3
 
 
-def test_benchmark_build_corpus_keeps_its_export_digests():
-    # seed 0 keeps the corpus unrelabeled, so the run checks the SHA-256 of
-    # every instance's exported hypergraph against perfbench/expected.json
+@pytest.mark.parametrize("workload", ["build-corpus", "certify-sweep"])
+def test_benchmark_build_corpus_keeps_its_export_digests(workload):
+    # seed 0 keeps the corpus unrelabeled, so build-corpus checks the SHA-256
+    # of every instance's exported hypergraph against perfbench/expected.json;
+    # certify-sweep runs the simulator, the plays and the decisions the way
+    # the benchmark calls them, and checks each start's worst run
     env = os.environ.copy()
     env["PYTHONPATH"] = str(ROOT / "src")
     r = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", "build-corpus",
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
          "--seed", "0", "--seconds", "0.1", "--trace", "0"],
         capture_output=True, text=True, env=env, cwd=ROOT, timeout=300,
     )
     assert r.returncode == 0, r.stderr
     result = json.loads(r.stdout.rstrip().splitlines()[-1])
-    assert result["failed"] == 0, r.stderr
+    assert result["correct"] and result["failed"] == 0, r.stderr

@@ -306,3 +306,9 @@ def test_decide_rejects_a_foreign_final_set(k23):
             decide(h, frozenset({2}), result, result.entries, i)
     with pytest.raises(InputError, match="different final set"):
         decide(h, fin, result, {}, 0)
+    # a hypergraph the solution was not solved on, though the index is in range
+    sol = solution(build(cycle(10), 5), GATHER)
+    assert sol.decision(50).status == "step"
+    with pytest.raises(InputError, match="different hypergraph"):
+        decide(build(cycle(4), 2), sol.final, sol, sol.entries, 50)
+    assert decide(build(cycle(10), 5), sol.final, sol, sol.entries, 50) == sol.decision(50)

@@ -11,6 +11,7 @@ invariant of the engine), 6 a computation budget exceeded.  Errors print one
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from pathlib import Path
@@ -20,7 +21,7 @@ from .canonical import canonical_form, occupied_orbits
 from .errors import BudgetExceededError, InputError, InternalError
 from .graphs import Configuration, Graph, dump_json, load_configuration_file, load_graph_file
 from .graphs import total_robots
-from .hypergraph import FORMAT_VERSION, ConfigHypergraph, build, export
+from .hypergraph import FORMAT_VERSION, ConfigHypergraph, _dot_chunks, _json_chunks, build
 from .problems import load_problem_file
 from .solver import UNSOLVABLE, solution
 
@@ -56,12 +57,21 @@ def _cache_path(cache_dir: str | None, g: Graph, k: int, scheduler: str) -> Path
     return Path(cache_dir) / f"{digest}.json"
 
 
+def _write(chunks, *paths) -> None:
+    """Write ``chunks`` to each of ``paths`` as they come, never the whole text at once."""
+    with contextlib.ExitStack() as stack:
+        files = [stack.enter_context(open(path, "w")) for path in paths]
+        for chunk in chunks:
+            for f in files:
+                f.write(chunk)
+
+
 def _get_hypergraph(
-    g: Graph, k: int, scheduler: str, cache_dir: str | None
-) -> tuple[ConfigHypergraph, str | None]:
-    """Build the hypergraph, and store its export in the cache directory when
-    one is configured and holds no entry for the key yet.  Returns the
-    hypergraph and, when an entry was written, the export it holds.
+    g: Graph, k: int, scheduler: str, cache_dir: str | None, *outs: str
+) -> ConfigHypergraph:
+    """Build the hypergraph, and write its JSON export to the files ``outs``
+    and, when a cache directory is configured and holds no entry for the key
+    yet, to that entry.  The export is generated once, in chunks.
 
     No command reads an entry: building costs what reading and checking one
     would, and an answer that never comes from a stored file cannot be a
@@ -70,17 +80,17 @@ def _get_hypergraph(
     """
     h = build(g, k, scheduler)
     path = _cache_path(cache_dir, g, k, scheduler)
-    if path is None or path.exists():
-        return h, None
-    doc = export(h, "json")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(doc)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-    return h, doc
+    if path is not None and not path.exists():
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            _write(_json_chunks(h), tmp, *outs)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
+    elif outs:
+        _write(_json_chunks(h), *outs)
+    return h
 
 
 def cmd_canon(args) -> int:
@@ -105,10 +115,9 @@ def cmd_orbits(args) -> int:
 
 def cmd_build(args) -> int:
     g = load_graph_file(args.graph)
-    h, doc = _get_hypergraph(g, args.k, args.scheduler, args.cache)
-    Path(args.out).write_text(doc if doc is not None else export(h, "json"))
+    h = _get_hypergraph(g, args.k, args.scheduler, args.cache, args.out)
     if args.dot is not None:
-        Path(args.dot).write_text(export(h, "dot"))
+        _write(_dot_chunks(h), args.dot)
     sys.stdout.write(f"configs={len(h.configs)} hyperarcs={len(h.hyperarcs)}\n")
     return EXIT_OK
 
@@ -116,7 +125,7 @@ def cmd_build(args) -> int:
 def cmd_solve(args) -> int:
     g = load_graph_file(args.graph)
     spec = load_problem_file(args.problem)
-    h, _ = _get_hypergraph(g, args.k, "fsync", args.cache)
+    h = _get_hypergraph(g, args.k, "fsync", args.cache)
     sol = solution(h, spec)
     for i, config in enumerate(sol.h.configs):
         entry = sol.entries.get(i)
@@ -139,7 +148,7 @@ def cmd_solve(args) -> int:
 def cmd_move(args) -> int:
     c = load_configuration_file(args.config)
     spec = load_problem_file(args.problem)
-    h, _ = _get_hypergraph(c.graph, total_robots(c), "fsync", args.cache)
+    h = _get_hypergraph(c.graph, total_robots(c), "fsync", args.cache)
     decision = solution(h, spec).decision(h.index_of(c))
     sys.stdout.write(dump_json(decision.to_json_obj()))
     return EXIT_UNSOLVABLE if decision.status == UNSOLVABLE else EXIT_OK

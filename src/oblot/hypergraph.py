@@ -40,9 +40,10 @@ outcome codes per factor of its move product (:func:`oblot.moves.class_moves`).
 
 The JSON export is write-only: nothing reads a hypergraph back, so every
 answer comes from a build.  It is written as text, not through a tree of
-dicts: the hyperarcs, one string each, are joined between the other values,
-which the ``json`` module writes, in sorted key order.  The bytes are those
-``dump_json`` writes for the same document.
+dicts, and in chunks: the values before the hyperarcs, which the ``json``
+module writes in sorted key order; one string per source class with that
+class's hyperarcs; the tail.  The CLI writes the chunks to its files as they
+come, and ``export`` joins them.  The bytes are those ``dump_json`` writes.
 
 ``build`` always builds, and records what it returns weakly, keyed by the
 identity of its ``Graph`` object, k and the scheduler.  While a caller still
@@ -255,11 +256,13 @@ def build(g: Graph, k: int, scheduler: str = "fsync") -> ConfigHypergraph:
     class_by_code = class_table_by_code(class_of, g.n, k)
     factors = []
     hyperarcs = []
+    share = {}.setdefault  # for one build: arcs with equal Δs hold one tuple
     for i, entry in enumerate(entries):
         options, deltas = class_moves(entry.rep, entry.form.orbits, ssync, class_by_code)
         factors.append(options)
+        arcs = sorted(deltas.items())
         # tuple.__new__ skips the named tuple's Python-level constructor
-        hyperarcs += [tuple.__new__(Hyperarc, (i, d, tuple(ms))) for d, ms in sorted(deltas.items())]
+        hyperarcs += [tuple.__new__(Hyperarc, (i, share(d, d), tuple(ms))) for d, ms in arcs]
     h = ConfigHypergraph(
         graph=g, k=k, scheduler=scheduler, configs=entries, hyperarcs=tuple(hyperarcs),
         class_of=class_of, option_sets=tuple(factors), generators=generators, schreier=schreier,
@@ -276,58 +279,56 @@ def built(g: Graph, k: int, scheduler: str) -> ConfigHypergraph | None:
     return h if h is not None and h.graph is g else None
 
 
-def _json_document(h: ConfigHypergraph) -> str:
-    """The JSON export, assembled from pieces in sorted key order.  Every value
-    but the hyperarcs goes through :func:`compact_json`; each hyperarc is one
-    string.  Each text is made once: a class's move texts, entry i the open
-    text of move index i, factor by factor over its move product (the later
-    factors' texts start with the comma; the join closes each move), and
-    each distinct Δ's head from a memo that lives for this export."""
-    arcs = []
+def _json_chunks(h: ConfigHypergraph):
+    """The JSON export in chunks, keys in sorted order: the text before the
+    hyperarcs, one string per source class holding its hyperarcs, then the
+    tail.  Every value but the hyperarcs goes through :func:`compact_json`.
+    Each text is made once: a class's move texts, entry i the open text of
+    move index i, factor by factor over its move product (the later factors'
+    texts start with the comma; the join closes each move), and each
+    distinct Δ's head from a memo that lives for this export."""
+    yield "".join((
+        '{"configs":', compact_json([{"lambda": e.rep.lam} for e in h.configs]),
+        ',"format_version":', compact_json(FORMAT_VERSION),
+        ',"graph":', compact_json(h.graph.to_json_obj()),
+        ',"hyperarcs":[',
+    ))
     heads: dict[tuple[int, ...], str] = {}
-    for source, group in itertools.groupby(h.hyperarcs, key=operator.itemgetter(0)):
+    for n, (source, group) in enumerate(itertools.groupby(h.hyperarcs, key=operator.itemgetter(0))):
         level = [""]
         for j, (rank, opts) in enumerate(h.option_sets[source]):
             texts = [f"{',' if j else '['}[{rank},{'null' if t is None else t}]" for t in opts]
             level = [a + b for a in level for b in texts]
         tail = f'],"source":{source}}}'
-        arcs += [
+        yield ("," if n else "") + ",".join([
             (heads.get(d) or heads.setdefault(d, '{"delta":[' + ",".join(map(str, d)) + '],"moves":['))
             + "],".join(map(level.__getitem__, ms)) + "]" + tail
             for _, d, ms in group
-        ]
-    return "".join((
-        '{"configs":', compact_json([{"lambda": e.rep.lam} for e in h.configs]),
-        ',"format_version":', compact_json(FORMAT_VERSION),
-        ',"graph":', compact_json(h.graph.to_json_obj()),
-        ',"hyperarcs":[', ",".join(arcs),
-        '],"k":', compact_json(h.k),
-        ',"scheduler":', compact_json(h.scheduler),
-        "}\n",
-    ))
+        ])
+    yield f'],"k":{compact_json(h.k)},"scheduler":{compact_json(h.scheduler)}}}\n'
 
 
-def to_dot(h: ConfigHypergraph) -> str:
-    """Graphviz rendering: one labeled node per config, one point node per
-    hyperarc, arrows source -> hyperarc -> each Δ member."""
-    lines = ["digraph hypergraph {"]
-    for i, e in enumerate(h.configs):
-        lam = ",".join(str(x) for x in e.rep.lam)
-        lines.append(f'  c{i} [shape=ellipse, label="C{i} [{lam}]"];')
-    for j, a in enumerate(h.hyperarcs):
-        lines.append(f'  a{j} [shape=point, label=""];')
-        lines.append(f"  c{a.source} -> a{j};")
-        for d in a.delta:
-            lines.append(f"  a{j} -> c{d};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+def _dot_chunks(h: ConfigHypergraph):
+    """Graphviz text in chunks: one labeled node per config, then per source
+    class a point node per hyperarc, arrows source -> hyperarc -> each Δ member."""
+    yield "digraph hypergraph {\n" + "".join(
+        f'  c{i} [shape=ellipse, label="C{i} [{",".join(map(str, e.rep.lam))}]"];\n'
+        for i, e in enumerate(h.configs)
+    )
+    for source, group in itertools.groupby(enumerate(h.hyperarcs), key=lambda ja: ja[1].source):
+        yield "".join(
+            f'  a{j} [shape=point, label=""];\n  c{source} -> a{j};\n'
+            + "".join(f"  a{j} -> c{d};\n" for d in a.delta)
+            for j, a in group
+        )
+    yield "}\n"
 
 
 def export(h: ConfigHypergraph, format: str) -> str:
     """``h`` as a JSON document (``"json"``: compact, sorted keys, one trailing
     newline; see README "File formats") or as Graphviz text (``"dot"``)."""
     if format == "json":
-        return _json_document(h)
+        return "".join(_json_chunks(h))
     if format == "dot":
-        return to_dot(h)
+        return "".join(_dot_chunks(h))
     raise InputError(f"unknown export format {format!r}; expected 'json' or 'dot'")

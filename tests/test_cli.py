@@ -1,13 +1,21 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import oblot.hypergraph
 from oblot import cli
 from oblot.errors import BudgetExceededError, InternalError
+from oblot.graphs import Graph, dump_json
+from oblot.hypergraph import build, export
+
+from bruteforce import grid
+
+K23 = Graph(n=5, edges=((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)), name="K23")
 
 
 def run_cli(*args, env_extra=None):
@@ -220,15 +228,17 @@ def test_cache_round_trip(files, tmp_path):
 
 
 def test_build_into_empty_cache_exports_once(files, tmp_path, monkeypatch, capsys):
-    # the entry and --out are one string: one JSON export, not one per file
+    # the entry and --out come from one chunk generator, not one per file
     formats = []
-    export = cli.export
 
-    def counting(h, format):
-        formats.append(format)
-        return export(h, format)
+    def counting(format, chunks):
+        def generator(h):
+            formats.append(format)
+            return chunks(h)
+        return generator
 
-    monkeypatch.setattr(cli, "export", counting)
+    monkeypatch.setattr(cli, "_json_chunks", counting("json", cli._json_chunks))
+    monkeypatch.setattr(cli, "_dot_chunks", counting("dot", cli._dot_chunks))
     out = tmp_path / "h.json"
     cache = tmp_path / "cache"
     argv = ["build", "--graph", files["k23"], "-k", "2", "--out", str(out), "--cache", str(cache)]
@@ -241,7 +251,45 @@ def test_build_into_empty_cache_exports_once(files, tmp_path, monkeypatch, capsy
     assert cli.main(argv) == 0
     assert formats == ["json", "json"]
     assert entry.read_bytes() == out.read_bytes()
-    assert capsys.readouterr().out == "configs=5 hyperarcs=9\n" * 2
+    # a command that writes no file generates no export
+    solve = ["solve", "--graph", files["k23"], "-k", "2", "--problem", files["gathering"]]
+    assert cli.main([*solve, "--cache", str(cache)]) == 0
+    assert formats == ["json", "json"]
+    assert capsys.readouterr().out.startswith("configs=5 hyperarcs=9\n" * 2)
+
+
+@pytest.mark.parametrize("scheduler", ["fsync", "ssync"])
+@pytest.mark.parametrize("graph,k", [(K23, 2), (grid(3, 4), 3)])
+def test_build_streams_the_export_bytes(tmp_path, capsys, graph, k, scheduler):
+    path = tmp_path / "g.json"
+    path.write_text(dump_json(graph.to_json_obj()))
+    out, dot, cache = tmp_path / "h.json", tmp_path / "h.dot", tmp_path / "cache"
+    argv = ["build", "--graph", str(path), "-k", str(k), "--scheduler", scheduler,
+            "--out", str(out), "--dot", str(dot), "--cache", str(cache)]
+    assert cli.main(argv) == 0
+    h = build(graph, k, scheduler)
+    assert capsys.readouterr().out == f"configs={len(h.configs)} hyperarcs={len(h.hyperarcs)}\n"
+    assert out.read_text() == export(h, "json")
+    assert dot.read_text() == export(h, "dot")
+    (entry,) = cache.iterdir()
+    assert entry.read_bytes() == out.read_bytes()
+
+
+def test_commands_never_call_export(files, tmp_path, monkeypatch, capsys):
+    def refuse(h, format):
+        raise AssertionError("the CLI writes export chunks, never the joined export")
+
+    monkeypatch.setattr(oblot.hypergraph, "export", refuse)
+    monkeypatch.setattr(cli, "export", refuse, raising=False)
+    cache = str(tmp_path / "cache")
+    assert cli.main(["build", "--graph", files["k23"], "-k", "2", "--out", str(tmp_path / "h.json"),
+                     "--dot", str(tmp_path / "h.dot")]) == 0
+    assert cli.main(["solve", "--graph", files["k23"], "-k", "2",
+                     "--problem", files["gathering"], "--cache", cache]) == 0
+    shutil.rmtree(cache)
+    assert cli.main(["move", "--config", files["mixed"], "--problem", files["gathering"],
+                     "--cache", cache]) == 0
+    assert len(list(Path(cache).iterdir())) == 1
 
 
 def test_cache_key_ignores_graph_name(files, tmp_path):

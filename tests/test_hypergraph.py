@@ -22,7 +22,6 @@ from oblot.hypergraph import (
     build,
     enumerate_configurations,
     export,
-    to_dot,
 )
 from oblot.moves import raw_fsync_outcomes, raw_ssync_outcomes
 from oblot.problems import load_problem, resolve_final_set
@@ -200,7 +199,7 @@ def test_export_unknown_format(k23_h):
 
 
 def test_dot_output(k23_h):
-    dot = to_dot(k23_h)
+    dot = export(k23_h, "dot")
     assert dot.count("shape=ellipse") == len(k23_h.configs)
     assert dot.count("shape=point") == len(k23_h.hyperarcs)
     arrows = sum(1 + len(a.delta) for a in k23_h.hyperarcs)
@@ -253,6 +252,7 @@ def test_pipeline_leaves_no_reference_cycles():
                 h = build(g, k, scheduler)
                 solve(h, resolve_final_set(gathering, h))
                 export(h, "json")
+                export(h, "dot")
                 del h
         assert gc.collect() == 0
     finally:
@@ -418,6 +418,12 @@ def test_deltas_are_sorted_unique(k23_h):
     keys = [(a.source, a.delta) for a in k23_h.hyperarcs]
     assert keys == sorted(keys)
     assert len(set(keys)) == len(keys)
+
+
+@pytest.mark.parametrize("g,k,scheduler", [(cycle(10), 5, "fsync"), (grid(3, 4), 3, "ssync")])
+def test_arcs_with_equal_deltas_share_one_tuple(g, k, scheduler):
+    h = build(g, k, scheduler)
+    assert len({id(a.delta) for a in h.hyperarcs}) == len({a.delta for a in h.hyperarcs})
 
 
 def test_build_agrees_with_independent_class_walk(p4):

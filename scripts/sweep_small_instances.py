@@ -1,13 +1,14 @@
 """Exhaustive small-instance sweep.
 
 Enumerates every connected graph up to a vertex budget, builds the
-configuration hypergraph for each robot count, solves gathering, and checks
-the planner's distances against exhaustive adversary-play enumeration:
-every play from a solvable class must reach a final class, the worst play
-in exactly the planned number of rounds.  One worst-adversary run from each
-such class must reach a final class in exactly that many rounds too.
-Prints one summary line per (graph, k) pair, a line per failed check, and
-a closing tally; exits 1 if any check failed.
+configuration hypergraph for each robot count, solves gathering, certifies
+the plan with ``solver.check``, and checks the planner's distances against
+exhaustive adversary-play enumeration: every play from a solvable class
+must reach a final class, the worst play in exactly the planned number of
+rounds.  One worst-adversary run from each such class must reach a final
+class in exactly that many rounds too.  Prints one summary line per
+(graph, k) pair, a line per failed check, and a closing tally; exits 1 if
+any check failed.
 """
 
 import argparse
@@ -16,11 +17,12 @@ import sys
 import time
 
 from oblot.canonical import canonical_form
+from oblot.errors import InternalError
 from oblot.graphs import Graph
 from oblot.hypergraph import build
 from oblot.problems import ProblemSpec
 from oblot.simulate import REACHED_FINAL, AdversaryStrategy, enumerate_adversary_plays, run_fsync
-from oblot.solver import solution
+from oblot.solver import check, solution
 
 
 def _connected(g: Graph) -> bool:
@@ -61,6 +63,10 @@ def sweep_one(g: Graph, k: int) -> tuple[int, int, int, list[str]]:
     sol = solution(build(g, k), spec)
     checked = 0
     failures = []
+    try:
+        check(sol)
+    except InternalError as e:
+        failures.append(f"plan check: {e}")
     for i, entry in enumerate(sol.h.configs):
         if i not in sol.solvable or i in sol.final:
             continue

@@ -251,4 +251,7 @@ def enumerate_adversary_plays(
         memo[idx] = summary
         return summary
 
-    return explore(idx0)
+    try:
+        return explore(idx0)
+    finally:
+        del explore  # the closure refers to itself; only the cyclic collector would free it

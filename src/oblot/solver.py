@@ -176,6 +176,51 @@ def decide(
     return solvability._decisions.get(idx, _UNSOLVABLE)
 
 
+def check(sol: Solution) -> None:
+    """Certify ``sol`` from local conditions, or raise :class:`InternalError`.
+
+    Each is a fact about one class and its own hyperarcs, so one pass over
+    the hyperarcs checks them all, in O(|hyperarcs| + Σ|Δ|), without
+    re-solving:
+
+    * a final class has distance 0 and no move;
+    * a solvable non-final class of distance d plans the least (largest
+      distance in Δ, first move index) over its arcs whose Δ lies inside the
+      solvable set, that largest distance is d − 1, and its Δ is that arc's;
+    * an unsolvable class has no arc whose Δ lies inside the solvable set.
+
+    By induction on d the first two make every distance the optimal worst
+    case; the third shows that the attractor missed no class.  The Δs
+    themselves are taken as built.
+    """
+    h, final, solvable, entries = sol.h, sol.final, sol.solvable, sol.entries
+    if entries.keys() != solvable or not final <= solvable:
+        raise InternalError("the plan entries, final and solvable sets disagree")
+    least: dict[int, tuple[int, int, tuple[int, ...]]] = {}
+    for arc in h.hyperarcs:
+        if solvable.issuperset(arc.delta):
+            key = (max(entries[d].distance for d in arc.delta), arc.moves[0], arc.delta)
+            if arc.source not in least or key < least[arc.source]:
+                least[arc.source] = key
+    for i in range(len(h.configs)):
+        entry = entries.get(i)
+        if i in final:
+            if entry != (0, None, ()):
+                raise InternalError(f"final class {i} plans {entry}, not the nil move at distance 0")
+        elif entry is None:
+            if i in least:
+                raise InternalError(f"unsolvable class {i} has an arc into the solvable set")
+        elif i not in least:
+            raise InternalError(f"solvable class {i} has no arc into the solvable set")
+        else:
+            distance, move, delta = least[i]
+            if entry != (distance + 1, h.move(i, move), delta):
+                raise InternalError(
+                    f"class {i} plans {entry}; its least arc into the solvable set "
+                    f"gives distance {distance + 1}, move index {move} and Δ {delta}"
+                )
+
+
 def solution(h: ConfigHypergraph, spec: ProblemSpec) -> Solution:
     """Resolve the problem's final set on ``h`` and solve it."""
     return solve(h, resolve_final_set(spec, h))

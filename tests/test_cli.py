@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import shutil
@@ -18,17 +19,21 @@ from bruteforce import grid
 K23 = Graph(n=5, edges=((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)), name="K23")
 
 
-def run_cli(*args, env_extra=None):
+def run_python(*args, env_extra=None):
     env = os.environ.copy()
     env.setdefault("PYTHONHASHSEED", "0")
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        [sys.executable, "-m", "oblot", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env=env,
     )
+
+
+def run_cli(*args, env_extra=None):
+    return run_python("-m", "oblot", *args, env_extra=env_extra)
 
 
 @pytest.fixture(scope="module")
@@ -500,3 +505,75 @@ def test_engine_errors_map_to_exit_codes(files, tmp_path, capsys, monkeypatch, e
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {error}\n"
+
+
+def _garbage_after(fn) -> int:
+    """The objects that only the cyclic collector can free once ``fn()`` has
+    run with the collector off."""
+    gc.collect()
+    gc.disable()
+    try:
+        fn()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+# (argv, exit code); "{name}" is a path from ``files`` or, for out, dot,
+# cache and missing, one in the test's own directory
+COMMANDS = {
+    "canon": (["canon", "--config", "{mixed}"], 0),
+    "orbits": (["orbits", "--graph", "{k23}"], 0),
+    "build": (["build", "--graph", "{k23}", "-k", "2", "--out", "{out}", "--dot", "{dot}",
+               "--cache", "{cache}"], 0),
+    "solve": (["solve", "--graph", "{k23}", "-k", "2", "--problem", "{gathering}"], 0),
+    "move": (["move", "--config", "{mixed}", "--problem", "{gathering}"], 0),
+    "simulate-worst": (["simulate", "--config", "{spread}", "--problem", "{gathering}"], 0),
+    "simulate-first": (["simulate", "--config", "{spread}", "--problem", "{gathering}",
+                        "--adversary", "first"], 0),
+    "simulate-random": (["simulate", "--config", "{spread}", "--problem", "{gathering}",
+                         "--adversary", "random:9"], 0),
+    "input-error": (["move", "--config", "{mixed}", "--problem", "{missing}"], 2),
+    "unsolvable": (["move", "--config", "{antipodal}", "--problem", "{gathering}"], 3),
+    "max-rounds": (["simulate", "--config", "{p5_ends}", "--problem", "{gathering}",
+                    "--max-rounds", "1"], 4),
+    "internal": (["build", "--graph", "{k23}", "-k", "2", "--out", "{out}"], 5),
+    "budget": (["build", "--graph", "{k23}", "-k", "2", "--out", "{out}"], 6),
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_commands_need_no_cyclic_collector(files, tmp_path, monkeypatch, command):
+    # the entry point switches the collector off; every command must leave
+    # no more for it than parsing the command line does (argparse's parser
+    # holds reference cycles of its own)
+    template, code = COMMANDS[command]
+    paths = {**files, "out": tmp_path / "h.json", "dot": tmp_path / "h.dot",
+             "cache": tmp_path / "cache", "missing": tmp_path / "missing.json"}
+    argv = [arg.format(**paths) for arg in template]
+    error = {5: InternalError, 6: BudgetExceededError}.get(code)
+    if error is not None:
+        def failing_build(*args, **kwargs):
+            raise error("the engine gave up")
+        monkeypatch.setattr(cli, "build", failing_build)
+    parser_only = _garbage_after(lambda: cli.build_parser().parse_args(argv))
+    codes = []
+    assert _garbage_after(lambda: codes.append(cli.main(argv))) <= parser_only
+    assert codes == [code]
+
+
+def test_only_the_entry_point_switches_the_collector_off(files):
+    argv = ["move", "--config", files["mixed"], "--problem", files["gathering"]]
+    state = (gc.isenabled(), gc.get_freeze_count())
+    assert cli.main(argv) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == state
+    # a `python -m oblot` process ends with the collector off and the heap
+    # it imported frozen
+    driver = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print(gc.isenabled(), gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "runpy.run_module('oblot', run_name='__main__', alter_sys=True)\n"
+    )
+    r = run_python("-c", driver, *argv)
+    assert (r.returncode, r.stderr) == (0, "False True\n")
+    assert r.stdout == run_cli(*argv).stdout

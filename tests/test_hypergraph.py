@@ -25,6 +25,7 @@ from oblot.hypergraph import (
 )
 from oblot.moves import raw_fsync_outcomes, raw_ssync_outcomes
 from oblot.problems import load_problem, resolve_final_set
+from oblot.simulate import AdversaryStrategy, enumerate_adversary_plays, run_fsync
 from oblot.solver import solve
 
 from bruteforce import (
@@ -241,19 +242,28 @@ def test_enumerate_configurations_rejects_robots_without_vertices():
 
 
 def test_pipeline_leaves_no_reference_cycles():
-    # with the collector off, a build, its final set, solve and export leave
-    # nothing that only the cyclic collector can free
+    # with the collector off, a build, its final set, solve, export, and the
+    # simulator's runs and play enumerations from every class leave nothing
+    # that only the cyclic collector can free
     gathering = load_problem('{"type": "gathering"}')
+    adversaries = [AdversaryStrategy("worst"), AdversaryStrategy("first"),
+                   AdversaryStrategy("random", 5)]
     gc.collect()
     gc.disable()
     try:
         for g, k in ((cycle(10), 5), (grid(3, 4), 3)):
             for scheduler in SCHEDULERS:
                 h = build(g, k, scheduler)
-                solve(h, resolve_final_set(gathering, h))
+                sol = solve(h, resolve_final_set(gathering, h))
                 export(h, "json")
                 export(h, "dot")
-                del h
+                if scheduler == "fsync":
+                    for i, entry in enumerate(h.configs):
+                        for adversary in adversaries:
+                            run_fsync(entry.rep, gathering, adversary)
+                        if i in sol.solvable:
+                            enumerate_adversary_plays(entry.rep, gathering)
+                del h, sol
         assert gc.collect() == 0
     finally:
         gc.enable()

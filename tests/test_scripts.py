@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from oblot.solver import Solution
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -53,10 +55,15 @@ def test_sweep_small_instances_verifies_all():
     assert _sweep_report(optimized.stdout) == (lines, (ok, total))
 
 
-def test_sweep_small_instances_counts_failures(monkeypatch, capsys):
+def _sweep_module():
     spec = importlib.util.spec_from_file_location("sweep", ROOT / "scripts" / "sweep_small_instances.py")
     sweep = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(sweep)
+    return sweep
+
+
+def test_sweep_small_instances_counts_failures(monkeypatch, capsys):
+    sweep = _sweep_module()
     honest = sweep.run_fsync
 
     def one_round_short(*args):
@@ -71,6 +78,24 @@ def test_sweep_small_instances_counts_failures(monkeypatch, capsys):
     # the two instances with starts to certify fail, one line per start (2 + 1)
     assert (ok, total) == (6, 8)
     assert sum("FAILED class" in line and "worst run reached_final" in line for line in lines) == 3
+
+
+def test_sweep_small_instances_reports_failed_plan_checks(monkeypatch, capsys):
+    sweep = _sweep_module()
+    honest = sweep.solution
+
+    def one_round_long(h, spec):
+        sol = honest(h, spec)
+        entries = {i: e if i in sol.final else e._replace(distance=e.distance + 1)
+                   for i, e in sol.entries.items()}
+        return Solution(sol.h, sol.final, sol.solvable, entries)
+
+    monkeypatch.setattr(sweep, "solution", one_round_long)
+    monkeypatch.setattr(sys, "argv", ["sweep", "--max-n", "3", "--max-k", "2"])
+    assert sweep.main() == 1
+    lines, (ok, total) = _sweep_report(capsys.readouterr().out)
+    assert (ok, total) == (6, 8)
+    assert sum("FAILED plan check: class" in line for line in lines) == 2
 
 
 @pytest.mark.parametrize("workload", ["build-corpus", "certify-sweep"])

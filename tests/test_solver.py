@@ -5,12 +5,12 @@ import random
 
 import pytest
 
-from oblot.errors import InputError
+from oblot.errors import InputError, InternalError
 from oblot.graphs import Configuration, Graph, total_robots
 from oblot.hypergraph import SCHEDULERS, build
 from oblot.moves import Move
 from oblot.problems import ProblemSpec, resolve_final_set
-from oblot.solver import MoveDecision, decide, plan, solution, solve
+from oblot.solver import MoveDecision, PlanEntry, Solution, check, decide, plan, solution, solve
 
 from bruteforce import (
     all_placements,
@@ -22,6 +22,7 @@ from bruteforce import (
     game_solve,
     grid,
     mtf_recursive,
+    petersen,
     random_graph,
 )
 from bruteforce import decide as decide_oracle
@@ -312,3 +313,67 @@ def test_decide_rejects_a_foreign_final_set(k23):
     with pytest.raises(InputError, match="different hypergraph"):
         decide(build(cycle(4), 2), sol.final, sol, sol.entries, 50)
     assert decide(build(cycle(10), 5), sol.final, sol, sol.entries, 50) == sol.decision(50)
+
+
+# The benchmark's build corpus, and grid 3x5 (k=4): 832 classes and 74 782
+# hyperarcs, past the brute-force oracles' reach
+CHECKED_INSTANCES = {
+    "K23-k2-fsync": (Graph(n=5, edges=((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4))), 2, "fsync"),
+    "petersen-k3-fsync": (petersen(), 3, "fsync"),
+    "C8-k4-fsync": (cycle(8), 4, "fsync"),
+    "C10-k5-fsync": (cycle(10), 5, "fsync"),
+    "grid3x3-k3-fsync": (grid(3, 3), 3, "fsync"),
+    "grid3x4-k3-fsync": (grid(3, 4), 3, "fsync"),
+    "grid3x4-k3-ssync": (grid(3, 4), 3, "ssync"),
+    "grid4x4-k3-fsync": (grid(4, 4), 3, "fsync"),
+    "grid3x5-k4-fsync": (grid(3, 5), 4, "fsync"),
+}
+
+
+@pytest.mark.parametrize("name", CHECKED_INSTANCES)
+def test_check_certifies_the_plans(name):
+    g, k, scheduler = CHECKED_INSTANCES[name]
+    h = build(g, k, scheduler)
+    for spec in (GATHER, GMV):
+        check(solution(h, spec))
+
+
+def test_check_rejects_wrong_plans():
+    sol = solution(build(cycle(10), 5), GATHER)
+    h, final, solvable, entries = sol.h, sol.final, sol.solvable, sol.entries
+    arcs = arcs_by_source(h)
+    far = max(solvable, key=lambda i: (entries[i].distance, i))
+    e = entries[far]
+    # a planned move that is not the least one of its class's arcs into the
+    # solvable set, though it also reaches it: a worse or a tied arc's
+    # first move, or a later move of the planned arc
+    i, other = next(
+        (i, a) for i in sorted(solvable - final) for a in arcs[i]
+        if solvable.issuperset(a.delta) and a.delta != entries[i].delta
+    )
+    other_entry = PlanEntry(1 + max(entries[d].distance for d in other.delta),
+                            h.move(i, other.moves[0]), other.delta)
+    j, planned = next((j, a) for j in sorted(solvable - final) for a in arcs[j]
+                      if a.delta == entries[j].delta and len(a.moves) > 1)
+    unsolvable = min(set(range(len(h.configs))) - solvable)
+    u_arc = arcs[unsolvable][0]
+    a_final = min(final)
+    missed = {x: y for x, y in entries.items() if x != far}
+    taken = {**entries, unsolvable: PlanEntry(9, h.move(unsolvable, u_arc.moves[0]), u_arc.delta)}
+    mutants = {  # name: (solvable set, plan entries)
+        "distance one too high": (solvable, {**entries, far: e._replace(distance=e.distance + 1)}),
+        "distance one too low": (solvable, {**entries, far: e._replace(distance=e.distance - 1)}),
+        "another arc": (solvable, {**entries, i: other_entry}),
+        "a later move of the arc": (
+            solvable, {**entries, j: entries[j]._replace(move=h.move(j, planned.moves[1]))}),
+        "another Δ": (solvable, {**entries, far: e._replace(delta=other.delta)}),
+        "a final class with a move": (solvable, {**entries, a_final: PlanEntry(0, e.move, ())}),
+        "a class missed by the attractor": (solvable - {far}, missed),
+        "an unsolvable class taken in": (solvable | {unsolvable}, taken),
+        "an entry outside the solvable set": (solvable - {far}, entries),
+    }
+    for claimed, table in mutants.values():
+        mutant = Solution(h, final, claimed, table)  # the constructor lets each through
+        with pytest.raises(InternalError):
+            check(mutant)
+    check(sol)

@@ -20,6 +20,15 @@ once per colored graph by :func:`canonical_form`, the only entry point: the
 are the connected components of the vertex set under them, closed on first
 use.
 
+A caller that already holds automorphisms of the colored graph may pass them
+to it as ``seeds``; the class walk in :mod:`oblot.hypergraph` passes the
+automorphisms of G that fix the placement it canonizes.  The search then
+prunes with them from its first branch.  Pruning by automorphisms keeps the
+first least leaf (McKay & Piperno, "Practical graph isomorphism, II", JSC
+2014), so the encoding and the labeling are those of the unseeded search;
+the form's ``generators`` are the seeds plus what the search found, and
+generate the same group.
+
 Configurations are canonized by treating robot counts as vertex colors.  The
 pendant-vertex encoding ``configuration_graph`` in ``tests/bruteforce.py``
 yields the same equivalence and serves as an independent oracle in the test
@@ -43,11 +52,11 @@ class CanonicalForm(Frozen):
 
     ``encoding`` is a pure function of the isomorphism class; ``labeling``
     maps each original vertex index to its canonical label.  ``generators``
-    are the color-preserving automorphisms the search discovered, as vertex
-    permutations; they generate the whole group.  Equality and hashing use
-    the encoding alone: two forms compare equal exactly when the underlying
-    objects are isomorphic, regardless of which labeling realized the
-    encoding.
+    are the color-preserving automorphisms the search was seeded with and
+    those it discovered, as vertex permutations; they generate the whole
+    group.  Equality and hashing use the encoding alone: two forms compare
+    equal exactly when the underlying objects are isomorphic, regardless of
+    which labeling realized the encoding.
     """
 
     __slots__ = ("encoding", "labeling", "generators", "_orbits")
@@ -193,7 +202,13 @@ def _adjacency_bits(n: int, adj: tuple[tuple[int, ...], ...], order: list[int]) 
 class _Canonizer:
     """One individualization-refinement search over a colored graph."""
 
-    def __init__(self, n: int, adj: tuple[tuple[int, ...], ...], colors: tuple[int, ...]):
+    def __init__(
+        self,
+        n: int,
+        adj: tuple[tuple[int, ...], ...],
+        colors: tuple[int, ...],
+        seeds: tuple[tuple[int, ...], ...],
+    ):
         self.n = n
         self.adj = adj
         self.colors = colors
@@ -201,7 +216,7 @@ class _Canonizer:
         self.best_order: list[int] | None = None
         # the best leaf's labeling: vertex -> its position in best_order
         self.best_labeling: list[int] | None = None
-        self.generators: list[tuple[int, ...]] = []
+        self.generators: list[tuple[int, ...]] = [*seeds]
 
     def run(self) -> None:
         cells: dict[int, list[int]] = {}
@@ -274,11 +289,13 @@ def _encode(n: int, colors_in_canonical_order: list[int], bits: bytes) -> bytes:
     return struct.pack(f">3I{n}II", 4, n, 4 * n, *colors_in_canonical_order, len(bits)) + bits
 
 
-def _canonize(g: Graph, colors: tuple[int, ...]) -> CanonicalForm:
+def _canonize(
+    g: Graph, colors: tuple[int, ...], seeds: tuple[tuple[int, ...], ...]
+) -> CanonicalForm:
     n = g.n
     if n == 0:
         return CanonicalForm(encoding=_encode(0, [], b""), labeling=(), generators=())
-    engine = _Canonizer(n, g.neighbors, colors)
+    engine = _Canonizer(n, g.neighbors, colors, seeds)
     engine.run()
     assert engine.best_order is not None and engine.best_labeling is not None
     canon_colors = [colors[v] for v in engine.best_order]
@@ -289,12 +306,16 @@ def _canonize(g: Graph, colors: tuple[int, ...]) -> CanonicalForm:
     )
 
 
-def canonical_form(g: Graph, coloring: tuple[int, ...]) -> CanonicalForm:
+def canonical_form(
+    g: Graph, coloring: tuple[int, ...], *, seeds: tuple[tuple[int, ...], ...] = ()
+) -> CanonicalForm:
     """Canonical form for a colored graph, deterministic in the input data.
 
     This is the one entry point to the canonizer; a configuration's form is
     ``canonical_form(c.graph, c.lam)`` and its orbits are that form's
-    ``orbits``.
+    ``orbits``.  ``seeds``, automorphisms of the colored graph that the
+    caller vouches for, prune the search from its first branch and start the
+    form's ``generators``; the encoding and labeling do not depend on them.
     """
     if len(coloring) != g.n:
         raise InternalError(
@@ -305,7 +326,7 @@ def canonical_form(g: Graph, coloring: tuple[int, ...]) -> CanonicalForm:
         raise InternalError(
             f"coloring {list(colors)} has a color that is not an integer in [0, 2**32)"
         )
-    return _canonize(g, colors)
+    return _canonize(g, colors, seeds)
 
 
 def occupied_orbits(p: OrbitPartition, c: Configuration) -> tuple[int, ...]:

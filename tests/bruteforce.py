@@ -733,6 +733,17 @@ def grid(rows: int, cols: int) -> Graph:
     return Graph(n=rows * cols, edges=tuple(edges))
 
 
+def complete(n: int) -> Graph:
+    return Graph(n=n, edges=tuple(itertools.combinations(range(n), 2)))
+
+
+def hypercube(d: int) -> Graph:
+    """Q_d: vertices are d-bit numbers, adjacent when they differ in one bit."""
+    return Graph(n=1 << d, edges=tuple(
+        (v, v | 1 << i) for v in range(1 << d) for i in range(d) if not v >> i & 1
+    ))
+
+
 def petersen() -> Graph:
     outer = [(i, (i + 1) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]

@@ -245,6 +245,41 @@ def test_orbits_without_generators_match_the_union_find_closure(g, k):
         assert form.orbits == bruteforce.union_find_orbits(form.labeling, form.generators)
 
 
+def _assert_seeds_change_no_form(g, k):
+    # the walk seeds each class search with the automorphisms of G that fix
+    # its founder; the form must be the unseeded search's, and its orbits
+    # those of the unseeded search's group
+    seeded = 0
+    for entry in enumerate_configurations(g, k)[0]:
+        walked, plain = entry.form, canonical_form(g, entry.rep.lam)
+        assert (walked.encoding, walked.labeling) == (plain.encoding, plain.labeling)
+        assert walked.orbits == bruteforce.union_find_orbits(plain.labeling, plain.generators)
+        seeded += walked.generators != plain.generators
+    return seeded
+
+
+def test_seeded_class_searches_match_the_plain_search():
+    # the n <= 5 corpus, the build corpus (see the digests below), K6 and Q3
+    instances = [(g, k) for g in connected_graph_corpus(5) for k in (1, 2, 3)]
+    instances += DIGEST_CORPUS.values()
+    instances += [(bruteforce.complete(6), 3), (bruteforce.hypercube(3), 3)]
+    seeded = sum(_assert_seeds_change_no_form(g, k) for g, k in instances)
+    # the seeds reach the forms: some class keeps generators the plain
+    # search would not have found
+    assert seeded
+
+
+@given(
+    st.sampled_from(
+        [*connected_graph_corpus(5), bruteforce.complete(6), bruteforce.hypercube(3), petersen()]
+    ),
+    st.integers(1, 3),
+    st.randoms(use_true_random=False),
+)
+def test_seeded_class_searches_match_the_plain_search_on_relabeled_graphs(g, k, rng):
+    _assert_seeds_change_no_form(bruteforce.relabeled(rng, g), k)
+
+
 # ---------------------------------------------------------------------------
 # Golden label digests.
 

@@ -32,7 +32,9 @@ from bruteforce import (
     all_placements,
     arcs_by_source,
     as_brute_move,
+    brute_automorphisms,
     brute_orbits,
+    complete,
     config_isomorphic,
     connected_graph_corpus,
     cycle,
@@ -41,6 +43,7 @@ from bruteforce import (
     export_obj,
     fsync_outcomes,
     grid,
+    hypercube,
     index_by_encoding,
     move_sort_key,
     raw_move_outcomes,
@@ -462,9 +465,9 @@ def test_build_searches_each_placement_once(request, monkeypatch, graph, k, sche
     searched = []
     canonize = oblot.canonical._canonize
 
-    def counting(g, colors):
+    def counting(g, colors, seeds):
         searched.append(colors)
-        return canonize(g, colors)
+        return canonize(g, colors, seeds)
 
     monkeypatch.setattr(oblot.canonical, "_canonize", counting)
     h = build(g, k, scheduler)
@@ -472,22 +475,71 @@ def test_build_searches_each_placement_once(request, monkeypatch, graph, k, sche
     assert searched == [(0,) * g.n, *sorted(e.rep.lam for e in h.configs)]
 
 
-def test_class_table_survives_missing_generators(monkeypatch):
-    # with no generators every placement founds its own class; founders of
-    # one class must merge by encoding, so the export cannot change
-    def without_generators(g, coloring):
-        form = canonical_form(g, coloring)
+def _assert_transporters(h):
+    # every placement's transporter is an automorphism of G that carries its
+    # class representative onto it, and the identity on the representative
+    g = h.graph
+    edges = {frozenset(e) for e in g.edges}
+    for lam, i in h.class_of.items():
+        pi = h.transporter(lam)
+        assert sorted(pi) == list(range(g.n))
+        assert {frozenset((pi[a], pi[b])) for a, b in g.edges} == edges
+        rep = h.configs[i].rep.lam
+        assert tuple(rep[pi[v]] for v in range(g.n)) == lam
+        if lam == rep:
+            assert pi == tuple(range(g.n))
+
+
+def _search_of_g_reports(monkeypatch, given) -> list:
+    """Let the walk's search of G report the generators ``given(g)`` instead
+    of the ones it found; the colorings the walk searches go to the list
+    returned."""
+    searched = []
+
+    def reporting(g, coloring, seeds=()):
+        searched.append(coloring)
+        form = canonical_form(g, coloring, seeds=seeds)
         if any(coloring):
             return form
-        return CanonicalForm(form.encoding, form.labeling, generators=())
+        return CanonicalForm(form.encoding, form.labeling, generators=given(g))
 
+    monkeypatch.setattr(oblot.hypergraph, "canonical_form", reporting)
+    return searched
+
+
+def test_class_table_survives_missing_generators(monkeypatch):
+    # with no generators of G every automorphism the walk applies is learned
+    # from a founder whose class is already known: the export cannot change,
+    # every transporter holds, and each learned generator doubles the group.
+    # On the cycles some learned generators are rotations, not involutions.
     want = {
         (g, k): export(build(g, k), "json")
-        for g in connected_graph_corpus(4) for k in (1, 2, 3)
+        for g in (*connected_graph_corpus(4), cycle(5), cycle(7)) for k in (1, 2, 3)
     }
-    monkeypatch.setattr(oblot.hypergraph, "canonical_form", without_generators)
+    searched = _search_of_g_reports(monkeypatch, lambda g: ())
     for (g, k), doc in want.items():
-        assert export(build(g, k), "json") == doc
+        searched.clear()
+        h = build(g, k)
+        assert export(h, "json") == doc
+        learned = len(h.generators)
+        assert len(searched) == 1 + len(h.configs) + learned
+        assert 2**learned <= len(brute_automorphisms(g, (0,) * g.n))
+        _assert_transporters(h)
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_walk_learns_the_reflection_a_rotation_misses(monkeypatch, n):
+    # the rotations are half of Aut(C_n): the walk learns one reflection from
+    # the first chiral founder, and nothing after it
+    g, k = cycle(n), n // 2
+    want = export(build(g, k), "json")
+    rotation = tuple((v + 1) % n for v in range(n))
+    searched = _search_of_g_reports(monkeypatch, lambda g: (rotation,))
+    h = build(g, k)
+    assert export(h, "json") == want
+    assert h.generators[0] == rotation and len(h.generators) == 2
+    assert len(searched) == 1 + len(h.configs) + 1
+    _assert_transporters(h)
 
 
 def test_transporter_carries_the_representative_onto_each_member():
@@ -495,17 +547,8 @@ def test_transporter_carries_the_representative_onto_each_member():
     rng = random.Random(3)
     for g0 in connected_graph_corpus(5):
         for g in (g0, relabeled(rng, g0)):
-            edges = {frozenset(e) for e in g.edges}
             for k in (1, 2, 3):
-                h = build(g, k)
-                for lam, i in h.class_of.items():
-                    pi = h.transporter(lam)
-                    assert sorted(pi) == list(range(g.n))
-                    assert {frozenset((pi[a], pi[b])) for a, b in g.edges} == edges
-                    rep = h.configs[i].rep.lam
-                    assert tuple(rep[pi[v]] for v in range(g.n)) == lam
-                    if lam == rep:
-                        assert pi == tuple(range(g.n))
+                _assert_transporters(build(g, k))
 
 
 def test_transporter_refuses_what_its_vector_cannot_reach(k23_h):
@@ -513,6 +556,17 @@ def test_transporter_refuses_what_its_vector_cannot_reach(k23_h):
     emptied = without_schreier(k23_h)
     with pytest.raises(InternalError, match="not to its class representative"):
         emptied.transporter(member)
+    # a vector that sends a placement and its image under an involution to
+    # each other runs in a circle
+    j, lam, image = next(
+        (j, lam, image)
+        for j, gen in enumerate(k23_h.generators) if all(gen[gen[v]] == v for v in gen)
+        for lam in k23_h.class_of if (image := operator.itemgetter(*gen)(lam)) != lam
+    )
+    circular = without_schreier(k23_h)
+    circular.schreier.update({lam: j, image: j})
+    with pytest.raises(InternalError, match="runs in a circle"):
+        circular.transporter(lam)
     with pytest.raises(InputError, match="does not belong"):
         k23_h.transporter((0, 0, 0, 0, 3))
 
@@ -571,14 +625,46 @@ def test_build_deltas_match_per_robot_oracle(scheduler, oracle):
             assert got == want
 
 
+# Past the permutation sweeps' reach: 832, 2 829 and 5 classes, and an SSYNC
+# build, whose fold drops outcomes that FSYNC never has
+SAMPLED_INSTANCES = {
+    "grid3x5-k4-fsync": (grid(3, 5), 4, "fsync"),
+    "C14-k7-fsync": (cycle(14), 7, "fsync"),
+    "K8-k4-fsync": (complete(8), 4, "fsync"),
+    "grid3x4-k3-ssync": (grid(3, 4), 3, "ssync"),
+}
+
+
+@pytest.mark.parametrize("name", SAMPLED_INSTANCES)
+def test_sampled_deltas_match_the_per_robot_oracle(name):
+    # a seeded sample of 300 arcs, each with one of its moves: on the class
+    # representative, every robot picks its destination on its own, and each
+    # outcome's class is found by its canonical encoding
+    g, k, scheduler = SAMPLED_INSTANCES[name]
+    h = build(g, k, scheduler)
+    oracle = raw_ssync_move_outcomes if scheduler == "ssync" else raw_move_outcomes
+    index = index_by_encoding(h)
+    rng = random.Random(2014)
+    arcs = rng.sample(h.hyperarcs, min(300, len(h.hyperarcs)))
+    for a in arcs:
+        entry = h.configs[a.source]
+        p = entry.form.orbits
+        move = as_brute_move(p, h.move(a.source, rng.choice(a.moves)))
+        outcomes = oracle(g, entry.rep.lam, set(map(frozenset, p.orbits)), move)
+        delta = {index[canonical_form(g, x).encoding] for x in outcomes}
+        assert tuple(sorted(delta)) == a.delta
+
+
 def test_exports_match_golden_digests():
-    # SHA-256 of every export of the n <= 5 corpus, k = 1..3, both schedulers
+    # SHA-256 of every export of the n <= 5 corpus, k = 1..3, and of K7 (k=4)
+    # and Q4 (k=3), whose groups are large, both schedulers
     golden = json.loads((Path(__file__).parent / "export_digests.json").read_text())
+    instances = [(g, k) for g in connected_graph_corpus(5) for k in (1, 2, 3)]
+    instances += [(complete(7), 4), (hypercube(4), 3)]
     got = {}
-    for g in connected_graph_corpus(5):
+    for g, k in instances:
         edges = json.dumps([list(e) for e in g.edges], separators=(",", ":"))
-        for k in (1, 2, 3):
-            for scheduler in ("fsync", "ssync"):
-                doc = export(build(g, k, scheduler), "json").encode()
-                got[f"n={g.n} edges={edges} k={k} {scheduler}"] = hashlib.sha256(doc).hexdigest()
+        for scheduler in ("fsync", "ssync"):
+            doc = export(build(g, k, scheduler), "json").encode()
+            got[f"n={g.n} edges={edges} k={k} {scheduler}"] = hashlib.sha256(doc).hexdigest()
     assert got == golden

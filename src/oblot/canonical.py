@@ -233,9 +233,19 @@ class _Canonizer:
             return
         target = cells[target_index]
         explored: list[int] = []
+        # ``fixing``: those of the first ``checked`` generators that fix the
+        # prefix pointwise.  Leaves only append to the list, so each branch
+        # filters just the generators found since the last one.
+        generators = self.generators
+        fixing: list[tuple[int, ...]] = []
+        checked = 0
         for w in target:
-            if self._in_explored_orbit(w, explored, prefix):
-                continue
+            if explored:
+                if checked < len(generators):
+                    fixing += [g for g in generators[checked:] if all(g[p] == p for p in prefix)]
+                    checked = len(generators)
+                if fixing and _in_explored_orbit(w, explored, fixing):
+                    continue
             explored.append(w)
             branched = (
                 cells[:target_index]
@@ -261,26 +271,23 @@ class _Canonizer:
             if any(phi[v] != v for v in range(self.n)):
                 self.generators.append(phi)
 
-    def _in_explored_orbit(self, w: int, explored: list[int], prefix: tuple[int, ...]) -> bool:
-        """Skip a branch whose subtree is the automorphic image of an explored one."""
-        if not explored:
-            return False
-        fixing = [g for g in self.generators if all(g[p] == p for p in prefix)]
-        if not fixing:
-            return False
-        orbit = {w}
-        frontier = [w]
-        explored_set = set(explored)
-        while frontier:
-            v = frontier.pop()
-            for g in fixing:
-                img = g[v]
-                if img in explored_set:
-                    return True
-                if img not in orbit:
-                    orbit.add(img)
-                    frontier.append(img)
-        return False
+
+def _in_explored_orbit(w: int, explored: list[int], fixing: list[tuple[int, ...]]) -> bool:
+    """Whether the group of ``fixing`` maps ``w`` into ``explored``: then the
+    branch on ``w`` is the automorphic image of an explored one."""
+    orbit = {w}
+    frontier = [w]
+    explored_set = set(explored)
+    while frontier:
+        v = frontier.pop()
+        for g in fixing:
+            img = g[v]
+            if img in explored_set:
+                return True
+            if img not in orbit:
+                orbit.add(img)
+                frontier.append(img)
+    return False
 
 
 def _encode(n: int, colors_in_canonical_order: list[int], bits: bytes) -> bytes:

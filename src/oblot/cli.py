@@ -21,6 +21,7 @@ import argparse
 import contextlib
 import gc
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -65,10 +66,28 @@ def _cache_path(cache_dir: str | None, g: Graph, k: int, scheduler: str) -> Path
     return Path(cache_dir) / f"{digest}.json"
 
 
+def _open_in_place(path, flags: int) -> int:
+    """``open``'s own flags and mode, but without ``O_TRUNC``."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write(chunks, *paths) -> None:
-    """Write ``chunks`` to each of ``paths`` as they come, never the whole text at once."""
+    """Write ``chunks`` to each of ``paths`` as they come, never the whole text at once.
+
+    A regular file is written over in place and cut at its final position on
+    exit, an error's exit included, so it ends as a truncating ``open`` would
+    leave it.  Freeing all of an existing file's blocks at open can stall for
+    tens of milliseconds (ext4); the cut frees only what the new text does not
+    cover.  Other files are not cut: ``ftruncate`` fails on ``/dev/null``,
+    though it is seekable.
+    """
     with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(open(path, "w")) for path in paths]
+        files = []
+        for path in paths:
+            f = stack.enter_context(open(path, "w", opener=_open_in_place))
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                stack.callback(f.truncate)
+            files.append(f)
         for chunk in chunks:
             for f in files:
                 f.write(chunk)

@@ -2,8 +2,10 @@ import gc
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -295,6 +297,96 @@ def test_commands_never_call_export(files, tmp_path, monkeypatch, capsys):
     assert cli.main(["move", "--config", files["mixed"], "--problem", files["gathering"],
                      "--cache", cache]) == 0
     assert len(list(Path(cache).iterdir())) == 1
+
+
+def _graph_file(tmp_path, graph) -> str:
+    path = tmp_path / "g.json"
+    path.write_text(dump_json(graph.to_json_obj()))
+    return str(path)
+
+
+@pytest.mark.parametrize("before", ["longer", "shorter", "equal"])
+def test_build_rewrites_existing_files_to_fresh_bytes(tmp_path, capsys, before):
+    # --out and --dot are written over in place and cut at their end; files
+    # that held more, fewer or as many bytes end as a fresh write leaves them
+    graph = _graph_file(tmp_path, grid(3, 4))
+    fresh = tmp_path / "fresh.json", tmp_path / "fresh.dot"
+    again = tmp_path / "h.json", tmp_path / "h.dot"
+    assert cli.main(["build", "--graph", graph, "-k", "3",
+                     "--out", str(fresh[0]), "--dot", str(fresh[1])]) == 0
+    for new, old in zip(fresh, again):
+        size = len(new.read_bytes())
+        old.write_bytes(b"x" * {"longer": 2 * size, "shorter": size // 2, "equal": size}[before])
+    assert cli.main(["build", "--graph", graph, "-k", "3",
+                     "--out", str(again[0]), "--dot", str(again[1])]) == 0
+    for new, old in zip(fresh, again):
+        assert old.read_bytes() == new.read_bytes()
+    assert capsys.readouterr().out == "configs=100 hyperarcs=2619\n" * 2
+
+
+def test_build_out_dev_null(files, capsys):
+    # a character device is written to and never truncated
+    argv = ["build", "--graph", files["k23"], "-k", "2", "--out", os.devnull, "--dot", os.devnull]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == ("configs=5 hyperarcs=9\n", "")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_build_out_fifo_receives_the_whole_export(files, tmp_path, capsys):
+    fifo = tmp_path / "h.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert cli.main(["build", "--graph", files["k23"], "-k", "2", "--out", str(fifo)]) == 0
+    reader.join(timeout=60)
+    assert received == [export(build(K23, 2), "json").encode()]
+
+
+@pytest.mark.parametrize("before", ["missing", "longer"])
+def test_error_mid_stream_leaves_the_prefix_written(tmp_path, capsys, monkeypatch, before):
+    # as with a truncating open: the file holds the chunks written before the
+    # error, the cache gets neither entry nor temporary file, and the exit
+    # code is the error's
+    chunks = list(cli._json_chunks(build(grid(3, 4), 3)))
+    half = len(chunks) // 2
+
+    def failing(h):
+        yield from chunks[:half]
+        raise InternalError("the export broke off")
+
+    monkeypatch.setattr(cli, "_json_chunks", failing)
+    out, cache = tmp_path / "h.json", tmp_path / "cache"
+    if before == "longer":
+        out.write_text("x" * (2 * len("".join(chunks))))
+    argv = ["build", "--graph", _graph_file(tmp_path, grid(3, 4)), "-k", "3",
+            "--out", str(out), "--cache", str(cache)]
+    assert cli.main(argv) == 5
+    assert capsys.readouterr() == ("", "error: the export broke off\n")
+    assert out.read_text() == "".join(chunks[:half])
+    assert list(cache.iterdir()) == []
+
+
+def test_unopenable_path_leaves_the_earlier_paths_empty(tmp_path):
+    first = tmp_path / "first.json"
+    first.write_text("old contents")
+    with pytest.raises(FileNotFoundError):
+        cli._write(iter(["new contents"]), first, tmp_path / "missing" / "second.json")
+    assert first.read_bytes() == b""
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_new_file_mode_is_that_of_open(tmp_path, umask):
+    plain, written = tmp_path / "plain", tmp_path / "written"
+    old = os.umask(umask)
+    try:
+        with open(plain, "w"):
+            pass
+        cli._write(iter(["text"]), written)
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(written.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
+    assert written.read_text() == "text"
 
 
 def test_cache_key_ignores_graph_name(files, tmp_path):

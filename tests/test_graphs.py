@@ -132,6 +132,20 @@ def test_load_graph_unknown_field_warns():
         assert [w.filename for w in record] == [__file__]
 
 
+def test_load_configuration_unknown_field_warns_once(k23):
+    # an extra top-level field changes nothing but a warning, which points
+    # at the loader's caller
+    doc = {"graph": k23.to_json_obj(), "lambda": [1, 0, 1, 0, 0]}
+    plain = load_configuration(json.dumps(doc))
+    with pytest.warns(UserWarning) as record:
+        extra = load_configuration(json.dumps({**doc, "colour": "red"}))
+    assert extra == plain
+    assert [str(w.message) for w in record] == [
+        "ignoring unknown field 'colour' in configuration document"
+    ]
+    assert [w.filename for w in record] == [__file__]
+
+
 def test_load_configuration_inline_and_by_path(tmp_path, k23):
     gpath = tmp_path / "g.json"
     gpath.write_text(json.dumps(k23.to_json_obj()))

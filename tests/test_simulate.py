@@ -141,6 +141,27 @@ def test_plays_errors(k23, c4_cycle):
         )
 
 
+def test_plays_node_cap_is_exact(k23):
+    # The enumeration visits each class once: the start and, from every
+    # class not final, the Δ of its planned move.  A cap of exactly that
+    # many classes suffices, and one fewer does not.
+    start = Configuration(k23, (0, 0, 1, 1, 1))
+    sol = solution(build(k23, 3), GATHER)
+    reached = {sol.h.index_of(start)}
+    frontier = list(reached)
+    while frontier:
+        idx = frontier.pop()
+        if idx not in sol.final:
+            new = set(sol.entries[idx].delta) - reached
+            reached |= new
+            frontier.extend(new)
+    assert len(reached) > 2
+    want = PlaySummary(max_rounds_used=3, min_rounds_used=1, all_reach_final=True)
+    assert enumerate_adversary_plays(start, GATHER, node_cap=len(reached)) == want
+    with pytest.raises(BudgetExceededError, match="node cap"):
+        enumerate_adversary_plays(start, GATHER, node_cap=len(reached) - 1)
+
+
 def test_parse_adversary():
     assert parse_adversary("worst") == WORST
     assert parse_adversary("first") == FIRST

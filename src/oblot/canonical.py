@@ -14,20 +14,25 @@ individualization-refinement:
 
 Two leaves with equal encodings differ by an automorphism; those discovered
 automorphisms generate the full automorphism group and are also used to prune
-branches that are equivalent to ones already explored.  The search is run
-once per colored graph by :func:`canonical_form`, the only entry point: the
-:class:`CanonicalForm` it returns keeps the generators, and its ``orbits``
-are the connected components of the vertex set under them, closed on first
-use.
+branches that are equivalent to ones already explored.  An automorphism
+found against the best leaf also backjumps (McKay & Piperno, "Practical
+graph isomorphism, II", JSC 2014): it fixes the common prefix of the two
+leaves' paths, so the subtree below that prefix holding the new leaf is the
+image of the sibling subtree holding the best leaf, searched in full before
+it.  The search abandons it and goes on with the next sibling.  That keeps
+the generators few (11 on K12, not 66) and the first least leaf the one
+returned.  The search is run once per colored graph by
+:func:`canonical_form`, the only entry point: the :class:`CanonicalForm` it
+returns keeps the generators, and its ``orbits`` are the connected
+components of the vertex set under them, closed on first use.
 
 A caller that already holds automorphisms of the colored graph may pass them
 to it as ``seeds``; the class walk in :mod:`oblot.hypergraph` passes the
 automorphisms of G that fix the placement it canonizes.  The search then
 prunes with them from its first branch.  Pruning by automorphisms keeps the
-first least leaf (McKay & Piperno, "Practical graph isomorphism, II", JSC
-2014), so the encoding and the labeling are those of the unseeded search;
-the form's ``generators`` are the seeds plus what the search found, and
-generate the same group.
+first least leaf (McKay & Piperno), so the encoding and the labeling are
+those of the unseeded search; the form's ``generators`` are the seeds plus
+what the search found, and generate the same group.
 
 Configurations are canonized by treating robot counts as vertex colors.  The
 pendant-vertex encoding ``configuration_graph`` in ``tests/bruteforce.py``
@@ -214,6 +219,7 @@ class _Canonizer:
         self.colors = colors
         self.best_bits: bytes | None = None
         self.best_order: list[int] | None = None
+        self.best_path: tuple[int, ...] = ()
         # the best leaf's labeling: vertex -> its position in best_order
         self.best_labeling: list[int] | None = None
         self.generators: list[tuple[int, ...]] = [*seeds]
@@ -225,13 +231,15 @@ class _Canonizer:
         initial = [cells[c] for c in sorted(cells)]
         self._search(initial, ())
 
-    def _search(self, cells: list[list[int]], prefix: tuple[int, ...]) -> None:
+    def _search(self, cells: list[list[int]], prefix: tuple[int, ...]) -> int:
+        """Search the subtree below ``prefix``; return the depth at which the
+        search resumes, ``len(prefix)`` unless a leaf below backjumped past it."""
         cells = _refine(self.adj, cells)
         target_index = next((i for i, c in enumerate(cells) if len(c) > 1), None)
         if target_index is None:
-            self._visit_leaf([c[0] for c in cells])
-            return
+            return self._visit_leaf([c[0] for c in cells], prefix)
         target = cells[target_index]
+        depth = len(prefix)
         explored: list[int] = []
         # ``fixing``: those of the first ``checked`` generators that fix the
         # prefix pointwise.  Leaves only append to the list, so each branch
@@ -252,13 +260,16 @@ class _Canonizer:
                 + [[w], [u for u in target if u != w]]
                 + cells[target_index + 1 :]
             )
-            self._search(branched, prefix + (w,))
+            if (resume := self._search(branched, prefix + (w,))) < depth:
+                return resume
+        return depth
 
-    def _visit_leaf(self, order: list[int]) -> None:
+    def _visit_leaf(self, order: list[int], path: tuple[int, ...]) -> int:
         bits = _adjacency_bits(self.n, self.adj, order)
         if self.best_bits is None or bits < self.best_bits:
             self.best_bits = bits
             self.best_order = order
+            self.best_path = path
             labeling = [0] * self.n
             for pos, v in enumerate(order):
                 labeling[v] = pos
@@ -266,10 +277,14 @@ class _Canonizer:
         elif bits == self.best_bits:
             # Equal encodings mean the two leaf labelings differ by a
             # color-preserving automorphism: send u to the vertex this leaf
-            # placed where the best leaf placed u.
-            phi = tuple(map(order.__getitem__, self.best_labeling))
-            if any(phi[v] != v for v in range(self.n)):
-                self.generators.append(phi)
+            # placed where the best leaf placed u.  It carries the best
+            # leaf's path onto this one and fixes their common prefix, so
+            # the subtree below that prefix holding this leaf is the image
+            # of the one holding the best leaf, searched in full: resume at
+            # the prefix, with that subtree's next sibling.
+            self.generators.append(tuple(map(order.__getitem__, self.best_labeling)))
+            return next(i for i, (a, b) in enumerate(zip(path, self.best_path)) if a != b)
+        return len(path)
 
 
 def _in_explored_orbit(w: int, explored: list[int], fixing: list[tuple[int, ...]]) -> bool:

@@ -16,26 +16,23 @@ the solver decodes one per solvable class, and the JSON export writes each
 class's moves from one table of move texts over the product.
 
 Robots cannot tell automorphic placements apart, so a class is an orbit of
-Aut(G) on placements.  Class enumeration runs one canonizer search for G,
-one per class and at most log2 |Aut(G)| more: placements are walked in
-lexicographic order, and each one not yet in the class table founds a
-class, whose members are found by applying generators of Aut(G)
-breadth-first.  The walk applies a lean set, those of G's search that merge
-two vertex orbits, at most n - 1 (11 of 66 on K12), and learns from a
-founder whose class is already known what the set misses
-(:func:`enumerate_configurations`).  The result is the class table
-``class_of``, a map from every placement λ to its class index.  Each class
-search is seeded with the generators of G's search that fix its founder;
-its form is the unseeded search's, and a class's orbits come from it
-(``entry.form.orbits``).
+Aut(G) on placements.  Class enumeration runs one canonizer search for G and
+one per class: placements are walked in lexicographic order, and each one
+not yet in the class table founds a class, whose members are found by
+applying the generators of G's search breadth-first
+(:func:`enumerate_configurations`).  Those generate Aut(G), and the
+canonizer's backjump keeps them few (11 on K12).  The result is the class
+table ``class_of``, a map from every placement λ to its class index.  Each
+class search is seeded with the generators of G's search that fix its
+founder; its form is the unseeded search's, and a class's orbits come from
+it (``entry.form.orbits``).
 
 The walk also records a Schreier vector (Holt, Eick & O'Brien, *Handbook of
 Computational Group Theory*, 2005): for every placement a generator reached,
 the index of that generator, so that its inverse leads back to the parent
-placement.  A class's first founder, its representative, has no entry; a
-later founder's entry is the generator learned from it.  Composing the
-generators along that chain gives ``h.transporter(λ)``, an automorphism of
-G that carries the class representative onto λ; the simulator maps the
+placement.  A class's founder, its representative, has no entry.  Composing
+the generators along that chain gives ``h.transporter(λ)``, an automorphism
+of G that carries the class representative onto λ; the simulator maps the
 representative's outcomes through it instead of canonizing each placement
 it visits.
 
@@ -129,9 +126,9 @@ class ConfigHypergraph(Frozen):
         class_of: dict[tuple[int, ...], int],
         # Per class, the option sets whose product its move indices count in.
         option_sets: tuple[OptionSets, ...],
-        # The generators of Aut(G) the class walk applied, the lean set first
-        # and then any it learned, and its Schreier vector: placement ->
-        # index of the generator that first reached it.
+        # The generators of Aut(G) the class walk applied, those of G's
+        # search, and its Schreier vector: placement -> index of the
+        # generator that first reached it.
         generators: tuple[tuple[int, ...], ...],
         schreier: dict[tuple[int, ...], int],
     ) -> None:
@@ -152,9 +149,9 @@ class ConfigHypergraph(Frozen):
         class onto ``lam``: ``lam[v] == rep.lam[π[v]]`` for every vertex v.
 
         π composes the generators along the Schreier chain from ``lam`` back
-        to the class representative; the walk learns every generator its
-        lean set misses, so each chain ends there.  A chain that ends
-        elsewhere or runs in a circle, from a damaged vector, raises.
+        to the class representative; each class is one orbit of the walk's
+        generators, so each chain ends there.  A chain that ends elsewhere
+        or runs in a circle, from a damaged vector, raises.
         """
         try:
             rep = self.configs[self.class_of[lam]].rep.lam
@@ -202,43 +199,6 @@ def _weak_compositions(total: int, parts: int):
     return (tuple(map(operator.sub, (*c, total), (0, *c))) for c in cuts)
 
 
-def _lean(n: int, generators: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
-    """The generators that each merge two vertex orbits of those kept before
-    them, found by a union-find over the vertices: at most n - 1."""
-    root = list(range(n))
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
-    kept = []
-    for gen in generators:
-        merged = False
-        for v, w in enumerate(gen):
-            a, b = find(v), find(w)
-            if a != b:
-                root[a] = b
-                merged = True
-        if merged:
-            kept.append(gen)
-    return kept
-
-
-def _close(orbit, enc, images, encoding_of, schreier) -> None:
-    """Fill in breadth-first what the generators reach from ``orbit``, each
-    new placement in class ``enc`` with the index of the generator that
-    reached it."""
-    for member in orbit:
-        for j, image_of in enumerate(images):
-            image = image_of(member)
-            if image not in encoding_of:
-                encoding_of[image] = enc
-                schreier[image] = j
-                orbit.append(image)
-
-
 def enumerate_configurations(g: Graph, k: int) -> tuple[
     tuple[ConfigEntry, ...],
     dict[tuple[int, ...], int],
@@ -249,31 +209,21 @@ def enumerate_configurations(g: Graph, k: int) -> tuple[
     table mapping every placement to its entry's index, the generators of
     Aut(G) the walk applied, and its Schreier vector over those generators.
 
-    The walk applies a lean set: of the generators G's search found, those
-    that each merge two vertex orbits of the ones kept before them, at most
-    n - 1.  Placements are walked in ascending lexicographic order; each one
-    not yet in the table founds a class and, as its least member, represents
-    it: it is canonized, seeded with the generators of G's search that fix
-    it, and its orbit under the walk's generators is filled in breadth-first,
-    each new member recording the generator that reached it.
-
-    The lean set may generate a proper subgroup.  Then a founder's encoding
-    already names a class: the two canonical labelings give the automorphism
-    π that carries the representative onto the founder, and π joins the
-    walk's generators as the founder's Schreier entry.  The founder's orbit
-    and π's images of every placement walked so far are then filled in, so
-    every class stays closed and each learned generator at least doubles the
-    group: at most log2 |Aut(G)| searches more than one per class.  Entries
-    are sorted by encoding bytes.
+    The walk applies the generators G's search found, which generate
+    Aut(G).  Placements are walked in ascending lexicographic order; each
+    one not yet in the table founds a class and, as its least member,
+    represents it: it is canonized, seeded with the generators that fix it,
+    and its orbit under the generators is filled in breadth-first, each new
+    member recording the generator that reached it.  So every orbit is a
+    whole class, and a founder whose encoding already names a class raises.
+    Entries are sorted by encoding bytes.
     """
     if k < 1:
         raise InputError(f"robot count must be at least 1, got {k}")
     if not g.n:
         raise InputError(f"robot count {k} needs a graph with at least one vertex")
-    searched = canonical_form(g, (0,) * g.n).generators
+    generators = canonical_form(g, (0,) * g.n).generators
     # the image of a placement under a generator, as one C call
-    searched_images = [operator.itemgetter(*gen) for gen in searched]
-    generators = _lean(g.n, searched)
     images = [operator.itemgetter(*gen) for gen in generators]
     by_encoding: dict[bytes, ConfigEntry] = {}
     encoding_of: dict[tuple[int, ...], bytes] = {}
@@ -281,34 +231,26 @@ def enumerate_configurations(g: Graph, k: int) -> tuple[
     for lam in _weak_compositions(k, g.n):
         if lam in encoding_of:
             continue
-        seeds = tuple(
-            gen for gen, image_of in zip(searched, searched_images) if image_of(lam) == lam
-        )
+        seeds = tuple(gen for gen, image_of in zip(generators, images) if image_of(lam) == lam)
         form = canonical_form(g, lam, seeds=seeds)
         enc = form.encoding
+        if enc in by_encoding:
+            raise InternalError(
+                f"founder {lam} is in a known class: G's generators miss some of Aut(G)"
+            )
+        by_encoding[enc] = ConfigEntry(form=form, rep=Configuration(g, lam))
         encoding_of[lam] = enc
-        known = by_encoding.get(enc)
-        if known is None:
-            by_encoding[enc] = ConfigEntry(form=form, rep=Configuration(g, lam))
-        else:
-            # lam[v] == rep[π[v]]: both labelings send G onto one canonical graph
-            vertex_at = sorted(range(g.n), key=known.form.labeling.__getitem__)
-            pi = tuple(map(vertex_at.__getitem__, form.labeling))
-            j = len(generators)
-            schreier[lam] = j
-            generators.append(pi)
-            images.append(learned := operator.itemgetter(*pi))
-            # π on every placement walked so far, so that every class stays closed
-            for member, member_enc in list(encoding_of.items()):
-                if (image := learned(member)) not in encoding_of:
-                    encoding_of[image] = member_enc
+        orbit = [lam]
+        for member in orbit:
+            for j, image_of in enumerate(images):
+                if (image := image_of(member)) not in encoding_of:
+                    encoding_of[image] = enc
                     schreier[image] = j
-                    _close([image], member_enc, images, encoding_of, schreier)
-        _close([lam], enc, images, encoding_of, schreier)
+                    orbit.append(image)
     entries = tuple(entry for _, entry in sorted(by_encoding.items()))
     index = {entry.form.encoding: i for i, entry in enumerate(entries)}
     class_of = {lam: index[enc] for lam, enc in encoding_of.items()}
-    return entries, class_of, tuple(generators), schreier
+    return entries, class_of, generators, schreier
 
 
 def build(g: Graph, k: int, scheduler: str = "fsync") -> ConfigHypergraph:

@@ -10,7 +10,6 @@ from __future__ import annotations
 from collections import deque
 from pathlib import Path
 
-from .canonical import canonical_form
 from .errors import InputError
 from .graphs import Configuration, Frozen, bounded_repr, is_json_int, parse_json, read_input_file
 from .graphs import total_robots
@@ -100,18 +99,16 @@ def _bfs_distances(adj: tuple[tuple[int, ...], ...], source: int) -> list[int | 
 
 
 def is_final(spec: ProblemSpec, c: Configuration) -> bool:
-    """Whether ``c`` is a final configuration for the problem."""
-    k = total_robots(c)
+    """Whether ``c`` is a final configuration for a gathering or geodesic
+    mutual visibility problem.  A pattern or explicit problem's final set is
+    read from a class table by :func:`resolve_final_set`."""
     if spec.kind == "gathering":
         # All robots on one vertex; robots sense exact multiplicities, so
         # the predicate is simply that some count equals k.
+        k = total_robots(c)
         return k > 0 and any(x == k for x in c.lam)
-    if spec.kind in ("pattern", "explicit"):
-        _check_target_dims(spec, c.graph.n, k)
-        mine = canonical_form(c.graph, c.lam)
-        return any(
-            canonical_form(c.graph, t) == mine for t in spec.targets
-        )
+    if spec.kind != "geodesic_mutual_visibility":
+        raise InputError(f"{spec.kind} targets are matched by resolve_final_set, not per placement")
     # geodesic mutual visibility: multiplicity-free, and every pair of
     # occupied vertices joined by some robot-free shortest path.
     if any(x > 1 for x in c.lam):

@@ -58,14 +58,29 @@ def color_isomorphic(
 
 
 def brute_automorphisms(g: Graph, colors: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All color-preserving automorphisms, by full permutation sweep."""
+    """All color-preserving automorphisms, in lexicographic order: the sweep
+    of every permutation, cut at the first vertex whose image breaks its
+    color or its adjacency to an earlier vertex."""
+    n = g.n
     e = _edge_set(g.edges)
+    adjacent = [[(min(a, b), max(a, b)) in e for b in range(n)] for a in range(n)]
     out = []
-    for perm in itertools.permutations(range(g.n)):
-        if any(colors[perm[v]] != colors[v] for v in range(g.n)):
-            continue
-        if all(tuple(sorted((perm[a], perm[b]))) in e for a, b in e):
-            out.append(perm)
+    perm: list[int] = []
+
+    def extend(v: int) -> None:
+        if v == n:
+            out.append(tuple(perm))
+            return
+        for w in range(n):
+            if w in perm or colors[w] != colors[v]:
+                continue
+            if any(adjacent[u][v] != adjacent[perm[u]][w] for u in range(v)):
+                continue
+            perm.append(w)
+            extend(v + 1)
+            perm.pop()
+
+    extend(0)
     return out
 
 
@@ -208,6 +223,38 @@ def encode(n: int, colors_in_canonical_order: list[int], bits: bytes) -> bytes:
     color_bytes = b"".join(struct.pack(">I", c) for c in colors_in_canonical_order)
     fields = (struct.pack(">I", n), color_bytes, bits)
     return b"".join(struct.pack(">I", len(field)) + field for field in fields)
+
+
+def first_least_leaf(g: Graph, colors: tuple[int, ...]) -> tuple[bytes, tuple[int, ...]]:
+    """The encoding and labeling of the first leaf with the least adjacency
+    bits in the whole individualization-refinement tree, searched with these
+    kernels and no pruning: the leaf the canonizer must return."""
+    n, adj = g.n, g.neighbors
+    by_color: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        by_color.setdefault(c, []).append(v)
+    best: list = []
+
+    def search(cells: list[list[int]]) -> None:
+        cells = refine(adj, cells)
+        t = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+        if t is None:
+            order = [c[0] for c in cells]
+            bits = adjacency_bits(n, adj, order)
+            if not best or bits < best[0]:
+                best[:] = [bits, order]
+            return
+        for w in cells[t]:
+            search(cells[:t] + [[w], [u for u in cells[t] if u != w]] + cells[t + 1 :])
+
+    search([by_color[c] for c in sorted(by_color)])
+    if not best:
+        return encode(0, [], b""), ()
+    bits, order = best
+    labeling = [0] * n
+    for pos, v in enumerate(order):
+        labeling[v] = pos
+    return encode(n, [colors[v] for v in order], bits), tuple(labeling)
 
 
 def union_find_orbits(

@@ -280,6 +280,65 @@ def test_seeded_class_searches_match_the_plain_search_on_relabeled_graphs(g, k, 
     _assert_seeds_change_no_form(bruteforce.relabeled(rng, g), k)
 
 
+def _group_order(n: int, generators) -> int:
+    """The order of the permutation group the generators generate, closed
+    breadth-first from the identity."""
+    group = {tuple(range(n))}
+    frontier = list(group)
+    for p in frontier:
+        for gen in generators:
+            if (q := tuple(gen[v] for v in p)) not in group:
+                group.add(q)
+                frontier.append(q)
+    return len(group)
+
+
+def test_search_of_g_generates_aut_g_from_at_most_n_minus_1_generators():
+    # the class walk applies these generators as they come, so they must
+    # generate the whole group; the backjump keeps them few.  A backjump one
+    # level too far loses automorphisms of some disjoint unions, K2 + C4
+    # among them.
+    graphs = [
+        *connected_graph_corpus(5), petersen(), bruteforce.complete(6), bruteforce.hypercube(3),
+        cycle(8),
+    ]
+    for a, b in itertools.combinations_with_replacement(connected_graph_corpus(4), 2):
+        shifted = tuple((u + a.n, v + a.n) for u, v in b.edges)
+        graphs.append(Graph(n=a.n + b.n, edges=a.edges + shifted))
+    for g in graphs:
+        zeros = (0,) * g.n
+        generators = canonical_form(g, zeros).generators
+        assert len(generators) <= g.n - 1
+        assert _group_order(g.n, generators) == len(bruteforce.brute_automorphisms(g, zeros))
+
+
+def test_search_returns_the_first_least_leaf_and_generates_aut():
+    # against the whole tree searched with no pruning and no backjump, and
+    # the permutation sweep: random graphs, connected or not, with colors
+    rng = random.Random(29)
+    for _ in range(800):
+        n = rng.randint(0, 7)
+        density = rng.choice((0.15, 0.3, 0.5, 0.8))
+        g = Graph(n=n, edges=tuple(p for p in itertools.combinations(range(n), 2)
+                                   if rng.random() < density))
+        palette = rng.randint(1, 3)
+        colors = tuple(rng.randrange(palette) for _ in range(n))
+        form = canonical_form(g, colors)
+        assert (form.encoding, form.labeling) == bruteforce.first_least_leaf(g, colors)
+        assert _group_order(n, form.generators) == len(bruteforce.brute_automorphisms(g, colors))
+
+
+@pytest.mark.parametrize(
+    "g, want", [(bruteforce.complete(12), 11), (bruteforce.hypercube(5), 5)], ids=["K12", "Q5"]
+)
+def test_backjumping_search_of_g_finds_a_lean_generating_set(g, want):
+    # each automorphism a leaf finds sends the search back to the common
+    # prefix of its path and the best leaf's; without that jump the search
+    # of K12 finds 66 generators and that of Q5 finds 15, with no form,
+    # label or export changed
+    assert len(canonical_form(g, (0,) * g.n).generators) == want
+
+
 # ---------------------------------------------------------------------------
 # Golden label digests.
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import oblot.canonical
 import oblot.hypergraph
+from oblot import cli
 from oblot.canonical import CanonicalForm, canonical_form, occupied_orbits
 from oblot.errors import InputError, InternalError
 from oblot.graphs import Configuration, Graph, dump_json, load_configuration, load_graph
@@ -32,7 +33,6 @@ from bruteforce import (
     all_placements,
     arcs_by_source,
     as_brute_move,
-    brute_automorphisms,
     brute_orbits,
     complete,
     config_isomorphic,
@@ -46,6 +46,7 @@ from bruteforce import (
     hypercube,
     index_by_encoding,
     move_sort_key,
+    petersen,
     raw_move_outcomes,
     raw_moves,
     raw_ssync_move_outcomes,
@@ -456,12 +457,19 @@ def test_build_agrees_with_independent_class_walk(p4):
 
 
 @pytest.mark.parametrize(
-    "graph, k, scheduler", [("k23", 2, "fsync"), ("k23", 2, "ssync"), ("p4", 3, "fsync")]
+    "graph, k, scheduler",
+    [
+        ("k23", 2, "fsync"), ("k23", 2, "ssync"), ("p4", 3, "fsync"),
+        pytest.param(cycle(8), 4, "fsync", id="C8-4-fsync"),
+        pytest.param(complete(6), 3, "fsync", id="K6-3-fsync"),
+        pytest.param(hypercube(3), 3, "ssync", id="Q3-3-ssync"),
+        pytest.param(petersen(), 3, "fsync", id="petersen-3-fsync"),
+    ],
 )
 def test_build_searches_each_placement_once(request, monkeypatch, graph, k, scheduler):
     # one search for G, then one per class on its least placement; the other
     # members come from the orbit walk, and a class's orbits from its form
-    g = request.getfixturevalue(graph)
+    g = request.getfixturevalue(graph) if isinstance(graph, str) else graph
     searched = []
     canonize = oblot.canonical._canonize
 
@@ -490,56 +498,26 @@ def _assert_transporters(h):
             assert pi == tuple(range(g.n))
 
 
-def _search_of_g_reports(monkeypatch, given) -> list:
-    """Let the walk's search of G report the generators ``given(g)`` instead
-    of the ones it found; the colorings the walk searches go to the list
-    returned."""
-    searched = []
+def test_walk_refuses_generators_that_miss_part_of_aut_g(monkeypatch, tmp_path, capsys):
+    # the rotations are half of Aut(C8): with the search of G reporting only
+    # the rotation, the first chiral founder's mirror image founded a class
+    # before it, and the walk never reached the founder from there
+    rotation = tuple((v + 1) % 8 for v in range(8))
 
     def reporting(g, coloring, seeds=()):
-        searched.append(coloring)
         form = canonical_form(g, coloring, seeds=seeds)
         if any(coloring):
             return form
-        return CanonicalForm(form.encoding, form.labeling, generators=given(g))
+        return CanonicalForm(form.encoding, form.labeling, generators=(rotation,))
 
     monkeypatch.setattr(oblot.hypergraph, "canonical_form", reporting)
-    return searched
-
-
-def test_class_table_survives_missing_generators(monkeypatch):
-    # with no generators of G every automorphism the walk applies is learned
-    # from a founder whose class is already known: the export cannot change,
-    # every transporter holds, and each learned generator doubles the group.
-    # On the cycles some learned generators are rotations, not involutions.
-    want = {
-        (g, k): export(build(g, k), "json")
-        for g in (*connected_graph_corpus(4), cycle(5), cycle(7)) for k in (1, 2, 3)
-    }
-    searched = _search_of_g_reports(monkeypatch, lambda g: ())
-    for (g, k), doc in want.items():
-        searched.clear()
-        h = build(g, k)
-        assert export(h, "json") == doc
-        learned = len(h.generators)
-        assert len(searched) == 1 + len(h.configs) + learned
-        assert 2**learned <= len(brute_automorphisms(g, (0,) * g.n))
-        _assert_transporters(h)
-
-
-@pytest.mark.parametrize("n", [8, 9, 10])
-def test_walk_learns_the_reflection_a_rotation_misses(monkeypatch, n):
-    # the rotations are half of Aut(C_n): the walk learns one reflection from
-    # the first chiral founder, and nothing after it
-    g, k = cycle(n), n // 2
-    want = export(build(g, k), "json")
-    rotation = tuple((v + 1) % n for v in range(n))
-    searched = _search_of_g_reports(monkeypatch, lambda g: (rotation,))
-    h = build(g, k)
-    assert export(h, "json") == want
-    assert h.generators[0] == rotation and len(h.generators) == 2
-    assert len(searched) == 1 + len(h.configs) + 1
-    _assert_transporters(h)
+    with pytest.raises(InternalError, match="G's generators miss some of Aut"):
+        build(cycle(8), 4)
+    graph = tmp_path / "c8.json"
+    graph.write_text(dump_json(cycle(8).to_json_obj()))
+    argv = ["build", "--graph", str(graph), "-k", "4", "--out", str(tmp_path / "h.json")]
+    assert cli.main(argv) == 5
+    assert "G's generators miss some of Aut" in capsys.readouterr().err
 
 
 def test_transporter_carries_the_representative_onto_each_member():

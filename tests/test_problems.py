@@ -14,7 +14,13 @@ from oblot.problems import (
     resolve_final_set,
 )
 
-from bruteforce import all_placements, connected_graph_corpus, gmv_oracle, random_graph
+from bruteforce import (
+    all_placements,
+    config_isomorphic,
+    connected_graph_corpus,
+    gmv_oracle,
+    random_graph,
+)
 
 
 GATHER = ProblemSpec(kind="gathering")
@@ -28,19 +34,34 @@ def test_gathering(k23):
     assert not is_final(GATHER, Configuration(k23, (2, 1, 0, 0, 0)))
 
 
+def _final_set_oracle(spec: ProblemSpec, h) -> set[int]:
+    """The classes whose representative is isomorphic to some target, by the
+    permutation-sweep oracle."""
+    return {
+        i for i, e in enumerate(h.configs)
+        if any(config_isomorphic(e.rep, Configuration(h.graph, t)) for t in spec.targets)
+    }
+
+
 def test_pattern_matches_up_to_isomorphism(k23):
+    h = build(k23, 2)
     spec = ProblemSpec(kind="pattern", targets=((0, 0, 2, 0, 0),))
+    final = resolve_final_set(spec, h)
+    assert final == _final_set_oracle(spec, h)
     # any vertex of the same orbit realizes the pattern
-    assert is_final(spec, Configuration(k23, (0, 0, 0, 0, 2)))
+    assert h.index_of(Configuration(k23, (0, 0, 0, 0, 2))) in final
     # the two-vertex side is a different class
-    assert not is_final(spec, Configuration(k23, (2, 0, 0, 0, 0)))
+    assert h.index_of(Configuration(k23, (2, 0, 0, 0, 0))) not in final
 
 
 def test_explicit_union_of_classes(p4):
+    h = build(p4, 2)
     spec = ProblemSpec(kind="explicit", targets=((2, 0, 0, 0), (1, 0, 1, 0)))
-    assert is_final(spec, Configuration(p4, (0, 0, 0, 2)))
-    assert is_final(spec, Configuration(p4, (0, 1, 0, 1)))
-    assert not is_final(spec, Configuration(p4, (1, 1, 0, 0)))
+    final = resolve_final_set(spec, h)
+    assert final == _final_set_oracle(spec, h)
+    assert h.index_of(Configuration(p4, (0, 0, 0, 2))) in final
+    assert h.index_of(Configuration(p4, (0, 1, 0, 1))) in final
+    assert h.index_of(Configuration(p4, (1, 1, 0, 0))) not in final
 
 
 def test_empty_explicit_final_set_is_empty(p4):
@@ -50,13 +71,21 @@ def test_empty_explicit_final_set_is_empty(p4):
 
 
 def test_target_dimension_errors(p4):
-    c = Configuration(p4, (1, 1, 0, 0))
+    h = build(p4, 2)
     with pytest.raises(InputError, match="does not match vertex count"):
-        is_final(ProblemSpec(kind="pattern", targets=((1, 1, 0),)), c)
+        resolve_final_set(ProblemSpec(kind="pattern", targets=((1, 1, 0),)), h)
     with pytest.raises(InputError, match="sums to"):
-        is_final(ProblemSpec(kind="pattern", targets=((1, 1, 1, 0),)), c)
+        resolve_final_set(ProblemSpec(kind="pattern", targets=((1, 1, 1, 0),)), h)
     with pytest.raises(InputError, match="nonnegative"):
-        is_final(ProblemSpec(kind="pattern", targets=((3, -1, 0, 0),)), c)
+        resolve_final_set(ProblemSpec(kind="explicit", targets=((3, -1, 0, 0),)), h)
+
+
+def test_is_final_refuses_target_kinds(p4):
+    # a target kind never falls through to the visibility predicate
+    c = Configuration(p4, (1, 0, 0, 1))
+    for kind in ("pattern", "explicit"):
+        with pytest.raises(InputError, match="matched by resolve_final_set"):
+            is_final(ProblemSpec(kind=kind, targets=((1, 0, 0, 1),)), c)
 
 
 def test_non_target_kinds_reject_targets():
@@ -130,11 +159,14 @@ def test_predicates_isomorphism_invariant(n, data):
     c2 = _permuted(g, tuple(lam), perm)
     for spec in (GATHER, GMV):
         assert is_final(spec, c1) == is_final(spec, c2)
-    target = tuple(lam)
-    s1 = ProblemSpec(kind="pattern", targets=(target,))
-    # the pattern predicate on the permuted copy uses the permuted target
-    s2 = ProblemSpec(kind="pattern", targets=(c2.lam,))
-    assert is_final(s1, c1) and is_final(s2, c2)
+    # a pattern's final class on the permuted copy, with the permuted
+    # target, is the class of the original's
+    reps = []
+    for c in (c1, c2):
+        h = build(c.graph, sum(lam))
+        (i,) = resolve_final_set(ProblemSpec(kind="pattern", targets=(c.lam,)), h)
+        reps.append(h.configs[i].rep)
+    assert config_isomorphic(reps[0], c1) and config_isomorphic(reps[1], c1)
 
 
 def test_resolve_final_set_k23_gathering(k23):
@@ -146,8 +178,9 @@ def test_resolve_final_set_k23_gathering(k23):
     }
 
 
-def test_resolve_target_final_sets_match_is_final():
-    # the class-table lookup agrees with the per-class predicate
+def test_resolve_target_final_sets_match_the_isomorphism_oracle():
+    # the class-table lookup against the permutation sweep, which shares no
+    # code with the canonizer that made the table
     for g in connected_graph_corpus(4):
         for k in (1, 2, 3):
             h = build(g, k)
@@ -158,8 +191,7 @@ def test_resolve_target_final_sets_match_is_final():
                 for start in range(3)
             ]
             for spec in specs:
-                want = {i for i, e in enumerate(h.configs) if is_final(spec, e.rep)}
-                assert resolve_final_set(spec, h) == want
+                assert resolve_final_set(spec, h) == _final_set_oracle(spec, h)
 
 
 def test_load_problem_forms():

@@ -344,6 +344,20 @@ def test_errors_leave_the_slot_usable(k23, c4_cycle):
     assert want[1] == PlaySummary(max_rounds_used=3, min_rounds_used=1, all_reach_final=True)
 
 
+def test_default_budget_catches_a_plan_two_rounds_short(k23):
+    # the default budget, plan distance + 1, leaves no slack: a start whose
+    # plan entry claims two rounds fewer than the worst adversary needs
+    # overruns it
+    spread = Configuration(k23, (0, 0, 1, 1, 1))
+    assert enumerate_adversary_plays(spread, GATHER).max_rounds_used == 3
+    sol = _solution(k23, 3, GATHER).sol
+    idx = sol.h.index_of(spread)
+    sol.entries[idx] = sol.entries[idx]._replace(distance=1)
+    trace = run_fsync(spread, GATHER, WORST)
+    assert trace.status == "max_rounds_exceeded"
+    assert len(trace.rounds) == 2
+
+
 def test_round_outcomes_match_the_canonizer():
     # the representative's outcomes, transported, against the outcomes on
     # the placement's own orbits, for every member of every class that steps

@@ -45,7 +45,7 @@ from __future__ import annotations
 import struct
 from typing import NamedTuple
 
-from .errors import InternalError
+from .errors import BudgetExceededError, InternalError
 from .graphs import Configuration, Frozen, Graph
 
 # Colors are encoded as unsigned 32-bit big-endian integers.
@@ -338,6 +338,12 @@ def canonical_form(
     ``orbits``.  ``seeds``, automorphisms of the colored graph that the
     caller vouches for, prune the search from its first branch and start the
     form's ``generators``; the encoding and labeling do not depend on them.
+
+    The search recurses once per level of individualization, and refinement
+    never splits some graphs (edgeless or complete ones), so their depth
+    grows with n.  A search deeper than the interpreter's recursion limit
+    raises :class:`BudgetExceededError`: such a search could not finish in
+    reasonable time anyway.
     """
     if len(coloring) != g.n:
         raise InternalError(
@@ -348,7 +354,12 @@ def canonical_form(
         raise InternalError(
             f"coloring {list(colors)} has a color that is not an integer in [0, 2**32)"
         )
-    return _canonize(g, colors, seeds)
+    try:
+        return _canonize(g, colors, seeds)
+    except RecursionError:
+        raise BudgetExceededError(
+            f"the canonizer's search on n = {g.n} vertices is deeper than the recursion limit"
+        ) from None
 
 
 def occupied_orbits(p: OrbitPartition, c: Configuration) -> tuple[int, ...]:

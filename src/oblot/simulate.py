@@ -3,9 +3,16 @@
 Each round the robots recompute their decision from the current
 configuration's class alone (they are oblivious); if the decision is a step,
 the adversary resolves which vertex every robot lands on inside its target
-orbit.  The worst adversary consults the planner's distance table, the random
-adversary draws reproducibly from a seeded generator, and the first adversary
-always picks the lexicographically smallest raw placement.
+orbit.  A run chooses its adversary once, as one function that picks from a
+round's sorted raw outcomes: the worst adversary consults the planner's
+distance table, the random adversary draws reproducibly from a generator
+seeded once per run, and the first adversary always picks the
+lexicographically smallest raw placement.
+
+The play enumeration is a module-level recursion over classes with a memo
+it is handed, so it makes no reference cycle (``oblot`` processes run
+without the cyclic collector).  A plan that leads back to a class still
+being explored is an :class:`InternalError`.
 
 The simulator solves each (G, k, problem) once and keeps it for consecutive
 calls.  When the caller still holds the FSYNC hypergraph it built from the
@@ -19,10 +26,11 @@ through the hypergraph's transporter.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
-from typing import NamedTuple
+from functools import lru_cache, partial
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
-from .errors import BudgetExceededError, InputError
+from .errors import BudgetExceededError, InputError, InternalError
 from .graphs import Configuration, Frozen, Graph, dump_json, total_robots
 from .graphs import validate_configuration
 from .hypergraph import build, built
@@ -127,17 +135,20 @@ def _solution(g: Graph, k: int, spec: ProblemSpec) -> _Solved:
     return _Solved(solution(built(g, k, "fsync") or build(g, k, "fsync"), spec), {})
 
 
-def _pick_outcome(
-    sol: Solution,
-    outcomes: list[tuple[int, ...]],
-    adversary: AdversaryStrategy,
-    rng: random.Random | None,
-) -> tuple[int, ...]:
+def _start(c0: Configuration, spec: ProblemSpec) -> tuple[_Solved, int]:
+    """The solved instance of ``c0``'s (G, k, problem) and the class of ``c0``."""
+    validate_configuration(c0)
+    solved = _solution(c0.graph, total_robots(c0), spec)
+    return solved, solved.sol.h.index_of(c0)
+
+
+def _chooser(sol: Solution, adversary: AdversaryStrategy) -> Callable[[list], tuple]:
+    """The adversary of one run: it picks a round's outcome from the sorted
+    raw outcomes of the planned move."""
     if adversary.kind == "first":
-        return outcomes[0]
+        return itemgetter(0)
     if adversary.kind == "random":
-        assert rng is not None
-        return rng.choice(outcomes)
+        return random.Random(adversary.seed).choice
     # worst: maximize remaining distance; break ties toward the smallest
     # canonical encoding, then the smallest raw placement, so runs replay
     # byte-identically.
@@ -145,7 +156,7 @@ def _pick_outcome(
         idx = sol.h.class_of[lam]
         return (-sol.entries[idx].distance, sol.h.configs[idx].form.encoding, lam)
 
-    return min(outcomes, key=key)
+    return partial(min, key=key)
 
 
 def run_fsync(
@@ -169,35 +180,28 @@ def run_fsync(
     to plan distance + 1 when solvable, else 1, so an overrun always signals
     a planner defect rather than a slow run.
     """
-    validate_configuration(c0)
-    solved = _solution(c0.graph, total_robots(c0), spec)
+    solved, idx0 = _start(c0, spec)
     sol = solved.sol
-    rng = random.Random(adversary.seed) if adversary.kind == "random" else None
-    idx0 = sol.h.index_of(c0)
     if max_rounds is None:
-        solvable0 = idx0 in sol.solvable
-        max_rounds = sol.entries[idx0].distance + 1 if solvable0 else 1
+        max_rounds = sol.entries[idx0].distance + 1 if idx0 in sol.solvable else 1
     if max_rounds < 1:
         raise InputError(f"max_rounds must be positive, got {max_rounds}")
+    choose = _chooser(sol, adversary)
     records: list[RoundRecord] = []
     cur = c0.lam
-    t = 0
     while True:
         idx = sol.h.class_of[cur]
         decision = sol.decision(idx)
-        if decision.status == FINAL:
+        t = len(records)
+        if decision.status != STEP:
             records.append(RoundRecord(round=t, lam=cur, decision=decision, outcome_lam=cur))
-            return ExecutionTrace(status=REACHED_FINAL, rounds=tuple(records))
-        if decision.status == UNSOLVABLE:
-            records.append(RoundRecord(round=t, lam=cur, decision=decision, outcome_lam=cur))
-            return ExecutionTrace(status=UNSOLVABLE, rounds=tuple(records))
+            status = REACHED_FINAL if decision.status == FINAL else UNSOLVABLE
+            return ExecutionTrace(status=status, rounds=tuple(records))
         if t >= max_rounds:
             return ExecutionTrace(status=MAX_ROUNDS_EXCEEDED, rounds=tuple(records))
-        assert decision.status == STEP and decision.move is not None
-        chosen = _pick_outcome(sol, solved.outcomes(idx, cur), adversary, rng)
+        chosen = choose(solved.outcomes(idx, cur))
         records.append(RoundRecord(round=t, lam=cur, decision=decision, outcome_lam=chosen))
         cur = chosen
-        t += 1
 
 
 class PlaySummary(NamedTuple):
@@ -221,37 +225,32 @@ def enumerate_adversary_plays(
     while the caller holds it, as in :func:`run_fsync`.  ``node_cap`` aborts
     pathologically large explorations loudly instead of truncating them.
     """
-    validate_configuration(c0)
-    sol = _solution(c0.graph, total_robots(c0), spec).sol
-    idx0 = sol.h.index_of(c0)
-    if idx0 not in sol.solvable:
+    solved, idx0 = _start(c0, spec)
+    if idx0 not in solved.sol.solvable:
         raise InputError("start configuration is unsolvable; nothing to enumerate")
-    memo: dict[int, PlaySummary] = {}
-    visited = 0
+    return _plays(solved.sol, idx0, {}, node_cap)
 
-    def explore(idx: int) -> PlaySummary:
-        nonlocal visited
-        if idx in memo:
-            return memo[idx]
-        visited += 1
-        if visited > node_cap:
-            raise BudgetExceededError(
-                f"adversary-play enumeration exceeded the node cap of {node_cap}"
-            )
-        if idx in sol.final:
-            summary = PlaySummary(0, 0, True)
-            memo[idx] = summary
-            return summary
-        subs = [explore(ch) for ch in sol.entries[idx].delta]
+
+def _plays(sol: Solution, idx: int, memo: dict, node_cap: int) -> PlaySummary:
+    """The plays from class ``idx``.  ``memo`` maps each class entered to its
+    summary, ``None`` until that is known, so ``len(memo)`` counts the
+    classes entered and a class met again while still ``None`` is reached
+    from its own plays."""
+    if idx in memo:
+        if memo[idx] is None:
+            raise InternalError(f"the plan does not descend: class {idx} is reached from itself")
+        return memo[idx]
+    memo[idx] = None
+    if len(memo) > node_cap:
+        raise BudgetExceededError(f"adversary-play enumeration exceeded the node cap of {node_cap}")
+    if idx in sol.final:
+        summary = PlaySummary(0, 0, True)
+    else:
+        subs = [_plays(sol, ch, memo, node_cap) for ch in sol.entries[idx].delta]
         summary = PlaySummary(
             max_rounds_used=1 + max(s.max_rounds_used for s in subs),
             min_rounds_used=1 + min(s.min_rounds_used for s in subs),
             all_reach_final=all(s.all_reach_final for s in subs),
         )
-        memo[idx] = summary
-        return summary
-
-    try:
-        return explore(idx0)
-    finally:
-        del explore  # the closure refers to itself; only the cyclic collector would free it
+    memo[idx] = summary
+    return summary

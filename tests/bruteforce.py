@@ -811,13 +811,6 @@ def random_graph(rng, n: int, connected: bool = True) -> Graph:
             return g
 
 
-def random_placement(rng, n: int, k: int) -> tuple[int, ...]:
-    lam = [0] * n
-    for _ in range(k):
-        lam[rng.randrange(n)] += 1
-    return tuple(lam)
-
-
 def relabeled(rng, g: Graph) -> Graph:
     """``g`` with its vertices renamed by a random permutation."""
     perm = list(range(g.n))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oblot import canonical
 from oblot.canonical import canonical_form, occupied_orbits
-from oblot.errors import InternalError
+from oblot.errors import BudgetExceededError, InternalError
 from oblot.graphs import Configuration, Graph
 from oblot.hypergraph import build, enumerate_configurations
 
@@ -389,3 +389,12 @@ def canon_digests() -> dict[str, str]:
 def test_canonical_forms_match_golden_digests():
     golden = json.loads((Path(__file__).parent / "canon_digests.json").read_text())
     assert canon_digests() == golden
+
+
+def test_search_deeper_than_the_recursion_limit_is_a_budget_error():
+    # refinement never splits an edgeless graph, so its search recurses once
+    # per vertex; n = 1500 is well past the default limit of 1000 frames
+    edgeless = Graph(n=1500, edges=())
+    with pytest.raises(BudgetExceededError, match="n = 1500 vertices") as info:
+        canonical_form(edgeless, (0,) * edgeless.n)
+    assert len(str(info.value)) < 100

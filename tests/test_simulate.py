@@ -18,7 +18,6 @@ from oblot.simulate import (
     ExecutionTrace,
     PlaySummary,
     RoundRecord,
-    _pick_outcome,
     _solution,
     enumerate_adversary_plays,
     parse_adversary,
@@ -160,6 +159,18 @@ def test_plays_node_cap_is_exact(k23):
     assert enumerate_adversary_plays(start, GATHER, node_cap=len(reached)) == want
     with pytest.raises(BudgetExceededError, match="node cap"):
         enumerate_adversary_plays(start, GATHER, node_cap=len(reached) - 1)
+
+
+def test_plays_refuse_a_plan_that_does_not_descend(k23):
+    # a plan entry whose Δ holds its own class would recurse without end
+    mixed = Configuration(k23, (1, 0, 1, 0, 0))
+    sol = _solution(k23, 2, GATHER).sol
+    idx = sol.h.index_of(mixed)
+    assert idx in sol.solvable and idx not in sol.final
+    entry = sol.entries[idx]
+    sol.entries[idx] = entry._replace(delta=tuple(sorted({idx, *entry.delta})))
+    with pytest.raises(InternalError, match=f"class {idx} is reached from itself"):
+        enumerate_adversary_plays(mixed, GATHER)
 
 
 def test_parse_adversary():
@@ -375,10 +386,29 @@ def test_round_outcomes_match_the_canonizer():
                     assert tuple(solved.outcomes(i, lam)) == want, (g, lam)
 
 
+def _oracle_pick(sol, adversary: AdversaryStrategy, rng: random.Random):
+    """The adversary's pick from a round's outcomes, written out here:
+    ``first`` takes the least raw placement, ``random`` draws from ``rng``,
+    and ``worst`` takes the farthest class, ties going to the least
+    canonical encoding and then to the least raw placement."""
+    def pick(outcomes: list) -> tuple:
+        ordered = sorted(outcomes)
+        if adversary.kind == "first":
+            return ordered[0]
+        if adversary.kind == "random":
+            return ordered[rng.randrange(len(ordered))]
+        farthest = max(sol.entries[sol.h.class_of[lam]].distance for lam in ordered)
+        ties = [lam for lam in ordered if sol.entries[sol.h.class_of[lam]].distance == farthest]
+        least = min(canonical_form(sol.h.graph, lam).encoding for lam in ties)
+        return next(lam for lam in ties if canonical_form(sol.h.graph, lam).encoding == least)
+
+    return pick
+
+
 def _canonizer_trace(sol, c0: Configuration, adversary: AdversaryStrategy) -> ExecutionTrace:
     """The round loop of ``run_fsync`` on ``sol``, with each round's outcomes
     taken from a canonizer search on its own placement."""
-    rng = random.Random(adversary.seed)
+    pick = _oracle_pick(sol, adversary, random.Random(adversary.seed))
     records = []
     cur = c0.lam
     while True:
@@ -390,7 +420,7 @@ def _canonizer_trace(sol, c0: Configuration, adversary: AdversaryStrategy) -> Ex
         assert len(records) < len(sol.h.configs), "the plan does not descend"
         p = canonical_form(c0.graph, cur).orbits
         outcomes = raw_fsync_outcomes(Configuration(c0.graph, cur), p, decision.move)
-        chosen = _pick_outcome(sol, outcomes, adversary, rng)
+        chosen = pick(outcomes)
         records.append(RoundRecord(round=len(records), lam=cur, decision=decision, outcome_lam=chosen))
         cur = chosen
 

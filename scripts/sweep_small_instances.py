@@ -1,8 +1,9 @@
 """Exhaustive small-instance sweep.
 
 Enumerates every connected graph up to a vertex budget, builds the
-configuration hypergraph for each robot count, solves gathering, certifies
-the plan with ``solver.check``, and checks the planner's distances against
+configuration hypergraph for each robot count, certifies its hyperarc
+layout with ``hypergraph.check``, solves gathering, certifies the plan with
+``solver.check``, and checks the planner's distances against
 exhaustive adversary-play enumeration: every play from a solvable class
 must reach a final class, the worst play in exactly the planned number of
 rounds.  One worst-adversary run from each such class must reach a final
@@ -19,6 +20,7 @@ import time
 from oblot.canonical import canonical_form
 from oblot.errors import InternalError
 from oblot.graphs import Graph
+from oblot import hypergraph
 from oblot.hypergraph import build
 from oblot.problems import ProblemSpec
 from oblot.simulate import REACHED_FINAL, AdversaryStrategy, enumerate_adversary_plays, run_fsync
@@ -63,6 +65,10 @@ def sweep_one(g: Graph, k: int) -> tuple[int, int, int, list[str]]:
     sol = solution(build(g, k), spec)
     checked = 0
     failures = []
+    try:
+        hypergraph.check(sol.h)
+    except InternalError as e:
+        failures.append(f"layout check: {e}")
     try:
         check(sol)
     except InternalError as e:

@@ -86,12 +86,14 @@ class CanonicalForm(Frozen):
     def _close_orbits(self) -> OrbitPartition:
         n = len(self.labeling)
         if not self.generators:
-            # a trivial group: singleton orbits, ranked by label
+            # a trivial group: singleton orbits, ranked by label; the tuples
+            # are built from lists (see graphs.Configuration)
             order = sorted(range(n), key=self.labeling.__getitem__)
             return OrbitPartition(
-                orbits=tuple((v,) for v in order), ranks=tuple(range(n)), rank_of=self.labeling
+                orbits=tuple([(v,) for v in order]), ranks=tuple(range(n)), rank_of=self.labeling
             )
-        # each orbit is swept from its least vertex, marking each vertex once
+        # each orbit is swept from its least vertex, marking each vertex once;
+        # the tuples are built from lists (see graphs.Configuration)
         founder = [-1] * n
         found = {}
         for v in range(n):
@@ -107,9 +109,9 @@ class CanonicalForm(Frozen):
             found[v] = (min(map(self.labeling.__getitem__, orbit)), tuple(sorted(orbit)))
         ranked = sorted(found.values())
         return OrbitPartition(
-            orbits=tuple(orbit for _, orbit in ranked),
-            ranks=tuple(r for r, _ in ranked),
-            rank_of=tuple(found[f][0] for f in founder),
+            orbits=tuple([orbit for _, orbit in ranked]),
+            ranks=tuple([r for r, _ in ranked]),
+            rank_of=tuple([found[f][0] for f in founder]),
         )
 
     def _key(self) -> tuple:
@@ -282,7 +284,7 @@ class _Canonizer:
             # the subtree below that prefix holding this leaf is the image
             # of the one holding the best leaf, searched in full: resume at
             # the prefix, with that subtree's next sibling.
-            self.generators.append(tuple(map(order.__getitem__, self.best_labeling)))
+            self.generators.append(tuple([*map(order.__getitem__, self.best_labeling)]))
             return next(i for i, (a, b) in enumerate(zip(path, self.best_path)) if a != b)
         return len(path)
 

@@ -129,7 +129,13 @@ class Configuration(Frozen):
     __slots__ = ("graph", "lam")
 
     def __init__(self, graph: Graph, lam: tuple[int, ...]) -> None:
-        self._set(graph=graph, lam=tuple(int(x) for x in lam))
+        # Tuples the engine keeps are built from lists, not iterators.
+        # tuple() over an iterator starts from a 10-slot tuple and resizes it,
+        # so a tuple of any other length is taken from the interpreter's free
+        # list for length 10 and, once dropped, parked in the one for its own
+        # length, which nothing of that length then draws down; over many
+        # builds those free lists hold hundreds of KB.
+        self._set(graph=graph, lam=tuple([int(x) for x in lam]))
 
     def _key(self) -> tuple:
         return (self.graph, self.lam)

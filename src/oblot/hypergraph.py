@@ -15,6 +15,22 @@ Only the edges decode them: ``h.move(source, index)`` gives the ``Move``,
 the solver decodes one per solvable class, and the JSON export writes each
 class's moves from one table of move texts over the product.
 
+The hyperarcs are held in one compressed-sparse-row layout (Saad,
+*Iterative Methods for Sparse Linear Systems*, 2nd ed., 2003, §3.4) of int32
+``array`` buffers, not as one object per arc: ``arc_start[i]`` is the first
+arc of class i (one more entry closes the last class), ``arc_delta[j]`` the
+id of arc j's Δ in the table ``deltas``, and arc j's moves are
+``moves[move_start[j]:move_start[j + 1]]``.  Each distinct Δ is one tuple in
+``deltas``, interned as ``build`` meets it; under FSYNC the Δs are few (2 975
+for 615 567 arcs on C14, k=7), so an arc costs a Δ id, a move offset and its
+moves, about 15 bytes.  ``build`` refuses what the layout cannot index, with
+:class:`BudgetExceededError` before enumerating: 2**31 placements or more,
+more than 2**31 − 1 robots, or a class whose move product passes
+2**31 − 1.  ``h.hyperarcs`` is a
+read-only sequence that makes a :class:`Hyperarc` record per arc on access,
+for tests and scripts; the package itself reads the arrays, and
+:func:`check` certifies their structure.
+
 Robots cannot tell automorphic placements apart, so a class is an orbit of
 Aut(G) on placements.  Class enumeration runs one canonizer search for G and
 one per class: placements are walked in lexicographic order, and each one
@@ -58,15 +74,20 @@ The record keeps nothing alive.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 import weakref
+from array import array
+from collections.abc import Sequence
 from typing import NamedTuple
 
 from .canonical import CanonicalForm, canonical_form
-from .errors import InputError, InternalError
-from .graphs import Configuration, Frozen, Graph, compact_json
-from .moves import Move, OptionSets, class_moves, class_table_by_code, move_at
+from .errors import BudgetExceededError, InputError, InternalError
+from .graphs import Configuration, Frozen, Graph, bounded_repr, compact_json
+from .moves import (
+    MAX_INDEX, Move, OptionSets, class_moves, class_table_by_code, move_at, move_product,
+)
 
 FORMAT_VERSION = 1
 
@@ -93,25 +114,56 @@ class ConfigEntry(NamedTuple):
 
 
 class Hyperarc(NamedTuple):
-    """The moves of one class that share the outcome set ``delta``, as
-    ascending indices into the class's move product (see
-    :meth:`ConfigHypergraph.move`)."""
+    """One hyperarc as ``h.hyperarcs`` hands it out: the moves of class
+    ``source`` that share the outcome set ``delta``, as ascending indices
+    into the class's move product (see :meth:`ConfigHypergraph.move`)."""
 
     source: int
     delta: tuple[int, ...]
     moves: tuple[int, ...]
 
 
+class _Hyperarcs(Sequence):
+    """The hyperarcs of a hypergraph in arc order, read-only; each access
+    makes a :class:`Hyperarc` record from the layout."""
+
+    __slots__ = ("_h",)
+
+    def __init__(self, h: ConfigHypergraph) -> None:
+        self._h = h
+
+    def __len__(self) -> int:
+        return len(self._h.arc_delta)
+
+    def _record(self, source: int, j: int) -> Hyperarc:
+        h = self._h
+        moves = h.moves[h.move_start[j]:h.move_start[j + 1]]
+        return Hyperarc(source, h.deltas[h.arc_delta[j]], tuple(moves))
+
+    def __getitem__(self, j: int) -> Hyperarc:
+        j = range(len(self))[j]  # an IndexError past either end
+        # the last class whose arcs start at or before j holds it
+        return self._record(bisect.bisect_right(self._h.arc_start, j) - 1, j)
+
+    def __iter__(self):
+        arc_start = self._h.arc_start
+        for source in range(len(arc_start) - 1):
+            for j in range(arc_start[source], arc_start[source + 1]):
+                yield self._record(source, j)
+
+
 class ConfigHypergraph(Frozen):
     """The configuration hypergraph of (``graph``, ``k``) under ``scheduler``.
 
-    Equality and hashing read the graph, k, the scheduler, the classes and
-    the hyperarcs; the lookup tables below derive from them.  The object is
-    weakly referenceable, for the record :func:`build` keeps.
+    Equality reads the graph, k, the scheduler, the classes and the
+    hyperarcs' layout; the lookup tables below derive from them.  Hashing
+    reads all of those but the layout, whose arrays do not hash.  The object
+    is weakly referenceable, for the record :func:`build` keeps.
     """
 
     __slots__ = (
-        "graph", "k", "scheduler", "configs", "hyperarcs",
+        "graph", "k", "scheduler", "configs",
+        "deltas", "arc_start", "arc_delta", "move_start", "moves",
         "class_of", "option_sets", "generators", "schreier", "__weakref__",
     )
 
@@ -121,7 +173,14 @@ class ConfigHypergraph(Frozen):
         k: int,
         scheduler: str,
         configs: tuple[ConfigEntry, ...],
-        hyperarcs: tuple[Hyperarc, ...],
+        # The hyperarcs, as the module docstring lays them out: the distinct
+        # Δs, per class its first arc, per arc its Δ id and first move, and
+        # every arc's moves in one buffer.
+        deltas: tuple[tuple[int, ...], ...],
+        arc_start: array,
+        arc_delta: array,
+        move_start: array,
+        moves: array,
         # Placement λ -> class index, for every k-robot placement on ``graph``.
         class_of: dict[tuple[int, ...], int],
         # Per class, the option sets whose product its move indices count in.
@@ -133,12 +192,26 @@ class ConfigHypergraph(Frozen):
         schreier: dict[tuple[int, ...], int],
     ) -> None:
         self._set(
-            graph=graph, k=k, scheduler=scheduler, configs=configs, hyperarcs=hyperarcs,
+            graph=graph, k=k, scheduler=scheduler, configs=configs, deltas=deltas,
+            arc_start=arc_start, arc_delta=arc_delta, move_start=move_start, moves=moves,
             class_of=class_of, option_sets=option_sets, generators=generators, schreier=schreier,
         )
 
     def _key(self) -> tuple:
-        return (self.graph, self.k, self.scheduler, self.configs, self.hyperarcs)
+        return (
+            self.graph, self.k, self.scheduler, self.configs, self.deltas,
+            self.arc_start, self.arc_delta, self.move_start, self.moves,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.graph, self.k, self.scheduler, self.configs, self.deltas))
+
+    @property
+    def hyperarcs(self) -> _Hyperarcs:
+        """The hyperarcs as a read-only sequence of :class:`Hyperarc` records,
+        made on access: for tests and scripts, not for the package's own
+        passes, which read the layout."""
+        return _Hyperarcs(self)
 
     def move(self, source: int, index: int) -> Move:
         """The move a hyperarc of class ``source`` stores as ``index``."""
@@ -195,8 +268,34 @@ class ConfigHypergraph(Frozen):
 def _weak_compositions(total: int, parts: int):
     """All λ of length ``parts`` and sum ``total`` >= 1, ascending lexicographic
     order: λ is read off its prefix sums, which come in the same order."""
-    cuts = itertools.combinations_with_replacement(range(total + 1), parts - 1) if parts else ()
-    return (tuple(map(operator.sub, (*c, total), (0, *c))) for c in cuts)
+    # one part has no cut, and needs no pool of cut positions
+    pool = range(total + 1) if parts > 1 else ()
+    cuts = itertools.combinations_with_replacement(pool, parts - 1) if parts else ()
+    # each λ from a list, not an iterator (see graphs.Configuration): the
+    # walk drops every λ it has already reached
+    return (tuple([*map(operator.sub, (*c, total), (0, *c))]) for c in cuts)
+
+
+def _refuse_past_the_width(n: int, k: int) -> None:
+    """Raise :class:`BudgetExceededError` when k robots on n vertices have
+    2**31 placements or more, C(n+k−1, k), or when k itself passes 2**31 − 1,
+    which only one vertex holds in fewer placements: either is past the
+    layout's int32 indices.  C(n+k−1, r), r = min(k, n−1), is built by the
+    multiplicative formula, C(m+i, i) = C(m+i−1, i−1)·(m+i)/i with
+    m = n+k−1−r; its partial values rise with i and at least double, so the
+    loop stops within 32 steps."""
+    r = min(k, n - 1)
+    m = n + k - 1 - r
+    count = 1
+    for i in range(1, r + 1):
+        count = count * (m + i) // i
+        if count > MAX_INDEX:
+            break
+    if max(count, k) > MAX_INDEX:
+        raise BudgetExceededError(
+            f"{bounded_repr(k)} robots on {bounded_repr(n)} vertices are past the width of the "
+            "hypergraph's int32 indices: 2**31 placements or more, or more than 2**31 - 1 robots"
+        )
 
 
 def enumerate_configurations(g: Graph, k: int) -> tuple[
@@ -222,6 +321,7 @@ def enumerate_configurations(g: Graph, k: int) -> tuple[
         raise InputError(f"robot count must be at least 1, got {k}")
     if not g.n:
         raise InputError(f"robot count {k} needs a graph with at least one vertex")
+    _refuse_past_the_width(g.n, k)
     generators = canonical_form(g, (0,) * g.n).generators
     # the image of a placement under a generator, as one C call
     images = [operator.itemgetter(*gen) for gen in generators]
@@ -261,7 +361,8 @@ def build(g: Graph, k: int, scheduler: str = "fsync") -> ConfigHypergraph:
     the set of classes of the move's outcome codes, from one
     :func:`class_moves` sweep per class and the class table keyed by code;
     moves with identical (source, Δ) merge into one hyperarc, which keeps
-    their indices.
+    their indices.  Each class's arcs are appended to the layout as its
+    sweep returns them, and each Δ is interned at its first arc.
     """
     if scheduler not in SCHEDULERS:
         raise InputError(f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}")
@@ -269,16 +370,21 @@ def build(g: Graph, k: int, scheduler: str = "fsync") -> ConfigHypergraph:
     entries, class_of, generators, schreier = enumerate_configurations(g, k)
     class_by_code = class_table_by_code(class_of, g.n, k)
     factors = []
-    hyperarcs = []
-    share = {}.setdefault  # for one build: arcs with equal Δs hold one tuple
-    for i, entry in enumerate(entries):
+    ids: dict[tuple[int, ...], int] = {}  # Δ -> its id, in order of first use
+    intern = ids.setdefault
+    arc_start, arc_delta = array("i", [0]), array("i")
+    move_start, moves = array("i", [0]), array("i")
+    for entry in entries:
         options, deltas = class_moves(entry.rep, entry.form.orbits, ssync, class_by_code)
         factors.append(options)
-        arcs = sorted(deltas.items())
-        # tuple.__new__ skips the named tuple's Python-level constructor
-        hyperarcs += [tuple.__new__(Hyperarc, (i, share(d, d), tuple(ms))) for d, ms in arcs]
+        for d, ms in sorted(deltas.items()):
+            arc_delta.append(intern(d, len(ids)))
+            moves.extend(ms)
+            move_start.append(len(moves))
+        arc_start.append(len(arc_delta))
     h = ConfigHypergraph(
-        graph=g, k=k, scheduler=scheduler, configs=entries, hyperarcs=tuple(hyperarcs),
+        graph=g, k=k, scheduler=scheduler, configs=entries, deltas=tuple(ids),
+        arc_start=arc_start, arc_delta=arc_delta, move_start=move_start, moves=moves,
         class_of=class_of, option_sets=tuple(factors), generators=generators, schreier=schreier,
     )
     _built[id(g), k, scheduler] = h
@@ -293,32 +399,100 @@ def built(g: Graph, k: int, scheduler: str) -> ConfigHypergraph | None:
     return h if h is not None and h.graph is g else None
 
 
+def check(h: ConfigHypergraph) -> None:
+    """Certify the structure of ``h``'s hyperarc layout, or raise
+    :class:`InternalError`, in one pass over the arcs and moves:
+
+    * the starts are well formed: ``arc_start`` has one entry per class and
+      one more, ``move_start`` one per arc and one more, each starts at 0,
+      never decreases and ends at the length of the buffer it indexes, and
+      every arc holds a move;
+    * every Δ is non-empty, sorted, duplicate-free and a set of classes,
+      and every arc's Δ id names one;
+    * each class's arcs are sorted by Δ, so all arcs by (source, Δ), each
+      arc's moves ascend, and together they cover every index 1 … P − 1 of
+      the class's move product exactly once (index 0 is the all-nil
+      function).
+
+    A lost or duplicated move, a Δ out of order or out of range is caught.
+    That the classes are the orbits and the Δs the moves' outcomes is taken
+    as built.
+    """
+    nc = len(h.configs)
+    arc_start, arc_delta, move_start, moves = h.arc_start, h.arc_delta, h.move_start, h.moves
+    _check_starts("arc", arc_start, nc, len(arc_delta), strict=False)
+    _check_starts("move", move_start, len(arc_delta), len(moves), strict=True)
+    if len(h.option_sets) != nc:
+        raise InternalError(f"{len(h.option_sets)} option sets for {nc} classes")
+    for t, d in enumerate(h.deltas):
+        if not d or list(d) != sorted(set(d)) or not (0 <= d[0] and d[-1] < nc):
+            raise InternalError(f"Δ {t} = {d} is not a sorted, duplicate-free set of classes")
+    for source in range(nc):
+        a0, a1 = arc_start[source], arc_start[source + 1]
+        m0 = move_start[a0]
+        ms = moves[m0:move_start[a1]].tolist()
+        size = move_product(h.option_sets[source])
+        if len(ms) != size - 1 or sorted(ms) != list(range(1, size)):
+            raise InternalError(
+                f"the arcs of class {source} do not cover its move indices 1 … {size - 1} once each"
+            )
+        previous = None
+        for j in range(a0, a1):
+            t = arc_delta[j]
+            if not 0 <= t < len(h.deltas):
+                raise InternalError(f"arc {j} names Δ {t}, past the {len(h.deltas)} Δs")
+            delta = h.deltas[t]
+            if previous is not None and delta <= previous:
+                raise InternalError(f"arc {j} of class {source} breaks the (source, Δ) order")
+            previous = delta
+            own = ms[move_start[j] - m0:move_start[j + 1] - m0]
+            if own != sorted(own):
+                raise InternalError(f"the moves of arc {j} do not ascend")
+
+
+def _check_starts(what: str, starts: array, count: int, end: int, strict: bool) -> None:
+    if len(starts) != count + 1 or starts[0] != 0 or starts[-1] != end:
+        raise InternalError(f"the {what} starts do not span {count} entries over {end}")
+    rise = operator.lt if strict else operator.le
+    if not all(map(rise, starts, itertools.islice(starts, 1, None))):
+        raise InternalError(f"the {what} starts decrease{', or leave an arc empty' if strict else ''}")
+
+
 def _json_chunks(h: ConfigHypergraph):
     """The JSON export in chunks, keys in sorted order: the text before the
     hyperarcs, one string per source class holding its hyperarcs, then the
     tail.  Every value but the hyperarcs goes through :func:`compact_json`.
     Each text is made once: a class's move texts, entry i the open text of
     move index i, factor by factor over its move product (the later factors'
-    texts start with the comma; the join closes each move), and each
-    distinct Δ's head from a memo that lives for this export."""
+    texts start with the comma; the join closes each move), and each Δ's
+    head.  A class's moves and starts are read with one slice of each
+    buffer, never one per arc."""
     yield "".join((
         '{"configs":', compact_json([{"lambda": e.rep.lam} for e in h.configs]),
         ',"format_version":', compact_json(FORMAT_VERSION),
         ',"graph":', compact_json(h.graph.to_json_obj()),
         ',"hyperarcs":[',
     ))
-    heads: dict[tuple[int, ...], str] = {}
-    for n, (source, group) in enumerate(itertools.groupby(h.hyperarcs, key=operator.itemgetter(0))):
+    heads = ['{"delta":[' + ",".join(map(str, d)) + '],"moves":[' for d in h.deltas]
+    arc_start, arc_delta, move_start, moves = h.arc_start, h.arc_delta, h.move_start, h.moves
+    sep = ""
+    for source, factors in enumerate(h.option_sets):
+        a0, a1 = arc_start[source], arc_start[source + 1]
+        if a0 == a1:
+            continue
         level = [""]
-        for j, (rank, opts) in enumerate(h.option_sets[source]):
+        for j, (rank, opts) in enumerate(factors):
             texts = [f"{',' if j else '['}[{rank},{'null' if t is None else t}]" for t in opts]
             level = [a + b for a in level for b in texts]
+        starts = move_start[a0:a1 + 1]
+        m0 = starts[0]
+        move_texts = list(map(level.__getitem__, moves[m0:starts[-1]]))
         tail = f'],"source":{source}}}'
-        yield ("," if n else "") + ",".join([
-            (heads.get(d) or heads.setdefault(d, '{"delta":[' + ",".join(map(str, d)) + '],"moves":['))
-            + "],".join(map(level.__getitem__, ms)) + "]" + tail
-            for _, d, ms in group
+        yield sep + ",".join([
+            heads[t] + "],".join(move_texts[b - m0:e - m0]) + "]" + tail
+            for t, b, e in zip(arc_delta[a0:a1], starts, itertools.islice(starts, 1, None))
         ])
+        sep = ","
     yield f'],"k":{compact_json(h.k)},"scheduler":{compact_json(h.scheduler)}}}\n'
 
 
@@ -329,11 +503,15 @@ def _dot_chunks(h: ConfigHypergraph):
         f'  c{i} [shape=ellipse, label="C{i} [{",".join(map(str, e.rep.lam))}]"];\n'
         for i, e in enumerate(h.configs)
     )
-    for source, group in itertools.groupby(enumerate(h.hyperarcs), key=lambda ja: ja[1].source):
+    arc_start, arc_delta, deltas = h.arc_start, h.arc_delta, h.deltas
+    for source in range(len(h.configs)):
+        a0, a1 = arc_start[source], arc_start[source + 1]
+        if a0 == a1:
+            continue
         yield "".join(
             f'  a{j} [shape=point, label=""];\n  c{source} -> a{j};\n'
-            + "".join(f"  a{j} -> c{d};\n" for d in a.delta)
-            for j, a in group
+            + "".join(f"  a{j} -> c{d};\n" for d in deltas[t])
+            for j, t in zip(range(a0, a1), arc_delta[a0:a1])
         )
     yield "}\n"
 

@@ -40,10 +40,14 @@ import operator
 from typing import NamedTuple
 
 from .canonical import OrbitPartition
-from .errors import InternalError
+from .errors import BudgetExceededError, InternalError
 from .graphs import Configuration
 
 _source = operator.itemgetter(0)
+
+# The largest int32: a move index, like every index of the hypergraph's
+# layout, must fit one.
+MAX_INDEX = 2**31 - 1
 
 # One (occupied orbit rank, (None, *adjacent ranks)) pair per occupied orbit.
 OptionSets = tuple[tuple[int, tuple[int | None, ...]], ...]
@@ -78,6 +82,21 @@ def move_at(factors: OptionSets, index: int) -> Move:
     if index < 1 or rest:
         raise InternalError(f"move index {index} is outside the class's move product")
     return Move(assignments=tuple(reversed(pairs)))
+
+
+def move_product(factors: OptionSets) -> int:
+    """The size of the product of ``factors``, index 0 included, or
+    :class:`BudgetExceededError` once it passes :data:`MAX_INDEX`: the
+    product is counted factor by factor and never enumerated."""
+    size = 1
+    for _, opts in factors:
+        size *= len(opts)
+        if size > MAX_INDEX:
+            raise BudgetExceededError(
+                "a class's move product passes 2**31 - 1 moves, "
+                "the width of the hypergraph's int32 move indices"
+            )
+    return size
 
 
 @functools.lru_cache(maxsize=8)
@@ -211,9 +230,12 @@ def class_moves(
     """The factors of ``c``'s move product, as :func:`_option_table` gives
     them, and its moves grouped by outcome set: each Δ, as ascending class
     indices, maps to the ascending indices of its moves in that product (see
-    :func:`move_at`).  ``p`` must be ``c``'s orbit partition.
+    :func:`move_at`).  ``p`` must be ``c``'s orbit partition.  A product
+    past :data:`MAX_INDEX` is refused (:func:`move_product`) before it is
+    expanded.
     """
     factors, columns, start = _option_table(c, p, ssync)
+    move_product(factors)
     level = _outcomes(start, columns, ssync)
     class_of_code = class_by_code.__getitem__
     # a Δ of one class is keyed by that class

@@ -6,27 +6,31 @@ closed under "some hyperarc's Δ lies inside the set", i.e. the robots'
 attractor of F in the reachability game on the hypergraph (Grädel, Thomas &
 Wilke, *Automata, Logics, and Infinite Games*, 2002).
 
-One pass computes it together with the plan.  Every hyperarc counts its Δ
-members that have no distance yet, and a reverse index lists the hyperarcs
-whose Δ contains each class.  Classes receive distances level by level,
+One pass computes it together with the plan.  Every distinct Δ counts its
+members that have no distance yet, a reverse index lists the Δs that contain
+each class, and another the hyperarcs that hold each Δ: every arc holding a
+Δ completes when that Δ does, so the counters are as few as the Δs (2 975
+for 615 567 arcs on C14, k=7).  Classes receive distances level by level,
 starting with F at level 0: assigning the classes of level r decrements the
-counters of their incoming hyperarcs, and an arc whose counter reaches zero
-makes its source eligible at level r + 1 unless the source already has a
-distance.  Such an arc's worst case is exactly r + 1, the least any arc of an
-unassigned source can achieve, so the worst-case-optimal choice reduces to
-the move tie-break: the source takes the minimal representative move among
-the arcs completed for it at that level.  Each Δ membership is visited once,
-so the pass runs in O(|hyperarcs| + Σ|Δ|).  Round dispatch is then one
+counters of the Δs that contain them, and a Δ whose counter reaches zero
+makes the source of each of its arcs eligible at level r + 1 unless the
+source already has a distance.  Such an arc's worst case is exactly r + 1,
+the least any arc of an unassigned source can achieve, so the
+worst-case-optimal choice reduces to the move tie-break: the source takes
+the minimal representative move among the arcs completed for it at that
+level.  Each Δ membership and each arc is visited once, so the pass runs in
+O(|hyperarcs| + Σ|Δ|) over the distinct Δs.  Round dispatch is then one
 lookup in the decision table the :class:`Solution` makes.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import NamedTuple
 
 from .errors import InputError, InternalError
 from .graphs import Frozen
-from .hypergraph import ConfigHypergraph, Hyperarc
+from .hypergraph import ConfigHypergraph
 from .moves import Move
 from .problems import ProblemSpec, resolve_final_set
 
@@ -118,31 +122,44 @@ def solve(h: ConfigHypergraph, final) -> Solution:
     across hyperarcs the minimal (worst-case distance, move) pair wins.
     """
     fin = _check_final_indices(h, final)
-    unassigned = [len(arc.delta) for arc in h.hyperarcs]
-    arcs_into: list[list[int]] = [[] for _ in h.configs]
-    for j, arc in enumerate(h.hyperarcs):
-        for d in arc.delta:
-            arcs_into[d].append(j)
+    deltas, arc_start, arc_delta, move_start, moves = (
+        h.deltas, h.arc_start, h.arc_delta, h.move_start, h.moves
+    )
+    unassigned = list(map(len, deltas))
+    # int32 buffers, like the layout's: a list would hold an int object per entry
+    deltas_into = [array("i") for _ in h.configs]
+    for t, delta in enumerate(deltas):
+        for d in delta:
+            deltas_into[d].append(t)
+    arcs_holding = [array("i") for _ in deltas]
+    for j, t in enumerate(arc_delta):
+        arcs_holding[t].append(j)
+    source_of = array("i")
+    for s in range(len(h.configs)):
+        source_of += array("i", [s]) * (arc_start[s + 1] - arc_start[s])
     entries = {i: PlanEntry(distance=0, move=None, delta=()) for i in sorted(fin)}
     frontier = list(entries)
     level = 0
     while frontier:
         level += 1
-        chosen: dict[int, Hyperarc] = {}
+        # source -> (first move index, Δ id) of its least arc completed at this level
+        chosen: dict[int, tuple[int, int]] = {}
         for c in frontier:
-            for j in arcs_into[c]:
-                unassigned[j] -= 1
-                if unassigned[j]:
+            for t in deltas_into[c]:
+                unassigned[t] -= 1
+                if unassigned[t]:
                     continue
-                arc = h.hyperarcs[j]
-                if arc.source in entries:
-                    continue
-                best = chosen.get(arc.source)
-                # move indices of one source compare in lexicographic move order
-                if best is None or arc.moves[0] < best.moves[0]:
-                    chosen[arc.source] = arc
-        for s, arc in chosen.items():
-            entries[s] = PlanEntry(distance=level, move=h.move(s, arc.moves[0]), delta=arc.delta)
+                for j in arcs_holding[t]:
+                    s = source_of[j]
+                    if s in entries:
+                        continue
+                    first = moves[move_start[j]]
+                    best = chosen.get(s)
+                    # move indices of one source compare in lexicographic move order
+                    if best is None or first < best[0]:
+                        chosen[s] = (first, t)
+        for s, (first, t) in chosen.items():
+            entries[s] = PlanEntry(distance=level, move=h.move(s, first), delta=deltas[t])
         frontier = list(chosen)
     return Solution(h=h, final=fin, solvable=frozenset(entries), entries=entries)
 
@@ -196,12 +213,20 @@ def check(sol: Solution) -> None:
     h, final, solvable, entries = sol.h, sol.final, sol.solvable, sol.entries
     if entries.keys() != solvable or not final <= solvable:
         raise InternalError("the plan entries, final and solvable sets disagree")
+    # per Δ, its largest distance if it lies inside the solvable set
+    worst = [
+        max(entries[d].distance for d in delta) if solvable.issuperset(delta) else None
+        for delta in h.deltas
+    ]
+    arc_start, arc_delta, move_start, moves = h.arc_start, h.arc_delta, h.move_start, h.moves
     least: dict[int, tuple[int, int, tuple[int, ...]]] = {}
-    for arc in h.hyperarcs:
-        if solvable.issuperset(arc.delta):
-            key = (max(entries[d].distance for d in arc.delta), arc.moves[0], arc.delta)
-            if arc.source not in least or key < least[arc.source]:
-                least[arc.source] = key
+    for source in range(len(h.configs)):
+        for j in range(arc_start[source], arc_start[source + 1]):
+            t = arc_delta[j]
+            if worst[t] is not None:
+                key = (worst[t], moves[move_start[j]], h.deltas[t])
+                if source not in least or key < least[source]:
+                    least[source] = key
     for i in range(len(h.configs)):
         entry = entries.get(i)
         if i in final:

@@ -637,7 +637,8 @@ def without_schreier(h: ConfigHypergraph) -> ConfigHypergraph:
     """``h`` with an empty Schreier vector, so that no placement but a class's
     founder leads back to its representative."""
     return ConfigHypergraph(
-        graph=h.graph, k=h.k, scheduler=h.scheduler, configs=h.configs, hyperarcs=h.hyperarcs,
+        graph=h.graph, k=h.k, scheduler=h.scheduler, configs=h.configs, deltas=h.deltas,
+        arc_start=h.arc_start, arc_delta=h.arc_delta, move_start=h.move_start, moves=h.moves,
         class_of=h.class_of, option_sets=h.option_sets, generators=h.generators, schreier={},
     )
 

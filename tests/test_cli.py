@@ -6,6 +6,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -582,6 +583,28 @@ def test_canonizer_deeper_than_the_recursion_limit_exits_six(tmp_path, argv):
     assert r.stderr.splitlines() == [
         "error: the canonizer's search on n = 1500 vertices is deeper than the recursion limit"
     ]
+
+
+@pytest.mark.parametrize("command", ["build", "move"])
+def test_instances_past_the_int32_layout_exit_six(files, tmp_path, capsys, command):
+    # 10**22 robots on K23, and 100000 robots on one end of P4: both have
+    # 2**31 placements or more, refused before any enumeration starts
+    if command == "build":
+        argv = ["build", "--graph", files["k23"], "-k", str(10**22), "--out", str(tmp_path / "h.json")]
+    else:
+        config = tmp_path / "heavy.json"
+        p4 = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}
+        config.write_text(json.dumps({"graph": p4, "lambda": [100000, 0, 0, 0]}))
+        argv = ["move", "--config", str(config), "--problem", files["gathering"]]
+    start = time.perf_counter()
+    code = cli.main(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (6, "")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ") and "int32" in captured.err
+    assert "Traceback" not in captured.err
+    assert elapsed < 1
 
 
 def _garbage_after(fn) -> int:

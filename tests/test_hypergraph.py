@@ -1,3 +1,4 @@
+import bisect
 import copy
 import functools
 import gc
@@ -6,6 +7,7 @@ import json
 import operator
 import random
 import warnings
+from array import array
 from pathlib import Path
 
 import pytest
@@ -16,11 +18,13 @@ import oblot.canonical
 import oblot.hypergraph
 from oblot import cli
 from oblot.canonical import CanonicalForm, canonical_form, occupied_orbits
-from oblot.errors import InputError, InternalError
+from oblot.errors import BudgetExceededError, InputError, InternalError
 from oblot.graphs import Configuration, Graph, dump_json, load_configuration, load_graph
 from oblot.hypergraph import (
     SCHEDULERS,
+    ConfigHypergraph,
     build,
+    check,
     enumerate_configurations,
     export,
 )
@@ -423,7 +427,7 @@ def test_arc_sources_cover_only_movable_classes():
     # single vertex, robots cannot move anywhere: no arcs at all
     h = build(g, 2)
     assert len(h.configs) == 1
-    assert h.hyperarcs == ()
+    assert len(h.hyperarcs) == 0 and list(h.hyperarcs) == []
 
 
 def test_deltas_are_sorted_unique(k23_h):
@@ -646,3 +650,109 @@ def test_exports_match_golden_digests():
             doc = export(build(g, k, scheduler), "json").encode()
             got[f"n={g.n} edges={edges} k={k} {scheduler}"] = hashlib.sha256(doc).hexdigest()
     assert got == golden
+
+
+# The ROADMAP corpus: (graph, k), each built under both schedulers.
+BUILD_CORPUS = [
+    (Graph(n=5, edges=((0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4))), 2),
+    (petersen(), 3), (cycle(8), 4), (cycle(10), 5), (grid(3, 3), 3), (grid(3, 4), 3), (grid(4, 4), 3),
+]
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_check_passes_on_the_build_corpus(scheduler):
+    for g, k in BUILD_CORPUS:
+        check(build(g, k, scheduler))
+
+
+def _relaid(h, **fields):
+    """``h`` with some of its constructor's fields replaced."""
+    return ConfigHypergraph(**{**dict(h._items()), **fields})
+
+
+def _without_move(h, at):
+    """``h`` with the move at flat position ``at`` taken out of its arc."""
+    starts = array("i", [x - (x > at) for x in h.move_start])
+    return _relaid(h, moves=h.moves[:at] + h.moves[at + 1:], move_start=starts)
+
+
+def _with_move(h, at, index):
+    """``h`` with move ``index`` put into the arc holding flat position ``at``, before it."""
+    starts = array("i", [x + (x > at) for x in h.move_start])
+    return _relaid(h, moves=h.moves[:at] + array("i", [index]) + h.moves[at:], move_start=starts)
+
+
+def _broken_layouts(h):
+    """Hand-broken copies of ``h``, each with the text its refusal names."""
+    # the first arc with two moves or more, and the first Δ of two classes or more
+    j = next(j for j in range(len(h.arc_delta)) if h.move_start[j + 1] - h.move_start[j] > 1)
+    t = next(t for t, d in enumerate(h.deltas) if len(d) > 1)
+    first, last = h.move_start[j], h.move_start[j + 1] - 1
+    a0 = h.arc_start[bisect.bisect_right(h.arc_start, j) - 1]
+    swapped = copy.copy(h.arc_delta)
+    swapped[a0], swapped[a0 + 1] = swapped[a0 + 1], swapped[a0]
+    reversed_arc = h.moves[:first] + h.moves[first:last + 1][::-1] + h.moves[last + 1:]
+    emptied = copy.copy(h.move_start)  # arc j's moves go to the next arc
+    emptied[j + 1] = emptied[j]
+
+    def with_delta(d):
+        return _relaid(h, deltas=h.deltas[:t] + (d,) + h.deltas[t + 1:])
+
+    return {
+        "dropped move": (_without_move(h, last), "cover"),
+        "duplicated move": (_with_move(h, last, h.moves[first]), "cover"),
+        "descending moves": (_relaid(h, moves=reversed_arc), "do not ascend"),
+        "empty arc": (_relaid(h, move_start=emptied), "empty"),
+        "unsorted Δ": (with_delta(h.deltas[t][::-1]), "sorted"),
+        "out-of-range Δ member": (with_delta((*h.deltas[t][:-1], len(h.configs))), "set of classes"),
+        "Δ id past the table": (_relaid(h, arc_delta=h.arc_delta[:-1] + array("i", [99])), "past"),
+        "arcs out of (source, Δ) order": (_relaid(h, arc_delta=swapped), "order"),
+        "short arc starts": (_relaid(h, arc_start=h.arc_start[:-1]), "span"),
+    }
+
+
+@pytest.mark.parametrize("broken", [
+    "dropped move", "duplicated move", "descending moves", "empty arc", "unsorted Δ",
+    "out-of-range Δ member", "Δ id past the table", "arcs out of (source, Δ) order",
+    "short arc starts",
+])
+def test_check_refuses_hand_broken_layouts(k23_h, broken):
+    check(k23_h)
+    layout, refusal = _broken_layouts(k23_h)[broken]
+    with pytest.raises(InternalError, match=refusal):
+        check(layout)
+
+
+def test_hyperarcs_view_reads_the_layout(k23_h):
+    arcs = k23_h.hyperarcs
+    assert len(arcs) == len(k23_h.arc_delta) == 9
+    assert [arcs[j] for j in range(len(arcs))] == list(arcs)
+    assert arcs[-1] == arcs[len(arcs) - 1] and arcs[0].source == 0
+    with pytest.raises(IndexError):
+        arcs[len(arcs)]
+    for source, delta, moves in arcs:
+        assert delta in k23_h.deltas and list(moves) == sorted(moves)
+    with pytest.raises(AttributeError):
+        k23_h.hyperarcs = ()
+
+
+def test_deltas_are_interned_once(k23_h):
+    assert len(set(k23_h.deltas)) == len(k23_h.deltas)
+    assert sorted(set(k23_h.arc_delta)) == list(range(len(k23_h.deltas)))
+
+
+def test_placements_past_the_int32_width_are_refused_before_the_walk(monkeypatch, k2):
+    # C(n+k-1, k) placements: at 2**31 or more the walk never starts
+    monkeypatch.setattr(oblot.hypergraph, "canonical_form", None)
+    for n, k in ((2, 2**31 - 1), (5, 10**22), (10**6, 2), (1, 2**31)):
+        with pytest.raises(BudgetExceededError, match="int32"):
+            oblot.hypergraph._refuse_past_the_width(n, k)
+    for n, k in ((2, 2**31 - 2), (1, 2**31 - 1), (65536, 1), (34, 6)):
+        oblot.hypergraph._refuse_past_the_width(n, k)
+    with pytest.raises(BudgetExceededError):
+        enumerate_configurations(k2, 10**22)
+
+
+def test_one_vertex_holds_any_count_that_fits():
+    h = build(Graph(n=1, edges=()), 2**31 - 1)
+    assert [e.rep.lam for e in h.configs] == [(2**31 - 1,)] and len(h.hyperarcs) == 0

@@ -3,14 +3,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oblot.canonical import OrbitPartition, canonical_form
-from oblot.errors import InternalError
+import oblot.moves
+from oblot.errors import BudgetExceededError, InternalError
 from oblot.graphs import Configuration, Graph
 from oblot.hypergraph import build
 from oblot.moves import (
+    MAX_INDEX,
     Move,
     class_moves,
     class_table_by_code,
     move_at,
+    move_product,
     raw_fsync_outcomes,
     raw_ssync_outcomes,
 )
@@ -172,6 +175,30 @@ def test_class_moves_reject_an_asymmetric_partition(p3):
             InternalError, match="vertex 0 has no neighbor in target orbit 2; .* not symmetric"
         ):
             class_moves(c, forged, ssync, table)
+
+
+def test_a_move_product_past_the_int32_width_is_refused_unexpanded():
+    # the option sets are ranges: their sizes are read, their items never are
+    assert move_product(((0, range(3)), (1, range(5)))) == 15
+    assert move_product(tuple((r, range(2)) for r in range(30))) == 2**30
+    assert move_product(((0, range(MAX_INDEX)),)) == MAX_INDEX
+    for wide in (((0, range(2**31)),), tuple((r, range(2)) for r in range(31)),
+                 ((0, range(2**16)), (1, range(2**16)), (2, range(10**30)))):
+        with pytest.raises(BudgetExceededError, match="int32"):
+            move_product(wide)
+
+
+def test_class_moves_refuses_a_wide_product_before_expanding_it(monkeypatch, p3):
+    wide = ((0, range(2**16)), (1, range(2**16)))
+
+    def expand(*args):
+        raise AssertionError("the product was expanded")
+
+    monkeypatch.setattr(oblot.moves, "_option_table", lambda c, p, ssync: (wide, [], 0))
+    monkeypatch.setattr(oblot.moves, "_outcomes", expand)
+    c = Configuration(p3, (1, 1, 0))
+    with pytest.raises(BudgetExceededError, match="int32"):
+        class_moves(c, canonical_form(p3, c.lam).orbits, False, {})
 
 
 def test_move_json_round_trip():

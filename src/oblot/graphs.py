@@ -20,8 +20,9 @@ from pathlib import Path
 
 from .errors import InputError
 
-# The canonical encoding writes n in a 4-byte field.
-MAX_VERTICES = 2**32
+# The canonical encoding writes n, and each vertex's robot count, in a
+# 4-byte field.
+ENCODING_LIMIT = 2**32
 
 
 class Frozen:
@@ -143,7 +144,8 @@ class Configuration(Frozen):
 
 def validate_configuration(c: Configuration) -> None:
     """Raise :class:`InputError` unless ``c`` is a placement of at least one
-    robot: one nonnegative count per vertex, summing to at least 1."""
+    robot: one count per vertex, nonnegative and below the canonical
+    encoding's 2**32, summing to at least 1."""
     if len(c.lam) != c.graph.n:
         raise InputError(
             f"length mismatch: lambda has {len(c.lam)} entries "
@@ -151,6 +153,11 @@ def validate_configuration(c: Configuration) -> None:
         )
     if any(x < 0 for x in c.lam):
         raise InputError("robot counts must be nonnegative")
+    if any(x >= ENCODING_LIMIT for x in c.lam):
+        raise InputError(
+            "robot counts must be below 2**32, the canonical encoding's limit, "
+            f"got {bounded_repr(max(c.lam))}"
+        )
     if sum(c.lam) < 1:
         raise InputError("zero robots: at least one robot is required")
 
@@ -227,7 +234,7 @@ def _graph_from_obj(obj: object) -> Graph:
     n = obj["n"]
     if not is_json_int(n):
         raise InputError(f"field 'n' must be an integer, got {bounded_repr(n)}")
-    if n >= MAX_VERTICES:
+    if n >= ENCODING_LIMIT:
         raise InputError(
             f"field 'n' must be below 2**32, the canonical encoding's limit, got {bounded_repr(n)}"
         )

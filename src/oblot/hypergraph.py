@@ -29,7 +29,7 @@ more than 2**31 − 1 robots, or a class whose move product passes
 2**31 − 1.  ``h.hyperarcs`` is a
 read-only sequence that makes a :class:`Hyperarc` record per arc on access,
 for tests and scripts; the package itself reads the arrays, and
-:func:`check` certifies their structure.
+:func:`check` certifies their structure and the classes.
 
 Robots cannot tell automorphic placements apart, so a class is an orbit of
 Aut(G) on placements.  Class enumeration runs one canonizer search for G and
@@ -76,6 +76,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 import operator
 import weakref
 from array import array
@@ -400,9 +401,16 @@ def built(g: Graph, k: int, scheduler: str) -> ConfigHypergraph | None:
 
 
 def check(h: ConfigHypergraph) -> None:
-    """Certify the structure of ``h``'s hyperarc layout, or raise
-    :class:`InternalError`, in one pass over the arcs and moves:
+    """Certify ``h``'s classes and the structure of its hyperarc layout, or
+    raise :class:`InternalError`, in one pass over the placements and one
+    over the arcs and moves:
 
+    * the classes are sound: encodings strictly increase along
+      ``h.configs``; each class's representative is its least placement;
+      every placement's ``h.transporter`` is an automorphism of G, checked
+      once per distinct permutation against G's edge set, that carries the
+      representative onto it, so each placement holds k robots; and the
+      class table holds C(n+k−1, k) of them, so every placement;
     * the starts are well formed: ``arc_start`` has one entry per class and
       one more, ``move_start`` one per arc and one more, each starts at 0,
       never decreases and ends at the length of the buffer it indexes, and
@@ -414,10 +422,14 @@ def check(h: ConfigHypergraph) -> None:
       the class's move product exactly once (index 0 is the all-nil
       function).
 
-    A lost or duplicated move, a Δ out of order or out of range is caught.
-    That the classes are the orbits and the Δs the moves' outcomes is taken
+    A lost or duplicated move, a Δ out of order or out of range, a damaged
+    Schreier vector and two classes merged or out of order are caught.  So
+    each class lies within one orbit of Aut(G); that no two classes share
+    an orbit still rests on the canonizer, whose distinct encodings are
+    taken as non-isomorphic.  That the Δs are the moves' outcomes is taken
     as built.
     """
+    _check_classes(h)
     nc = len(h.configs)
     arc_start, arc_delta, move_start, moves = h.arc_start, h.arc_delta, h.move_start, h.moves
     _check_starts("arc", arc_start, nc, len(arc_delta), strict=False)
@@ -448,6 +460,39 @@ def check(h: ConfigHypergraph) -> None:
             own = ms[move_start[j] - m0:move_start[j + 1] - m0]
             if own != sorted(own):
                 raise InternalError(f"the moves of arc {j} do not ascend")
+
+
+def _check_classes(h: ConfigHypergraph) -> None:
+    g, k, nc = h.graph, h.k, len(h.configs)
+    encodings = [entry.form.encoding for entry in h.configs]
+    if not all(map(operator.lt, encodings, encodings[1:])):
+        raise InternalError("the class encodings do not strictly increase")
+    if len(h.class_of) != math.comb(g.n + k - 1, k):
+        raise InternalError(
+            f"the class table holds {len(h.class_of)} placements, not C(n+k−1, k) for n={g.n}, k={k}"
+        )
+    if any(not 0 <= j < len(h.generators) for j in h.schreier.values()):
+        raise InternalError(f"a Schreier entry names no generator of the {len(h.generators)}")
+    for i, entry in enumerate(h.configs):
+        if h.class_of.get(entry.rep.lam) != i:
+            raise InternalError(f"the representative {entry.rep.lam} of class {i} is not in it")
+    edges = set(g.edges)
+    automorphisms = set()
+    for lam, i in h.class_of.items():
+        if not 0 <= i < nc:
+            raise InternalError(f"placement {lam} names class {i}, past the {nc} classes")
+        rep = h.configs[i].rep.lam
+        if lam < rep:
+            raise InternalError(f"placement {lam} of class {i} is less than its representative {rep}")
+        pi = h.transporter(lam)
+        if pi not in automorphisms:
+            if sorted(pi) != list(range(g.n)) or edges != {
+                (pi[a], pi[b]) if pi[a] < pi[b] else (pi[b], pi[a]) for a, b in g.edges
+            }:
+                raise InternalError(f"the transporter of placement {lam} is not an automorphism of G")
+            automorphisms.add(pi)
+        if tuple(map(rep.__getitem__, pi)) != lam:
+            raise InternalError(f"the transporter of placement {lam} does not carry {rep} onto it")
 
 
 def _check_starts(what: str, starts: array, count: int, end: int, strict: bool) -> None:

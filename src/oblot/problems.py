@@ -3,6 +3,8 @@
 A problem is a predicate over configurations; the final set F of a hypergraph
 is the set of classes whose representative satisfies it.  All predicates are
 isomorphism-invariant, which is what makes F well defined on classes.
+Geodesic mutual visibility is decided with one breadth-first search per
+robot, not per pair of robots.
 """
 
 from __future__ import annotations
@@ -52,56 +54,37 @@ def _check_target_dims(spec: ProblemSpec, n: int, k: int) -> None:
             raise InputError(f"target sums to {sum(t)}, expected k={k}")
 
 
-def _has_clear_geodesic(c: Configuration, u: int, v: int) -> bool:
-    """Whether some shortest u-v path has no robot on its interior vertices.
+def _clear_geodesics(c: Configuration, u: int) -> list[bool]:
+    """For every vertex x, whether some shortest u-x path has no robot on
+    its interior vertices.
 
-    Layered search: a vertex w lies on a shortest path iff
-    dist(u,w) + dist(w,v) = dist(u,v); restrict the BFS from u to vertices
-    that satisfy this and are unoccupied (except the endpoints) and ask
-    whether v stays reachable.
+    One breadth-first search from u: x is clear when some predecessor w on
+    the previous layer is clear and is either u or empty.  A vertex the
+    search never reaches is never clear.
     """
     adj = c.graph.neighbors
-    du = _bfs_distances(adj, u)
-    dv = _bfs_distances(adj, v)
-    d = du[v]
-    if d is None:
-        return False
-
-    def usable(w: int) -> bool:
-        if du[w] is None or dv[w] is None or du[w] + dv[w] != d:
-            return False
-        return w in (u, v) or c.lam[w] == 0
-
-    seen = {u}
+    layer: list[int | None] = [None] * c.graph.n
+    clear = [False] * c.graph.n
+    layer[u] = 0
+    clear[u] = True
     queue = deque([u])
     while queue:
         w = queue.popleft()
-        if w == v:
-            return True
+        passes = clear[w] and (w == u or c.lam[w] == 0)
         for x in adj[w]:
-            if x not in seen and du[x] == du[w] + 1 and usable(x):
-                seen.add(x)
+            if layer[x] is None:
+                layer[x] = layer[w] + 1
                 queue.append(x)
-    return False
-
-
-def _bfs_distances(adj: tuple[tuple[int, ...], ...], source: int) -> list[int | None]:
-    dist: list[int | None] = [None] * len(adj)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        w = queue.popleft()
-        for x in adj[w]:
-            if dist[x] is None:
-                dist[x] = dist[w] + 1
-                queue.append(x)
-    return dist
+            if passes and layer[x] == layer[w] + 1:
+                clear[x] = True
+    return clear
 
 
 def is_final(spec: ProblemSpec, c: Configuration) -> bool:
     """Whether ``c`` is a final configuration for a gathering or geodesic
     mutual visibility problem.  A pattern or explicit problem's final set is
-    read from a class table by :func:`resolve_final_set`."""
+    read from a class table by :func:`resolve_final_set`.  Geodesic mutual
+    visibility reads one flag per robot pair from one search per robot."""
     if spec.kind == "gathering":
         # All robots on one vertex; robots sense exact multiplicities, so
         # the predicate is simply that some count equals k.
@@ -114,10 +97,10 @@ def is_final(spec: ProblemSpec, c: Configuration) -> bool:
     if any(x > 1 for x in c.lam):
         return False
     occupied = [v for v in range(c.graph.n) if c.lam[v] == 1]
-    for i, u in enumerate(occupied):
-        for v in occupied[i + 1 :]:
-            if not _has_clear_geodesic(c, u, v):
-                return False
+    for u in occupied:
+        clear = _clear_geodesics(c, u)
+        if not all(clear[v] for v in occupied):
+            return False
     return True
 
 

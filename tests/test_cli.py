@@ -607,6 +607,24 @@ def test_instances_past_the_int32_layout_exit_six(files, tmp_path, capsys, comma
     assert elapsed < 1
 
 
+@pytest.mark.parametrize("command", ["canon", "orbits", "move"])
+def test_a_robot_count_past_the_encoding_exits_two(files, tmp_path, capsys, command):
+    # 2**32 robots on one end of P3: the canonical encoding writes each count
+    # in four bytes, so the count is bad input, refused before any search
+    config = tmp_path / "heavy.json"
+    p3 = {"n": 3, "edges": [[0, 1], [1, 2]]}
+    config.write_text(json.dumps({"graph": p3, "lambda": [2**32, 0, 0]}))
+    argv = [command, "--config", str(config)]
+    if command == "move":
+        argv += ["--problem", files["gathering"]]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: robot counts must be below 2**32, the canonical encoding's limit, got 4294967296"
+    ]
+
+
 def _garbage_after(fn) -> int:
     """The objects that only the cyclic collector can free once ``fn()`` has
     run with the collector off."""

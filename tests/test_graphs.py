@@ -54,6 +54,9 @@ def test_validate_configuration_errors(k23):
         validate_configuration(Configuration(k23, (1, 0)))
     with pytest.raises(InputError, match="nonnegative"):
         validate_configuration(Configuration(k23, (1, -1, 0, 0, 0)))
+    with pytest.raises(InputError, match=r"below 2\*\*32"):
+        validate_configuration(Configuration(k23, (2**32, 0, 0, 0, 0)))
+    validate_configuration(Configuration(k23, (2**32 - 1, 0, 0, 0, 0)))
     with pytest.raises(InputError, match="at least one robot"):
         validate_configuration(Configuration(k23, (0, 0, 0, 0, 0)))
     # structural operations accept an empty placement

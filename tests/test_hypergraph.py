@@ -723,6 +723,56 @@ def test_check_refuses_hand_broken_layouts(k23_h, broken):
         check(layout)
 
 
+def _broken_classes(h):
+    """Copies of ``h`` with a broken class layout, each with the text its
+    refusal names."""
+    # a class with a member besides its representative; its representative
+    # is given a Schreier entry, so the chain from it never ends
+    i = next(h.class_of[lam] for lam in h.schreier)
+    rep = h.configs[i].rep.lam
+    merged = {lam: 0 if j == 1 else j for lam, j in h.class_of.items()}
+    configs = list(h.configs)
+    configs[0], configs[1] = configs[1], configs[0]
+    member = next(lam for lam in h.schreier if h.class_of[lam] == i)
+    promoted = list(h.configs)
+    promoted[i] = promoted[i]._replace(rep=Configuration(h.graph, member))
+    dropped = {lam: j for lam, j in h.class_of.items() if lam != member}
+    past = {**h.class_of, member: len(h.configs)}
+    return {
+        "representative not the least": (_relaid(h, configs=tuple(promoted)), "less than"),
+        "placement dropped from the table": (_relaid(h, class_of=dropped), "placements, not C"),
+        "placement of no class": (_relaid(h, class_of=past), "past the"),
+        "damaged Schreier entry": (_relaid(h, schreier={**h.schreier, rep: 0}), "circle"),
+        "Schreier entry past the generators": (
+            _relaid(h, schreier={**h.schreier, rep: len(h.generators)}), "names no generator"
+        ),
+        "two classes merged into one index": (_relaid(h, class_of=merged), "not in it"),
+        "two configs swapped": (_relaid(h, configs=tuple(configs)), "strictly increase"),
+    }
+
+
+@pytest.mark.parametrize("broken", [
+    "damaged Schreier entry", "Schreier entry past the generators",
+    "two classes merged into one index", "two configs swapped",
+    "representative not the least", "placement dropped from the table", "placement of no class",
+])
+def test_check_refuses_broken_classes(k23_h, broken):
+    check(k23_h)
+    layout, refusal = _broken_classes(k23_h)[broken]
+    with pytest.raises(InternalError, match=refusal):
+        check(layout)
+
+
+@pytest.mark.parametrize("pi, refusal", [
+    ((0, 1, 2, 3, 4), "does not carry"),  # the identity, for every placement
+    ((2, 1, 0, 3, 4), "not an automorphism"),  # swaps a vertex of each side of K23
+])
+def test_check_refuses_a_wrong_transporter(k23_h, monkeypatch, pi, refusal):
+    monkeypatch.setattr(ConfigHypergraph, "transporter", lambda h, lam: pi)
+    with pytest.raises(InternalError, match=refusal):
+        check(k23_h)
+
+
 def test_hyperarcs_view_reads_the_layout(k23_h):
     arcs = k23_h.hyperarcs
     assert len(arcs) == len(k23_h.arc_delta) == 9

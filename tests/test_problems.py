@@ -119,19 +119,35 @@ def test_gmv_singleton_and_adjacent():
 
 
 def test_gmv_matches_path_enumeration_oracle():
+    # random graphs on 3 to 7 vertices, half of them allowed to be
+    # disconnected, then robots with no path between them: two components
+    # with robots in both, an isolated robot, and one robot alone
     rng = random.Random(1105)
-    for _ in range(60):
-        n = rng.randrange(3, 7)
-        g = random_graph(rng, n)
+    cases = []
+    for _ in range(120):
+        n = rng.randrange(3, 8)
+        g = random_graph(rng, n, connected=rng.random() < 0.5)
         lam = tuple(rng.randrange(0, 2) for _ in range(n))
-        if sum(lam) == 0:
-            continue
-        c = Configuration(g, lam)
-        assert is_final(GMV, c) == gmv_oracle(g, lam)
+        if sum(lam):
+            cases.append((g, lam, None))
+    two_paths = Graph(n=6, edges=((0, 1), (1, 2), (3, 4), (4, 5)))
+    with_isolated = Graph(n=5, edges=((0, 1), (1, 2), (2, 3)))
+    cases += [
+        (two_paths, (1, 0, 1, 0, 0, 0), True),
+        (two_paths, (1, 0, 0, 1, 0, 0), False),
+        (two_paths, (1, 0, 1, 1, 0, 1), False),
+        (with_isolated, (1, 0, 0, 1, 1), False),
+        (with_isolated, (0, 0, 0, 0, 1), True),
+        (with_isolated, (0, 1, 0, 0, 0), True),
+    ]
+    for g, lam, want in cases:
+        got = is_final(GMV, Configuration(g, lam))
+        assert got == gmv_oracle(g, lam)
+        assert want is None or got == want
 
 
 def test_gmv_oracle_on_corpus_exhaustive():
-    for g in connected_graph_corpus(4):
+    for g in connected_graph_corpus(5):
         for k in (1, 2, 3):
             for lam in all_placements(g.n, k):
                 c = Configuration(g, lam)

@@ -14,17 +14,19 @@ individualization-refinement:
 
 Two leaves with equal encodings differ by an automorphism; those discovered
 automorphisms generate the full automorphism group and are also used to prune
-branches that are equivalent to ones already explored.  An automorphism
-found against the best leaf also backjumps (McKay & Piperno, "Practical
-graph isomorphism, II", JSC 2014): it fixes the common prefix of the two
-leaves' paths, so the subtree below that prefix holding the new leaf is the
-image of the sibling subtree holding the best leaf, searched in full before
-it.  The search abandons it and goes on with the next sibling.  That keeps
-the generators few (11 on K12, not 66) and the first least leaf the one
-returned.  The search is run once per colored graph by
-:func:`canonical_form`, the only entry point: the :class:`CanonicalForm` it
-returns keeps the generators, and its ``orbits`` are the connected
-components of the vertex set under them, closed on first use.
+branches that are equivalent to ones already explored: each search node keeps
+the orbits of its branching cell under those that fix its prefix in a
+union-find forest, merging each automorphism once, and skips a sibling in the
+tree of an explored one.  An automorphism found against the best leaf also
+backjumps (McKay & Piperno, "Practical graph isomorphism, II", JSC 2014): it
+fixes the common prefix of the two leaves' paths, so the subtree below that
+prefix holding the new leaf is the image of the sibling subtree holding the
+best leaf, searched in full before it.  The search abandons it and goes on
+with the next sibling.  That keeps the generators few (11 on K12, not 66) and
+the first least leaf the one returned.  The search is run once per colored
+graph by :func:`canonical_form`, the only entry point: the
+:class:`CanonicalForm` it returns keeps the generators, and its ``orbits`` are
+the connected components of the vertex set under them, closed on first use.
 
 A caller that already holds automorphisms of the colored graph may pass them
 to it as ``seeds``; the class walk in :mod:`oblot.hypergraph` passes the
@@ -243,19 +245,26 @@ class _Canonizer:
         target = cells[target_index]
         depth = len(prefix)
         explored: list[int] = []
-        # ``fixing``: those of the first ``checked`` generators that fix the
-        # prefix pointwise.  Leaves only append to the list, so each branch
-        # filters just the generators found since the last one.
+        # ``parent``: a union-find forest of the target's orbits under the
+        # generators that fix the prefix pointwise (they map the target onto
+        # itself, as refinement is equivariant).  Leaves only append
+        # generators, so each sibling merges just those found since the last.
         generators = self.generators
-        fixing: list[tuple[int, ...]] = []
-        checked = 0
+        parent: dict[int, int] = {}
+        merged = 0
         for w in target:
             if explored:
-                if checked < len(generators):
-                    fixing += [g for g in generators[checked:] if all(g[p] == p for p in prefix)]
-                    checked = len(generators)
-                if fixing and _in_explored_orbit(w, explored, fixing):
-                    continue
+                for g in generators[merged:]:
+                    if all(g[p] == p for p in prefix):
+                        if not parent:
+                            parent = {v: v for v in target}
+                        for v in target:
+                            parent[_find(parent, v)] = _find(parent, g[v])
+                merged = len(generators)
+                if parent:
+                    root = _find(parent, w)
+                    if any(_find(parent, e) == root for e in explored):
+                        continue
             explored.append(w)
             branched = (
                 cells[:target_index]
@@ -289,22 +298,11 @@ class _Canonizer:
         return len(path)
 
 
-def _in_explored_orbit(w: int, explored: list[int], fixing: list[tuple[int, ...]]) -> bool:
-    """Whether the group of ``fixing`` maps ``w`` into ``explored``: then the
-    branch on ``w`` is the automorphic image of an explored one."""
-    orbit = {w}
-    frontier = [w]
-    explored_set = set(explored)
-    while frontier:
-        v = frontier.pop()
-        for g in fixing:
-            img = g[v]
-            if img in explored_set:
-                return True
-            if img not in orbit:
-                orbit.add(img)
-                frontier.append(img)
-    return False
+def _find(parent: dict[int, int], v: int) -> int:
+    """The root of ``v``'s tree, halving the path to it on the way."""
+    while (p := parent[v]) != v:
+        parent[v] = v = parent[p]
+    return v
 
 
 def _encode(n: int, colors_in_canonical_order: list[int], bits: bytes) -> bytes:

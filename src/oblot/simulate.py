@@ -18,9 +18,10 @@ The simulator solves each (G, k, problem) once and keeps it for consecutive
 calls.  When the caller still holds the FSYNC hypergraph it built from the
 very ``Graph`` object the start is placed on, that hypergraph is solved as it
 is; only otherwise does the simulator build one.  A round makes no canonizer
-search: the raw outcomes of a class's planned move are computed once, on the
-class representative, and each round maps them onto its own placement
-through the hypergraph's transporter.
+search: it computes the raw outcomes of its class's planned move on the
+class representative and maps them onto its own placement through the
+hypergraph's transporter.  A plan strictly descends, so one run never meets
+a class twice: the outcomes are not kept.
 """
 
 from __future__ import annotations
@@ -105,41 +106,29 @@ class ExecutionTrace(NamedTuple):
         return dump_json(self.to_json_obj())
 
 
-class _Solved(NamedTuple):
-    """One solved instance and, per class reached so far, the sorted raw
-    outcomes of its planned move on the class representative."""
-
-    sol: Solution
-    rep_outcomes: dict[int, tuple[tuple[int, ...], ...]]
-
-    def outcomes(self, idx: int, lam: tuple[int, ...]) -> list[tuple[int, ...]]:
-        """The sorted raw outcomes of class ``idx``'s planned move on its
-        member ``lam``: the representative's, mapped by ``lam``'s transporter
-        (an automorphism carries outcomes to outcomes, orbit ranks included)."""
-        h = self.sol.h
-        raw = self.rep_outcomes.get(idx)
-        if raw is None:
-            entry = h.configs[idx]
-            move = self.sol.entries[idx].move
-            raw = self.rep_outcomes[idx] = raw_fsync_outcomes(entry.rep, entry.form.orbits, move)
-        pi = h.transporter(lam)
-        return sorted(tuple(map(o.__getitem__, pi)) for o in raw)
-
-
 @lru_cache(maxsize=1)
-def _solution(g: Graph, k: int, spec: ProblemSpec) -> _Solved:
+def _solution(g: Graph, k: int, spec: ProblemSpec) -> Solution:
     """The solved FSYNC hypergraph of (G, k, problem), kept for the next call
-    (callers simulate many starts on one instance in a row) together with
-    the outcomes its rounds have needed.  A hypergraph the caller built from
-    ``g`` and still holds is reused, not rebuilt."""
-    return _Solved(solution(built(g, k, "fsync") or build(g, k, "fsync"), spec), {})
+    (callers simulate many starts on one instance in a row).  A hypergraph
+    the caller built from ``g`` and still holds is reused, not rebuilt."""
+    return solution(built(g, k, "fsync") or build(g, k, "fsync"), spec)
 
 
-def _start(c0: Configuration, spec: ProblemSpec) -> tuple[_Solved, int]:
+def _start(c0: Configuration, spec: ProblemSpec) -> tuple[Solution, int]:
     """The solved instance of ``c0``'s (G, k, problem) and the class of ``c0``."""
     validate_configuration(c0)
-    solved = _solution(c0.graph, total_robots(c0), spec)
-    return solved, solved.sol.h.index_of(c0)
+    sol = _solution(c0.graph, total_robots(c0), spec)
+    return sol, sol.h.index_of(c0)
+
+
+def _outcomes(sol: Solution, idx: int, lam: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The sorted raw outcomes of class ``idx``'s planned move on its member
+    ``lam``: the representative's, mapped by ``lam``'s transporter (an
+    automorphism carries outcomes to outcomes, orbit ranks included)."""
+    entry = sol.h.configs[idx]
+    raw = raw_fsync_outcomes(entry.rep, entry.form.orbits, sol.entries[idx].move)
+    pi = sol.h.transporter(lam)
+    return sorted(tuple(map(o.__getitem__, pi)) for o in raw)
 
 
 def _chooser(sol: Solution, adversary: AdversaryStrategy) -> Callable[[list], tuple]:
@@ -173,15 +162,14 @@ def run_fsync(
     observationally identical to recomputing it (the decision is a pure
     function of the class).  Each round reads its class from the
     hypergraph's class table, which lists every placement, and a step's raw
-    outcomes are those of its class representative, computed once per class
-    and mapped through the placement's transporter; no round canonizes.  An
-    unsolvable start records a single nil round and stops: the robots never
-    move.  ``max_rounds`` bounds the number of executed steps and defaults
-    to plan distance + 1 when solvable, else 1, so an overrun always signals
-    a planner defect rather than a slow run.
+    outcomes are those of its class representative, mapped through the
+    placement's transporter; no round canonizes.  An unsolvable start
+    records a single nil round and stops: the robots never move.
+    ``max_rounds`` bounds the number of executed steps and defaults to plan
+    distance + 1 when solvable, else 1, so an overrun always signals a
+    planner defect rather than a slow run.
     """
-    solved, idx0 = _start(c0, spec)
-    sol = solved.sol
+    sol, idx0 = _start(c0, spec)
     if max_rounds is None:
         max_rounds = sol.entries[idx0].distance + 1 if idx0 in sol.solvable else 1
     if max_rounds < 1:
@@ -199,7 +187,7 @@ def run_fsync(
             return ExecutionTrace(status=status, rounds=tuple(records))
         if t >= max_rounds:
             return ExecutionTrace(status=MAX_ROUNDS_EXCEEDED, rounds=tuple(records))
-        chosen = choose(solved.outcomes(idx, cur))
+        chosen = choose(_outcomes(sol, idx, cur))
         records.append(RoundRecord(round=t, lam=cur, decision=decision, outcome_lam=chosen))
         cur = chosen
 
@@ -225,10 +213,10 @@ def enumerate_adversary_plays(
     while the caller holds it, as in :func:`run_fsync`.  ``node_cap`` aborts
     pathologically large explorations loudly instead of truncating them.
     """
-    solved, idx0 = _start(c0, spec)
-    if idx0 not in solved.sol.solvable:
+    sol, idx0 = _start(c0, spec)
+    if idx0 not in sol.solvable:
         raise InputError("start configuration is unsolvable; nothing to enumerate")
-    return _plays(solved.sol, idx0, {}, node_cap)
+    return _plays(sol, idx0, {}, node_cap)
 
 
 def _plays(sol: Solution, idx: int, memo: dict, node_cap: int) -> PlaySummary:

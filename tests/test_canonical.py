@@ -329,14 +329,32 @@ def test_search_returns_the_first_least_leaf_and_generates_aut():
 
 
 @pytest.mark.parametrize(
-    "g, want", [(bruteforce.complete(12), 11), (bruteforce.hypercube(5), 5)], ids=["K12", "Q5"]
+    "g, generators, nodes",
+    [
+        (bruteforce.complete(12), 11, 78),
+        (bruteforce.hypercube(5), 5, 17),
+        (Graph(n=20, edges=tuple((0, v) for v in range(1, 20))), 18, 190),
+        (bruteforce.complete(30), 29, 465),
+    ],
+    ids=["K12", "Q5", "S20", "K30"],
 )
-def test_backjumping_search_of_g_finds_a_lean_generating_set(g, want):
+def test_backjumping_search_of_g_finds_a_lean_generating_set(g, generators, nodes, monkeypatch):
     # each automorphism a leaf finds sends the search back to the common
     # prefix of its path and the best leaf's; without that jump the search
     # of K12 finds 66 generators and that of Q5 finds 15, with no form,
-    # label or export changed
-    assert len(canonical_form(g, (0,) * g.n).generators) == want
+    # label or export changed.  The node count pins the pruning too: a
+    # prune too weak to skip a sibling in a known orbit searches more
+    # nodes, though it still returns the first least leaf.
+    searches = []
+    search = canonical._Canonizer._search
+
+    def counting(self, cells, prefix):
+        searches.append(prefix)
+        return search(self, cells, prefix)
+
+    monkeypatch.setattr(canonical._Canonizer, "_search", counting)
+    assert len(canonical_form(g, (0,) * g.n).generators) == generators
+    assert len(searches) == nodes
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from oblot.simulate import (
     ExecutionTrace,
     PlaySummary,
     RoundRecord,
+    _outcomes,
     _solution,
     enumerate_adversary_plays,
     parse_adversary,
@@ -164,7 +165,7 @@ def test_plays_node_cap_is_exact(k23):
 def test_plays_refuse_a_plan_that_does_not_descend(k23):
     # a plan entry whose Δ holds its own class would recurse without end
     mixed = Configuration(k23, (1, 0, 1, 0, 0))
-    sol = _solution(k23, 2, GATHER).sol
+    sol = _solution(k23, 2, GATHER)
     idx = sol.h.index_of(mixed)
     assert idx in sol.solvable and idx not in sol.final
     entry = sol.entries[idx]
@@ -262,7 +263,7 @@ def test_held_build_is_found_by_graph_identity(k23):
     assert built(twin, 2, "fsync") is None
     # the simulator builds the equal graph for itself, under its own name
     run_fsync(Configuration(twin, (0, 0, 1, 1, 0)), GATHER, WORST)
-    mine = _solution(twin, 2, GATHER).sol.h
+    mine = _solution(twin, 2, GATHER).h
     assert mine is not h and mine.graph is twin
     assert json.loads(export(mine, "json"))["graph"]["name"] == "twin"
     assert export(mine, "json") != export(h, "json")
@@ -290,7 +291,7 @@ def test_build_record_keys_on_k_and_scheduler(k23, monkeypatch):
     calls = _count_builds(monkeypatch)
     run_fsync(Configuration(k23, (0, 0, 1, 1, 0)), GATHER, WORST)
     assert calls == [(k23, 2, "fsync")]
-    assert _solution(k23, 2, GATHER).sol.h.scheduler == "fsync"
+    assert _solution(k23, 2, GATHER).h.scheduler == "fsync"
 
 
 def test_held_build_is_transparent():
@@ -301,7 +302,7 @@ def test_held_build_is_transparent():
             starts = [Configuration(g, lam) for lam in all_placements(g.n, k)]
             h = build(g, k, "fsync")
             held = [_observe(c, GATHER) for c in starts]
-            assert _solution(g, k, GATHER).sol.h is h
+            assert _solution(g, k, GATHER).h is h
             del h
             _solution.cache_clear()
             gc.collect()
@@ -361,7 +362,7 @@ def test_default_budget_catches_a_plan_two_rounds_short(k23):
     # overruns it
     spread = Configuration(k23, (0, 0, 1, 1, 1))
     assert enumerate_adversary_plays(spread, GATHER).max_rounds_used == 3
-    sol = _solution(k23, 3, GATHER).sol
+    sol = _solution(k23, 3, GATHER)
     idx = sol.h.index_of(spread)
     sol.entries[idx] = sol.entries[idx]._replace(distance=1)
     trace = run_fsync(spread, GATHER, WORST)
@@ -376,14 +377,13 @@ def test_round_outcomes_match_the_canonizer():
     for g0 in connected_graph_corpus(5):
         for g in (g0, relabeled(rng, g0)):
             for k in (1, 2, 3):
-                solved = _solution(g, k, GATHER)
-                sol = solved.sol
+                sol = _solution(g, k, GATHER)
                 for lam, i in sol.h.class_of.items():
                     if i not in sol.solvable or i in sol.final:
                         continue
                     c = Configuration(g, lam)
                     want = raw_fsync_outcomes(c, canonical_form(g, lam).orbits, sol.entries[i].move)
-                    assert tuple(solved.outcomes(i, lam)) == want, (g, lam)
+                    assert tuple(_outcomes(sol, i, lam)) == want, (g, lam)
 
 
 def _oracle_pick(sol, adversary: AdversaryStrategy, rng: random.Random):
@@ -447,7 +447,7 @@ def test_rounds_make_no_canonizer_search(request, monkeypatch, graph, k):
     got = [run_fsync(c, GATHER, a).to_json() for c in starts for a in adversaries]
     assert searches == []
     assert got == want
-    assert _solution(g, k, GATHER).sol.h is h
+    assert _solution(g, k, GATHER).h is h
 
 
 def test_emptied_schreier_vector_raises(k23, monkeypatch):

@@ -224,8 +224,9 @@ class ConfigHypergraph(Frozen):
 
         π composes the generators along the Schreier chain from ``lam`` back
         to the class representative; each class is one orbit of the walk's
-        generators, so each chain ends there.  A chain that ends elsewhere
-        or runs in a circle, from a damaged vector, raises.
+        generators, so each chain ends there.  A chain that ends elsewhere,
+        runs in a circle or meets an entry that names no generator, from a
+        damaged vector, raises.
         """
         try:
             rep = self.configs[self.class_of[lam]].rep.lam
@@ -234,9 +235,15 @@ class ConfigHypergraph(Frozen):
         pi = tuple(range(self.graph.n))
         cur = lam
         steps = len(self.schreier)  # a longer chain visits some placement twice
+        count = len(self.generators)
         while (j := self.schreier.get(cur)) is not None:
             if (steps := steps - 1) < 0:
                 raise InternalError(f"the Schreier chain from placement {lam} runs in a circle")
+            if not 0 <= j < count:
+                raise InternalError(
+                    f"the Schreier entry {j} of placement {cur}, on the chain from {lam}, "
+                    f"names no generator of the {count}"
+                )
             gen = self.generators[j]
             pi = tuple(map(gen.__getitem__, pi))
             # cur was reached as parent ∘ gen, so parent[gen[v]] == cur[v]

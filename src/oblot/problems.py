@@ -5,6 +5,10 @@ is the set of classes whose representative satisfies it.  All predicates are
 isomorphism-invariant, which is what makes F well defined on classes.
 Geodesic mutual visibility is decided with one breadth-first search per
 robot, not per pair of robots.
+
+There are three kinds, ``gathering``, ``pattern`` and
+``geodesic_mutual_visibility``.  An ``explicit`` document or spec is a
+pattern problem, as a hyphenated ``type`` is geodesic mutual visibility.
 """
 
 from __future__ import annotations
@@ -13,45 +17,35 @@ from collections import deque
 from pathlib import Path
 
 from .errors import InputError
-from .graphs import Configuration, Frozen, bounded_repr, is_json_int, parse_json, read_input_file
-from .graphs import total_robots
+from .graphs import Configuration, Frozen, _warn_unknown_fields, bounded_repr, is_json_int
+from .graphs import parse_json, read_input_file, total_robots, validate_configuration
 from .hypergraph import ConfigHypergraph
 
-KINDS = ("gathering", "pattern", "explicit", "geodesic_mutual_visibility")
+KINDS = ("gathering", "pattern", "geodesic_mutual_visibility")
 
 
 class ProblemSpec(Frozen):
-    """Problem kind plus target placements for the kinds that need them.
+    """Problem kind plus target placements for the kind that needs them.
 
-    ``targets`` is empty for gathering and geodesic mutual visibility; for
-    pattern and explicit problems it lists λ sequences on the input graph's
-    own vertex indexing, matched up to isomorphism (robots are disoriented
-    and cannot tell isomorphic placements apart).
+    ``targets`` is empty for gathering and geodesic mutual visibility; for a
+    pattern problem it lists λ sequences on the input graph's own vertex
+    indexing, matched up to isomorphism (robots are disoriented and cannot
+    tell isomorphic placements apart).  Kind ``explicit`` makes a pattern.
     """
 
     __slots__ = ("kind", "targets")
 
     def __init__(self, kind: str, targets: tuple[tuple[int, ...], ...] = ()) -> None:
+        if kind == "explicit":
+            kind = "pattern"
         if kind not in KINDS:
             raise InputError(f"unknown problem kind {kind!r}; expected one of {KINDS}")
-        if kind not in ("pattern", "explicit") and targets:
+        if kind != "pattern" and targets:
             raise InputError(f"{kind} problem carries no targets")
         self._set(kind=kind, targets=tuple(tuple(int(x) for x in t) for t in targets))
 
     def _key(self) -> tuple:
         return (self.kind, self.targets)
-
-
-def _check_target_dims(spec: ProblemSpec, n: int, k: int) -> None:
-    for t in spec.targets:
-        if len(t) != n:
-            raise InputError(
-                f"target length {len(t)} does not match vertex count {n}"
-            )
-        if any(x < 0 for x in t):
-            raise InputError("target robot counts must be nonnegative")
-        if sum(t) != k:
-            raise InputError(f"target sums to {sum(t)}, expected k={k}")
 
 
 def _clear_geodesics(c: Configuration, u: int) -> list[bool]:
@@ -82,9 +76,9 @@ def _clear_geodesics(c: Configuration, u: int) -> list[bool]:
 
 def is_final(spec: ProblemSpec, c: Configuration) -> bool:
     """Whether ``c`` is a final configuration for a gathering or geodesic
-    mutual visibility problem.  A pattern or explicit problem's final set is
-    read from a class table by :func:`resolve_final_set`.  Geodesic mutual
-    visibility reads one flag per robot pair from one search per robot."""
+    mutual visibility problem.  A pattern problem's final set is read from
+    a class table by :func:`resolve_final_set`.  Geodesic mutual visibility
+    reads one flag per robot pair from one search per robot."""
     if spec.kind == "gathering":
         # All robots on one vertex; robots sense exact multiplicities, so
         # the predicate is simply that some count equals k.
@@ -107,13 +101,16 @@ def is_final(spec: ProblemSpec, c: Configuration) -> bool:
 def resolve_final_set(spec: ProblemSpec, h: ConfigHypergraph) -> frozenset[int]:
     """Indices of the hypergraph classes that are final for the problem.
 
-    A pattern or explicit target, once checked to be a k-robot placement on
-    ``h``'s graph, is looked up in the class table: its class is
+    A pattern's target, once it passes the check every start passes and
+    holds ``h.k`` robots, is looked up in the class table: its class is
     ``h.class_of[t]``, the class of every placement isomorphic to it.  Every
     other kind is decided by :func:`is_final` on the class representative.
     """
-    if spec.kind in ("pattern", "explicit"):
-        _check_target_dims(spec, h.graph.n, h.k)
+    if spec.kind == "pattern":
+        for t in spec.targets:
+            validate_configuration(Configuration(h.graph, t))
+            if sum(t) != h.k:
+                raise InputError(f"target sums to {sum(t)}, expected k={h.k}")
         return frozenset(h.class_of[t] for t in spec.targets)
     return frozenset(
         i for i, entry in enumerate(h.configs) if is_final(spec, entry.rep)
@@ -125,29 +122,30 @@ def load_problem(text: str) -> ProblemSpec:
 
     Accepted forms: ``{"type":"gathering"}``,
     ``{"type":"pattern","targets":[[...], ...]}``,
-    ``{"type":"explicit","final":[[...], ...]}``,
+    ``{"type":"explicit","final":[[...], ...]}`` (a pattern problem),
     ``{"type":"geodesic_mutual_visibility"}`` (also spelled with hyphens).
+    Unknown fields warn rather than fail.
     """
     obj = parse_json(text, "problem")
     if not isinstance(obj, dict) or "type" not in obj:
         raise InputError("problem document must be a JSON object with a 'type' field")
-    kind_field = obj["type"]
-    if kind_field == "gathering":
-        return ProblemSpec(kind="gathering")
-    if kind_field in ("geodesic-mutual-visibility", "geodesic_mutual_visibility"):
-        return ProblemSpec(kind="geodesic_mutual_visibility")
-    if kind_field in ("pattern", "explicit"):
-        field = "targets" if kind_field == "pattern" else "final"
-        if field not in obj:
-            raise InputError(f"{kind_field} problem requires field {field!r}")
-        raw = obj[field]
-        ok = isinstance(raw, list) and all(
-            isinstance(t, list) and all(is_json_int(x) for x in t) for t in raw
-        )
-        if not ok:
-            raise InputError(f"field {field!r} must be a list of integer lists")
-        return ProblemSpec(kind=kind_field, targets=tuple(tuple(t) for t in raw))
-    raise InputError(f"unknown problem type {bounded_repr(kind_field)}")
+    kind = obj["type"]
+    if kind in ("gathering", "geodesic-mutual-visibility", "geodesic_mutual_visibility"):
+        _warn_unknown_fields(obj, {"type"}, "problem")
+        return ProblemSpec(kind=kind.replace("-", "_"))
+    if kind not in ("pattern", "explicit"):
+        raise InputError(f"unknown problem type {bounded_repr(kind)}")
+    field = "targets" if kind == "pattern" else "final"
+    if field not in obj:
+        raise InputError(f"{kind} problem requires field {field!r}")
+    _warn_unknown_fields(obj, {"type", field}, "problem")
+    raw = obj[field]
+    ok = isinstance(raw, list) and all(
+        isinstance(t, list) and all(is_json_int(x) for x in t) for t in raw
+    )
+    if not ok:
+        raise InputError(f"field {field!r} must be a list of integer lists")
+    return ProblemSpec(kind="pattern", targets=tuple(tuple(t) for t in raw))
 
 
 def load_problem_file(path: str | Path) -> ProblemSpec:

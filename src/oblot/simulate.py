@@ -44,6 +44,9 @@ MAX_ROUNDS_EXCEEDED = "max_rounds_exceeded"
 
 ADVERSARY_KINDS = ("worst", "random", "first")
 
+# The most classes one adversary-play enumeration may enter.
+PLAY_NODE_CAP = 100_000
+
 
 class AdversaryStrategy(Frozen):
     """Which adversary resolves a simulated round: ``worst``, ``first``, or
@@ -198,11 +201,7 @@ class PlaySummary(NamedTuple):
     all_reach_final: bool
 
 
-def enumerate_adversary_plays(
-    c0: Configuration,
-    spec: ProblemSpec,
-    node_cap: int = 100_000,
-) -> PlaySummary:
+def enumerate_adversary_plays(c0: Configuration, spec: ProblemSpec) -> PlaySummary:
     """Exhaust every adversary resolution under optimal robot play.
 
     Decision and outcomes depend only on the class (the outcome classes of
@@ -210,16 +209,17 @@ def enumerate_adversary_plays(
     class; planned moves strictly decrease the distance, which bounds the
     depth.  The solved hypergraph is shared with consecutive calls on one
     (G, k, problem), and taken from the caller's own build of ``c0.graph``
-    while the caller holds it, as in :func:`run_fsync`.  ``node_cap`` aborts
-    pathologically large explorations loudly instead of truncating them.
+    while the caller holds it, as in :func:`run_fsync`.  Entering more than
+    :data:`PLAY_NODE_CAP` classes aborts a pathologically large exploration
+    loudly instead of truncating it.
     """
     sol, idx0 = _start(c0, spec)
     if idx0 not in sol.solvable:
         raise InputError("start configuration is unsolvable; nothing to enumerate")
-    return _plays(sol, idx0, {}, node_cap)
+    return _plays(sol, idx0, {})
 
 
-def _plays(sol: Solution, idx: int, memo: dict, node_cap: int) -> PlaySummary:
+def _plays(sol: Solution, idx: int, memo: dict) -> PlaySummary:
     """The plays from class ``idx``.  ``memo`` maps each class entered to its
     summary, ``None`` until that is known, so ``len(memo)`` counts the
     classes entered and a class met again while still ``None`` is reached
@@ -229,12 +229,14 @@ def _plays(sol: Solution, idx: int, memo: dict, node_cap: int) -> PlaySummary:
             raise InternalError(f"the plan does not descend: class {idx} is reached from itself")
         return memo[idx]
     memo[idx] = None
-    if len(memo) > node_cap:
-        raise BudgetExceededError(f"adversary-play enumeration exceeded the node cap of {node_cap}")
+    if len(memo) > PLAY_NODE_CAP:
+        raise BudgetExceededError(
+            f"adversary-play enumeration exceeded the node cap of {PLAY_NODE_CAP}"
+        )
     if idx in sol.final:
         summary = PlaySummary(0, 0, True)
     else:
-        subs = [_plays(sol, ch, memo, node_cap) for ch in sol.entries[idx].delta]
+        subs = [_plays(sol, ch, memo) for ch in sol.entries[idx].delta]
         summary = PlaySummary(
             max_rounds_used=1 + max(s.max_rounds_used for s in subs),
             min_rounds_used=1 + min(s.min_rounds_used for s in subs),

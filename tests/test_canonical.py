@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -411,8 +412,16 @@ def test_canonical_forms_match_golden_digests():
 
 def test_search_deeper_than_the_recursion_limit_is_a_budget_error():
     # refinement never splits an edgeless graph, so its search recurses once
-    # per vertex; n = 1500 is well past the default limit of 1000 frames
+    # per vertex; n = 1500 is well past the default limit of 1000 frames.
+    # The search runs with the cyclic collector paused, as in an oblot
+    # process, which would otherwise spend most of it in collections.
     edgeless = Graph(n=1500, edges=())
-    with pytest.raises(BudgetExceededError, match="n = 1500 vertices") as info:
-        canonical_form(edgeless, (0,) * edgeless.n)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with pytest.raises(BudgetExceededError, match="n = 1500 vertices") as info:
+            canonical_form(edgeless, (0,) * edgeless.n)
+    finally:
+        if enabled:
+            gc.enable()
     assert len(str(info.value)) < 100

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -72,7 +73,7 @@ def test_empty_explicit_final_set_is_empty(p4):
 
 def test_target_dimension_errors(p4):
     h = build(p4, 2)
-    with pytest.raises(InputError, match="does not match vertex count"):
+    with pytest.raises(InputError, match="length mismatch"):
         resolve_final_set(ProblemSpec(kind="pattern", targets=((1, 1, 0),)), h)
     with pytest.raises(InputError, match="sums to"):
         resolve_final_set(ProblemSpec(kind="pattern", targets=((1, 1, 1, 0),)), h)
@@ -216,8 +217,30 @@ def test_load_problem_forms():
         assert load_problem(f'{{"type": "{gmv_type}"}}') == GMV
     pat = load_problem('{"type": "pattern", "targets": [[1, 0, 1]]}')
     assert pat == ProblemSpec(kind="pattern", targets=((1, 0, 1),))
+    # an explicit document or spec is a pattern problem
     exp = load_problem('{"type": "explicit", "final": [[2, 0], [1, 1]]}')
+    assert exp == ProblemSpec(kind="pattern", targets=((2, 0), (1, 1)))
     assert exp == ProblemSpec(kind="explicit", targets=((2, 0), (1, 1)))
+    assert exp.kind == "pattern"
+
+
+def test_load_problem_unknown_field_warns_once():
+    # the known fields depend on the type; an extra one changes nothing but
+    # a warning, which points at the loader's caller
+    for doc, extra in (
+        ({"type": "gathering"}, "targets"),
+        ({"type": "geodesic-mutual-visibility"}, "final"),
+        ({"type": "pattern", "targets": [[1, 0, 1]]}, "final"),
+        ({"type": "explicit", "final": [[1, 0, 1]]}, "targets"),
+    ):
+        plain = load_problem(json.dumps(doc))
+        with pytest.warns(UserWarning) as record:
+            extra_spec = load_problem(json.dumps({**doc, extra: [[0, 2, 0]]}))
+        assert extra_spec == plain
+        assert [str(w.message) for w in record] == [
+            f"ignoring unknown field '{extra}' in problem document"
+        ]
+        assert [w.filename for w in record] == [__file__]
 
 
 def test_load_problem_errors():

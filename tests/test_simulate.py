@@ -1,6 +1,7 @@
 import gc
 import json
 import random
+import re
 
 import pytest
 
@@ -132,16 +133,15 @@ def test_plays_both_outcomes_final(k23):
     assert s == PlaySummary(max_rounds_used=1, min_rounds_used=1, all_reach_final=True)
 
 
-def test_plays_errors(k23, c4_cycle):
+def test_plays_errors(k23, c4_cycle, monkeypatch):
     with pytest.raises(InputError, match="unsolvable"):
         enumerate_adversary_plays(Configuration(c4_cycle, (1, 0, 1, 0)), GATHER)
-    with pytest.raises(BudgetExceededError, match="node cap"):
-        enumerate_adversary_plays(
-            Configuration(k23, (0, 0, 1, 1, 1)), GATHER, node_cap=2
-        )
+    monkeypatch.setattr(oblot.simulate, "PLAY_NODE_CAP", 2)
+    with pytest.raises(BudgetExceededError, match="node cap of 2"):
+        enumerate_adversary_plays(Configuration(k23, (0, 0, 1, 1, 1)), GATHER)
 
 
-def test_plays_node_cap_is_exact(k23):
+def test_plays_node_cap_is_exact(k23, monkeypatch):
     # The enumeration visits each class once: the start and, from every
     # class not final, the Δ of its planned move.  A cap of exactly that
     # many classes suffices, and one fewer does not.
@@ -157,9 +157,11 @@ def test_plays_node_cap_is_exact(k23):
             frontier.extend(new)
     assert len(reached) > 2
     want = PlaySummary(max_rounds_used=3, min_rounds_used=1, all_reach_final=True)
-    assert enumerate_adversary_plays(start, GATHER, node_cap=len(reached)) == want
+    monkeypatch.setattr(oblot.simulate, "PLAY_NODE_CAP", len(reached))
+    assert enumerate_adversary_plays(start, GATHER) == want
+    monkeypatch.setattr(oblot.simulate, "PLAY_NODE_CAP", len(reached) - 1)
     with pytest.raises(BudgetExceededError, match="node cap"):
-        enumerate_adversary_plays(start, GATHER, node_cap=len(reached) - 1)
+        enumerate_adversary_plays(start, GATHER)
 
 
 def test_plays_refuse_a_plan_that_does_not_descend(k23):
@@ -338,20 +340,22 @@ def test_equal_graphs_share_the_slot(k23, monkeypatch):
     assert calls == []
 
 
-def test_errors_leave_the_slot_usable(k23, c4_cycle):
+def test_errors_leave_the_slot_usable(k23, c4_cycle, monkeypatch):
     spread = Configuration(k23, (0, 0, 1, 1, 1))
     want = _observe(spread, GATHER)
     with pytest.raises(InputError, match="unsolvable"):
         enumerate_adversary_plays(Configuration(c4_cycle, (1, 0, 1, 0)), GATHER)
     assert _observe(spread, GATHER) == want
     short = ProblemSpec(kind="pattern", targets=((3, 0, 0),))
-    with pytest.raises(InputError, match="target length"):
+    with pytest.raises(InputError, match="length mismatch"):
         run_fsync(spread, short, WORST)
-    with pytest.raises(InputError, match="target length"):
+    with pytest.raises(InputError, match="length mismatch"):
         enumerate_adversary_plays(spread, short)
     assert _observe(spread, GATHER) == want
-    with pytest.raises(BudgetExceededError, match="node cap"):
-        enumerate_adversary_plays(spread, GATHER, node_cap=2)
+    with monkeypatch.context() as m:
+        m.setattr(oblot.simulate, "PLAY_NODE_CAP", 2)
+        with pytest.raises(BudgetExceededError, match="node cap"):
+            enumerate_adversary_plays(spread, GATHER)
     assert _observe(spread, GATHER) == want
     assert want[1] == PlaySummary(max_rounds_used=3, min_rounds_used=1, all_reach_final=True)
 
@@ -448,6 +452,24 @@ def test_rounds_make_no_canonizer_search(request, monkeypatch, graph, k):
     assert searches == []
     assert got == want
     assert _solution(g, k, GATHER).h is h
+
+
+@pytest.mark.parametrize("entry", ["past-the-end", "negative"])
+def test_schreier_entry_naming_no_generator_raises(k23, entry):
+    # a damaged entry on the caller's own build: neither an IndexError nor a
+    # generator picked from the end of the list
+    h = build(k23, 2)
+    sol = solution(h, GATHER)
+    member = next(
+        lam for lam in h.schreier
+        if h.class_of[lam] in sol.solvable and h.class_of[lam] not in sol.final
+    )
+    h.schreier[member] = len(h.generators) if entry == "past-the-end" else -1
+    refusal = re.escape(f"of placement {member}") + ".*names no generator"
+    with pytest.raises(InternalError, match=refusal):
+        h.transporter(member)
+    with pytest.raises(InternalError, match=refusal):
+        run_fsync(Configuration(k23, member), GATHER, WORST)
 
 
 def test_emptied_schreier_vector_raises(k23, monkeypatch):

@@ -23,10 +23,17 @@ fixes the common prefix of the two leaves' paths, so the subtree below that
 prefix holding the new leaf is the image of the sibling subtree holding the
 best leaf, searched in full before it.  The search abandons it and goes on
 with the next sibling.  That keeps the generators few (11 on K12, not 66) and
-the first least leaf the one returned.  The search is run once per colored
-graph by :func:`canonical_form`, the only entry point: the
-:class:`CanonicalForm` it returns keeps the generators, and its ``orbits`` are
-the connected components of the vertex set under them, closed on first use.
+the first least leaf the one returned.
+
+The search walks the tree depth first on an explicit stack, one branch
+generator per node on its current path, so a backjump drops the generators
+below its target.  Its depth is bounded by :data:`MAX_SEARCH_DEPTH` alone, not
+by the interpreter's recursion limit or the caller's own stack depth: a
+deeper search raises :class:`~oblot.errors.BudgetExceededError`, in any
+caller.  The search is run once per colored graph by :func:`canonical_form`,
+the only entry point: the :class:`CanonicalForm` it returns keeps the
+generators, and its ``orbits`` are the connected components of the vertex set
+under them, closed on first use.
 
 A caller that already holds automorphisms of the colored graph may pass them
 to it as ``seeds``; the class walk in :mod:`oblot.hypergraph` passes the
@@ -52,6 +59,13 @@ from .graphs import Configuration, Frozen, Graph
 
 # Colors are encoded as unsigned 32-bit big-endian integers.
 _COLOR_LIMIT = 2**32
+
+# The deepest search node, counted in individualized vertices, that the
+# canonizer visits; a deeper one raises BudgetExceededError.  It is the
+# deepest node a recursive search run by ``python -m oblot canon`` could
+# visit under the interpreter's default limit of 1000 frames, so the command
+# refuses the same graphs: an edgeless or complete graph with n >= 988.
+MAX_SEARCH_DEPTH = 986
 
 
 class CanonicalForm(Frozen):
@@ -229,21 +243,42 @@ class _Canonizer:
         self.generators: list[tuple[int, ...]] = [*seeds]
 
     def run(self) -> None:
+        """Search the tree depth first from the partition by color.
+
+        ``stack`` holds one branch generator per internal node on the
+        current path, the root's first; each yields its node's children in
+        the order a recursive search would visit them.  A leaf at depth d
+        resumes its parent's generator, the one at ``stack[d - 1]``; one
+        that backjumps to depth j drops the generators below ``stack[j]``.
+        """
         cells: dict[int, list[int]] = {}
         for v, c in enumerate(self.colors):
             cells.setdefault(c, []).append(v)
-        initial = [cells[c] for c in sorted(cells)]
-        self._search(initial, ())
+        node = ([cells[c] for c in sorted(cells)], ())
+        stack = []
+        while True:
+            cells, prefix = node
+            if len(prefix) > MAX_SEARCH_DEPTH:
+                raise BudgetExceededError(
+                    f"the canonizer's search on n = {self.n} vertices is deeper than "
+                    f"MAX_SEARCH_DEPTH = {MAX_SEARCH_DEPTH}"
+                )
+            cells = _refine(self.adj, cells)
+            target_index = next((i for i, c in enumerate(cells) if len(c) > 1), None)
+            if target_index is None:
+                del stack[self._visit_leaf([c[0] for c in cells], prefix) + 1 :]
+            else:
+                stack.append(self._branches(cells, target_index, prefix))
+            while stack and (node := next(stack[-1], None)) is None:
+                stack.pop()
+            if not stack:
+                return
 
-    def _search(self, cells: list[list[int]], prefix: tuple[int, ...]) -> int:
-        """Search the subtree below ``prefix``; return the depth at which the
-        search resumes, ``len(prefix)`` unless a leaf below backjumped past it."""
-        cells = _refine(self.adj, cells)
-        target_index = next((i for i, c in enumerate(cells) if len(c) > 1), None)
-        if target_index is None:
-            return self._visit_leaf([c[0] for c in cells], prefix)
+    def _branches(self, cells: list[list[int]], target_index: int, prefix: tuple[int, ...]):
+        """The children of the node at ``prefix``, whose refined partition
+        is ``cells``: one per member of the first non-singleton cell that no
+        automorphism known when it comes up maps onto an explored sibling."""
         target = cells[target_index]
-        depth = len(prefix)
         explored: list[int] = []
         # ``parent``: a union-find forest of the target's orbits under the
         # generators that fix the prefix pointwise (they map the target onto
@@ -271,9 +306,7 @@ class _Canonizer:
                 + [[w], [u for u in target if u != w]]
                 + cells[target_index + 1 :]
             )
-            if (resume := self._search(branched, prefix + (w,))) < depth:
-                return resume
-        return depth
+            yield branched, prefix + (w,)
 
     def _visit_leaf(self, order: list[int], path: tuple[int, ...]) -> int:
         bits = _adjacency_bits(self.n, self.adj, order)
@@ -311,23 +344,6 @@ def _encode(n: int, colors_in_canonical_order: list[int], bits: bytes) -> bytes:
     return struct.pack(f">3I{n}II", 4, n, 4 * n, *colors_in_canonical_order, len(bits)) + bits
 
 
-def _canonize(
-    g: Graph, colors: tuple[int, ...], seeds: tuple[tuple[int, ...], ...]
-) -> CanonicalForm:
-    n = g.n
-    if n == 0:
-        return CanonicalForm(encoding=_encode(0, [], b""), labeling=(), generators=())
-    engine = _Canonizer(n, g.neighbors, colors, seeds)
-    engine.run()
-    assert engine.best_order is not None and engine.best_labeling is not None
-    canon_colors = [colors[v] for v in engine.best_order]
-    return CanonicalForm(
-        encoding=_encode(n, canon_colors, engine.best_bits or b""),
-        labeling=tuple(engine.best_labeling),
-        generators=tuple(engine.generators),
-    )
-
-
 def canonical_form(
     g: Graph, coloring: tuple[int, ...], *, seeds: tuple[tuple[int, ...], ...] = ()
 ) -> CanonicalForm:
@@ -339,10 +355,11 @@ def canonical_form(
     caller vouches for, prune the search from its first branch and start the
     form's ``generators``; the encoding and labeling do not depend on them.
 
-    The search recurses once per level of individualization, and refinement
-    never splits some graphs (edgeless or complete ones), so their depth
-    grows with n.  A search deeper than the interpreter's recursion limit
-    raises :class:`BudgetExceededError`: such a search could not finish in
+    The search keeps its path on an explicit stack, one level per
+    individualized vertex, and refinement never splits some graphs (edgeless
+    or complete ones), so their depth grows with n.  A search that would go
+    deeper than :data:`MAX_SEARCH_DEPTH` raises :class:`BudgetExceededError`
+    whatever the caller's own stack depth: such a search could not finish in
     reasonable time anyway.
     """
     if len(coloring) != g.n:
@@ -354,12 +371,16 @@ def canonical_form(
         raise InternalError(
             f"coloring {list(colors)} has a color that is not an integer in [0, 2**32)"
         )
-    try:
-        return _canonize(g, colors, seeds)
-    except RecursionError:
-        raise BudgetExceededError(
-            f"the canonizer's search on n = {g.n} vertices is deeper than the recursion limit"
-        ) from None
+    if g.n == 0:
+        return CanonicalForm(encoding=_encode(0, [], b""), labeling=(), generators=())
+    engine = _Canonizer(g.n, g.neighbors, colors, seeds)
+    engine.run()
+    assert engine.best_order is not None and engine.best_labeling is not None
+    return CanonicalForm(
+        encoding=_encode(g.n, [colors[v] for v in engine.best_order], engine.best_bits or b""),
+        labeling=tuple(engine.best_labeling),
+        generators=tuple(engine.generators),
+    )
 
 
 def occupied_orbits(p: OrbitPartition, c: Configuration) -> tuple[int, ...]:

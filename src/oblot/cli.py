@@ -145,7 +145,7 @@ def cmd_build(args) -> int:
     h = _get_hypergraph(g, args.k, args.scheduler, args.cache, args.out)
     if args.dot is not None:
         _write(_dot_chunks(h), args.dot)
-    sys.stdout.write(f"configs={len(h.configs)} hyperarcs={len(h.hyperarcs)}\n")
+    sys.stdout.write(f"configs={len(h.configs)} hyperarcs={len(h.arc_delta)}\n")
     return EXIT_OK
 
 

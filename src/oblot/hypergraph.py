@@ -28,8 +28,8 @@ moves, about 15 bytes.  ``build`` refuses what the layout cannot index, with
 more than 2**31 − 1 robots, or a class whose move product passes
 2**31 − 1.  ``h.hyperarcs`` is a
 read-only sequence that makes a :class:`Hyperarc` record per arc on access,
-for tests and scripts; the package itself reads the arrays, and
-:func:`check` certifies their structure and the classes.
+for tests, scripts and the benchmark; the package itself reads the arrays,
+and :func:`check` certifies their structure and the classes.
 
 Robots cannot tell automorphic placements apart, so a class is an orbit of
 Aut(G) on placements.  Class enumeration runs one canonizer search for G and
@@ -210,8 +210,8 @@ class ConfigHypergraph(Frozen):
     @property
     def hyperarcs(self) -> _Hyperarcs:
         """The hyperarcs as a read-only sequence of :class:`Hyperarc` records,
-        made on access: for tests and scripts, not for the package's own
-        passes, which read the layout."""
+        made on access.  Tests, scripts and the benchmark read it; the
+        package itself reads the layout (its size is ``len(arc_delta)``)."""
         return _Hyperarcs(self)
 
     def move(self, source: int, index: int) -> Move:

@@ -103,14 +103,19 @@ def resolve_final_set(spec: ProblemSpec, h: ConfigHypergraph) -> frozenset[int]:
 
     A pattern's target, once it passes the check every start passes and
     holds ``h.k`` robots, is looked up in the class table: its class is
-    ``h.class_of[t]``, the class of every placement isomorphic to it.  Every
-    other kind is decided by :func:`is_final` on the class representative.
+    ``h.class_of[t]``, the class of every placement isomorphic to it.  A
+    target that fails is named by its index, as in ``target 0: robot counts
+    must be nonnegative``.  Every other kind is decided by :func:`is_final`
+    on the class representative.
     """
     if spec.kind == "pattern":
-        for t in spec.targets:
-            validate_configuration(Configuration(h.graph, t))
-            if sum(t) != h.k:
-                raise InputError(f"target sums to {sum(t)}, expected k={h.k}")
+        for i, t in enumerate(spec.targets):
+            try:
+                validate_configuration(Configuration(h.graph, t))
+                if sum(t) != h.k:
+                    raise InputError(f"sums to {sum(t)}, expected k={h.k}")
+            except InputError as e:
+                raise InputError(f"target {i}: {e}") from None
         return frozenset(h.class_of[t] for t in spec.targets)
     return frozenset(
         i for i, entry in enumerate(h.configs) if is_final(spec, entry.rep)

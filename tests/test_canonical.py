@@ -1,8 +1,8 @@
-import gc
 import hashlib
 import itertools
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -346,16 +346,18 @@ def test_backjumping_search_of_g_finds_a_lean_generating_set(g, generators, node
     # label or export changed.  The node count pins the pruning too: a
     # prune too weak to skip a sibling in a known orbit searches more
     # nodes, though it still returns the first least leaf.
-    searches = []
-    search = canonical._Canonizer._search
+    # The search refines each node's partition once, so refinements count
+    # the nodes.
+    refined = []
+    refine = canonical._refine
 
-    def counting(self, cells, prefix):
-        searches.append(prefix)
-        return search(self, cells, prefix)
+    def counting(adj, cells):
+        refined.append(len(cells))
+        return refine(adj, cells)
 
-    monkeypatch.setattr(canonical._Canonizer, "_search", counting)
+    monkeypatch.setattr(canonical, "_refine", counting)
     assert len(canonical_form(g, (0,) * g.n).generators) == generators
-    assert len(searches) == nodes
+    assert len(refined) == nodes
 
 
 # ---------------------------------------------------------------------------
@@ -410,18 +412,38 @@ def test_canonical_forms_match_golden_digests():
     assert canon_digests() == golden
 
 
-def test_search_deeper_than_the_recursion_limit_is_a_budget_error():
-    # refinement never splits an edgeless graph, so its search recurses once
-    # per vertex; n = 1500 is well past the default limit of 1000 frames.
-    # The search runs with the cyclic collector paused, as in an oblot
-    # process, which would otherwise spend most of it in collections.
-    edgeless = Graph(n=1500, edges=())
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        with pytest.raises(BudgetExceededError, match="n = 1500 vertices") as info:
-            canonical_form(edgeless, (0,) * edgeless.n)
-    finally:
-        if enabled:
-            gc.enable()
-    assert len(str(info.value)) < 100
+def test_search_deeper_than_max_search_depth_is_a_budget_error(monkeypatch):
+    # refinement never splits an edgeless graph, so its search individualizes
+    # one vertex per level and reaches its discrete leaves at depth n - 1
+    monkeypatch.setattr(canonical, "MAX_SEARCH_DEPTH", 6)
+    assert len(canonical_form(Graph(n=7, edges=()), (0,) * 7).generators) == 6
+    with pytest.raises(BudgetExceededError, match="n = 8 vertices") as info:
+        canonical_form(Graph(n=8, edges=()), (0,) * 8)
+    assert str(info.value) == (
+        "the canonizer's search on n = 8 vertices is deeper than MAX_SEARCH_DEPTH = 6"
+    )
+
+
+def _frames() -> int:
+    frame, count = sys._getframe(), 0
+    while frame is not None:
+        frame, count = frame.f_back, count + 1
+    return count
+
+
+def test_search_depth_does_not_depend_on_the_callers_stack():
+    # the same search, 99 levels deep, from the top and from a caller within
+    # 50 frames of the recursion limit
+    edgeless = Graph(n=100, edges=())
+    want = canonical_form(edgeless, (0,) * edgeless.n)
+
+    def call_at(depth):
+        if depth > 1:
+            return call_at(depth - 1)
+        assert sys.getrecursionlimit() - _frames() <= 50
+        return canonical_form(edgeless, (0,) * edgeless.n)
+
+    got = call_at(sys.getrecursionlimit() - 50 - _frames())
+    assert (got.encoding, got.labeling, got.generators) == (
+        want.encoding, want.labeling, want.generators
+    )

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import oblot.hypergraph
-from oblot import cli
+from oblot import canonical, cli
 from oblot.errors import BudgetExceededError, InternalError
 from oblot.graphs import Graph, dump_json
 from oblot.hypergraph import build, export
@@ -512,6 +512,29 @@ def test_non_utf8_input_file_exits_two(files, tmp_path, role, what):
     assert len(r.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "start, targets, message",
+    [
+        ([1, 0, 0, 1], [[2, 0, 0, 0], [-1, 0, 0, 3]], "target 1: robot counts must be nonnegative"),
+        ([1, 0, 0, 1], [[1, 1, 0]], "target 0: length mismatch: lambda has 3 entries for 4 vertices"),
+        ([1, 0, 0, 1], [[1, 1, 1, 0]], "target 0: sums to 3, expected k=2"),
+        ([-1, 0, 0, 3], [[2, 0, 0, 0]], "robot counts must be nonnegative"),
+        ([1, 1, 0], [[2, 0, 0, 0]], "length mismatch: lambda has 3 entries for 4 vertices"),
+    ],
+    ids=["negative-target", "short-target", "target-sum", "negative-start", "short-start"],
+)
+def test_a_bad_pattern_target_is_named_by_its_index(tmp_path, capsys, start, targets, message):
+    # a start's errors keep their words; a target's name the target
+    p4 = {"n": 4, "edges": [[0, 1], [1, 2], [2, 3]]}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"graph": p4, "lambda": start}))
+    problem = tmp_path / "pattern.json"
+    problem.write_text(json.dumps({"type": "pattern", "targets": targets}))
+    assert cli.main(["move", "--config", str(config), "--problem", str(problem)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 def test_input_errors_exit_two(files, tmp_path):
     r = run_cli(
         "build", "--graph", files["k23"], "-k", "0",
@@ -571,18 +594,28 @@ def test_engine_errors_map_to_exit_codes(files, tmp_path, capsys, monkeypatch, e
     assert captured.err == f"error: {error}\n"
 
 
-@pytest.mark.parametrize("argv", [["canon"], ["build", "-k", "1", "--out", os.devnull]],
-                         ids=["canon", "build"])
-def test_canonizer_deeper_than_the_recursion_limit_exits_six(tmp_path, argv):
-    # refinement never splits an edgeless graph, so the search of G recurses
-    # once per vertex: one error line, never a traceback
+def test_canonizer_deeper_than_max_search_depth_exits_six(tmp_path):
+    # refinement never splits an edgeless graph, so the search of G
+    # individualizes one vertex per level: one error line, never a traceback
     graph = tmp_path / "edgeless.json"
     graph.write_text(json.dumps({"n": 1500, "edges": []}))
-    r = run_cli(argv[0], "--graph", str(graph), *argv[1:])
+    r = run_cli("canon", "--graph", str(graph))
     assert (r.returncode, r.stdout) == (6, "")
     assert r.stderr.splitlines() == [
-        "error: the canonizer's search on n = 1500 vertices is deeper than the recursion limit"
+        "error: the canonizer's search on n = 1500 vertices is deeper than MAX_SEARCH_DEPTH = 986"
     ]
+
+
+def test_build_deeper_than_max_search_depth_exits_six(tmp_path, capsys, monkeypatch):
+    # the search of an edgeless G on 8 vertices reaches depth 7
+    monkeypatch.setattr(canonical, "MAX_SEARCH_DEPTH", 6)
+    graph = tmp_path / "edgeless.json"
+    graph.write_text(json.dumps({"n": 8, "edges": []}))
+    assert cli.main(["build", "--graph", str(graph), "-k", "1", "--out", os.devnull]) == 6
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: the canonizer's search on n = 8 vertices is deeper than MAX_SEARCH_DEPTH = 6\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["build", "move"])

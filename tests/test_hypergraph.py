@@ -475,13 +475,13 @@ def test_build_searches_each_placement_once(request, monkeypatch, graph, k, sche
     # members come from the orbit walk, and a class's orbits from its form
     g = request.getfixturevalue(graph) if isinstance(graph, str) else graph
     searched = []
-    canonize = oblot.canonical._canonize
+    run = oblot.canonical._Canonizer.run
 
-    def counting(g, colors, seeds):
-        searched.append(colors)
-        return canonize(g, colors, seeds)
+    def counting(self):
+        searched.append(self.colors)
+        return run(self)
 
-    monkeypatch.setattr(oblot.canonical, "_canonize", counting)
+    monkeypatch.setattr(oblot.canonical._Canonizer, "run", counting)
     h = build(g, k, scheduler)
     assert len(searched) == 1 + len(h.configs)
     assert searched == [(0,) * g.n, *sorted(e.rep.lam for e in h.configs)]

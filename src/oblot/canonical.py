@@ -55,10 +55,7 @@ import struct
 from typing import NamedTuple
 
 from .errors import BudgetExceededError, InternalError
-from .graphs import Configuration, Frozen, Graph
-
-# Colors are encoded as unsigned 32-bit big-endian integers.
-_COLOR_LIMIT = 2**32
+from .graphs import ENCODING_LIMIT, Configuration, Frozen, Graph
 
 # The deepest search node, counted in individualized vertices, that the
 # canonizer visits; a deeper one raises BudgetExceededError.  It is the
@@ -367,12 +364,10 @@ def canonical_form(
             f"coloring length {len(coloring)} does not match vertex count {g.n}"
         )
     colors = tuple(coloring)
-    if any(not (isinstance(x, int) and 0 <= x < _COLOR_LIMIT) for x in colors):
+    if any(not (isinstance(x, int) and 0 <= x < ENCODING_LIMIT) for x in colors):
         raise InternalError(
             f"coloring {list(colors)} has a color that is not an integer in [0, 2**32)"
         )
-    if g.n == 0:
-        return CanonicalForm(encoding=_encode(0, [], b""), labeling=(), generators=())
     engine = _Canonizer(g.n, g.neighbors, colors, seeds)
     engine.run()
     assert engine.best_order is not None and engine.best_labeling is not None

@@ -43,14 +43,14 @@ class search is seeded with the generators of G's search that fix its
 founder; its form is the unseeded search's, and a class's orbits come from
 it (``entry.form.orbits``).
 
-The walk also records a Schreier vector (Holt, Eick & O'Brien, *Handbook of
-Computational Group Theory*, 2005): for every placement a generator reached,
-the index of that generator, so that its inverse leads back to the parent
-placement.  A class's founder, its representative, has no entry.  Composing
-the generators along that chain gives ``h.transporter(λ)``, an automorphism
-of G that carries the class representative onto λ; the simulator maps the
-representative's outcomes through it instead of canonizing each placement
-it visits.
+The walk also carries each member's transporter: the automorphism π of G,
+``h.transporter(λ)``, that carries the class representative onto λ.  A
+member reached as the image of another under a generator has that image of
+the other's π, one more C call.  Each distinct π is interned once in the
+table ``transporters``, the identity first, and ``transport`` maps each
+member to its π's index there; a class's founder, its representative, has
+no entry and means the identity.  The simulator maps the representative's
+outcomes through π instead of canonizing each placement it visits.
 
 Every later class question is a lookup: the Δ of a move is the set of
 classes of its outcome placements' integer codes, read from the table
@@ -165,7 +165,7 @@ class ConfigHypergraph(Frozen):
     __slots__ = (
         "graph", "k", "scheduler", "configs",
         "deltas", "arc_start", "arc_delta", "move_start", "moves",
-        "class_of", "option_sets", "generators", "schreier", "__weakref__",
+        "class_of", "option_sets", "transport", "transporters", "__weakref__",
     )
 
     def __init__(
@@ -186,16 +186,16 @@ class ConfigHypergraph(Frozen):
         class_of: dict[tuple[int, ...], int],
         # Per class, the option sets whose product its move indices count in.
         option_sets: tuple[OptionSets, ...],
-        # The generators of Aut(G) the class walk applied, those of G's
-        # search, and its Schreier vector: placement -> index of the
-        # generator that first reached it.
-        generators: tuple[tuple[int, ...], ...],
-        schreier: dict[tuple[int, ...], int],
+        # Placement λ -> the index in ``transporters`` of its transporter;
+        # a class representative has no entry, and its transporter is the
+        # identity, entry 0 of the table of distinct transporters.
+        transport: dict[tuple[int, ...], int],
+        transporters: tuple[tuple[int, ...], ...],
     ) -> None:
         self._set(
-            graph=graph, k=k, scheduler=scheduler, configs=configs, deltas=deltas,
+            graph=graph, k=k, scheduler=scheduler, configs=configs, deltas=deltas, class_of=class_of,
             arc_start=arc_start, arc_delta=arc_delta, move_start=move_start, moves=moves,
-            class_of=class_of, option_sets=option_sets, generators=generators, schreier=schreier,
+            option_sets=option_sets, transport=transport, transporters=transporters,
         )
 
     def _key(self) -> tuple:
@@ -222,38 +222,24 @@ class ConfigHypergraph(Frozen):
         """An automorphism π of G that carries the representative of ``lam``'s
         class onto ``lam``: ``lam[v] == rep.lam[π[v]]`` for every vertex v.
 
-        π composes the generators along the Schreier chain from ``lam`` back
-        to the class representative; each class is one orbit of the walk's
-        generators, so each chain ends there.  A chain that ends elsewhere,
-        runs in a circle or meets an entry that names no generator, from a
-        damaged vector, raises.
+        π is the entry of ``transporters`` that ``transport`` names for
+        ``lam``, the identity for a representative.  An index outside the
+        table, or a π that does not carry the representative onto ``lam``,
+        from a damaged build, raises.
         """
         try:
             rep = self.configs[self.class_of[lam]].rep.lam
         except KeyError:
             raise self._foreign() from None
-        pi = tuple(range(self.graph.n))
-        cur = lam
-        steps = len(self.schreier)  # a longer chain visits some placement twice
-        count = len(self.generators)
-        while (j := self.schreier.get(cur)) is not None:
-            if (steps := steps - 1) < 0:
-                raise InternalError(f"the Schreier chain from placement {lam} runs in a circle")
-            if not 0 <= j < count:
-                raise InternalError(
-                    f"the Schreier entry {j} of placement {cur}, on the chain from {lam}, "
-                    f"names no generator of the {count}"
-                )
-            gen = self.generators[j]
-            pi = tuple(map(gen.__getitem__, pi))
-            # cur was reached as parent ∘ gen, so parent[gen[v]] == cur[v]
-            parent = [0] * len(cur)
-            for v, image in enumerate(gen):
-                parent[image] = cur[v]
-            cur = tuple(parent)
-        if cur != rep:
+        t = self.transport.get(lam, 0)
+        if not 0 <= t < len(self.transporters):
             raise InternalError(
-                f"placement {lam} leads back to {cur}, not to its class representative {rep}"
+                f"placement {lam} names transporter {t}, not one of the {len(self.transporters)}"
+            )
+        pi = self.transporters[t]
+        if tuple(map(rep.__getitem__, pi)) != lam:
+            raise InternalError(
+                f"transporter {t} does not carry the representative {rep} onto placement {lam}"
             )
         return pi
 
@@ -309,21 +295,24 @@ def _refuse_past_the_width(n: int, k: int) -> None:
 def enumerate_configurations(g: Graph, k: int) -> tuple[
     tuple[ConfigEntry, ...],
     dict[tuple[int, ...], int],
-    tuple[tuple[int, ...], ...],
     dict[tuple[int, ...], int],
+    tuple[tuple[int, ...], ...],
 ]:
     """One entry per isomorphism class of k-robot placements on g, the class
-    table mapping every placement to its entry's index, the generators of
-    Aut(G) the walk applied, and its Schreier vector over those generators.
+    table mapping every placement to its entry's index, and the transporters
+    as ``ConfigHypergraph`` holds them: every placement but a representative
+    mapped to an index into the table of distinct transporters, and that
+    table, the identity first.
 
     The walk applies the generators G's search found, which generate
     Aut(G).  Placements are walked in ascending lexicographic order; each
     one not yet in the table founds a class and, as its least member,
     represents it: it is canonized, seeded with the generators that fix it,
-    and its orbit under the generators is filled in breadth-first, each new
-    member recording the generator that reached it.  So every orbit is a
-    whole class, and a founder whose encoding already names a class raises.
-    Entries are sorted by encoding bytes.
+    and its orbit under the generators is filled in breadth-first.  Each new
+    member is a generator's image of a known one, and its transporter is
+    that generator's image of the known one's, interned.  So every orbit is
+    a whole class, and a founder whose encoding already names a class
+    raises.  Entries are sorted by encoding bytes.
     """
     if k < 1:
         raise InputError(f"robot count must be at least 1, got {k}")
@@ -331,11 +320,13 @@ def enumerate_configurations(g: Graph, k: int) -> tuple[
         raise InputError(f"robot count {k} needs a graph with at least one vertex")
     _refuse_past_the_width(g.n, k)
     generators = canonical_form(g, (0,) * g.n).generators
-    # the image of a placement under a generator, as one C call
+    # the image of a placement, or of a transporter, under a generator, as one C call
     images = [operator.itemgetter(*gen) for gen in generators]
     by_encoding: dict[bytes, ConfigEntry] = {}
     encoding_of: dict[tuple[int, ...], bytes] = {}
-    schreier: dict[tuple[int, ...], int] = {}
+    identity = tuple(range(g.n))
+    table = {identity: 0}  # each distinct transporter -> its index, in order of first use
+    transport: dict[tuple[int, ...], int] = {}
     for lam in _weak_compositions(k, g.n):
         if lam in encoding_of:
             continue
@@ -348,17 +339,18 @@ def enumerate_configurations(g: Graph, k: int) -> tuple[
             )
         by_encoding[enc] = ConfigEntry(form=form, rep=Configuration(g, lam))
         encoding_of[lam] = enc
-        orbit = [lam]
-        for member in orbit:
-            for j, image_of in enumerate(images):
+        orbit = [(lam, identity)]
+        for member, pi in orbit:
+            for image_of in images:
                 if (image := image_of(member)) not in encoding_of:
                     encoding_of[image] = enc
-                    schreier[image] = j
-                    orbit.append(image)
+                    carried = image_of(pi)
+                    transport[image] = table.setdefault(carried, len(table))
+                    orbit.append((image, carried))
     entries = tuple(entry for _, entry in sorted(by_encoding.items()))
     index = {entry.form.encoding: i for i, entry in enumerate(entries)}
     class_of = {lam: index[enc] for lam, enc in encoding_of.items()}
-    return entries, class_of, generators, schreier
+    return entries, class_of, transport, tuple(table)
 
 
 def build(g: Graph, k: int, scheduler: str = "fsync") -> ConfigHypergraph:
@@ -375,7 +367,7 @@ def build(g: Graph, k: int, scheduler: str = "fsync") -> ConfigHypergraph:
     if scheduler not in SCHEDULERS:
         raise InputError(f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}")
     ssync = scheduler == "ssync"
-    entries, class_of, generators, schreier = enumerate_configurations(g, k)
+    entries, class_of, transport, table = enumerate_configurations(g, k)
     class_by_code = class_table_by_code(class_of, g.n, k)
     factors = []
     ids: dict[tuple[int, ...], int] = {}  # Δ -> its id, in order of first use
@@ -393,7 +385,7 @@ def build(g: Graph, k: int, scheduler: str = "fsync") -> ConfigHypergraph:
     h = ConfigHypergraph(
         graph=g, k=k, scheduler=scheduler, configs=entries, deltas=tuple(ids),
         arc_start=arc_start, arc_delta=arc_delta, move_start=move_start, moves=moves,
-        class_of=class_of, option_sets=tuple(factors), generators=generators, schreier=schreier,
+        class_of=class_of, option_sets=tuple(factors), transport=transport, transporters=table,
     )
     _built[id(g), k, scheduler] = h
     return h
@@ -429,12 +421,13 @@ def check(h: ConfigHypergraph) -> None:
       the class's move product exactly once (index 0 is the all-nil
       function).
 
-    A lost or duplicated move, a Δ out of order or out of range, a damaged
-    Schreier vector and two classes merged or out of order are caught.  So
-    each class lies within one orbit of Aut(G); that no two classes share
-    an orbit still rests on the canonizer, whose distinct encodings are
-    taken as non-isomorphic.  That the Δs are the moves' outcomes is taken
-    as built.
+    A lost or duplicated move, a Δ out of order or out of range, a
+    transporter index outside the table or naming a permutation that does
+    not carry the representative, and two classes merged or out of order
+    are caught.  So each class lies within one orbit of Aut(G); that no two
+    classes share an orbit still rests on the canonizer, whose distinct
+    encodings are taken as non-isomorphic.  That the Δs are the moves'
+    outcomes is taken as built.
     """
     _check_classes(h)
     nc = len(h.configs)
@@ -478,8 +471,6 @@ def _check_classes(h: ConfigHypergraph) -> None:
         raise InternalError(
             f"the class table holds {len(h.class_of)} placements, not C(n+k−1, k) for n={g.n}, k={k}"
         )
-    if any(not 0 <= j < len(h.generators) for j in h.schreier.values()):
-        raise InternalError(f"a Schreier entry names no generator of the {len(h.generators)}")
     for i, entry in enumerate(h.configs):
         if h.class_of.get(entry.rep.lam) != i:
             raise InternalError(f"the representative {entry.rep.lam} of class {i} is not in it")

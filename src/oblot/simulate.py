@@ -20,7 +20,8 @@ very ``Graph`` object the start is placed on, that hypergraph is solved as it
 is; only otherwise does the simulator build one.  A round makes no canonizer
 search: it computes the raw outcomes of its class's planned move on the
 class representative and maps them onto its own placement through the
-hypergraph's transporter.  A plan strictly descends, so one run never meets
+placement's transporter, which the hypergraph stores interned and hands out
+by one lookup.  A plan strictly descends, so one run never meets
 a class twice: the outcomes are not kept.
 """
 
@@ -126,8 +127,9 @@ def _start(c0: Configuration, spec: ProblemSpec) -> tuple[Solution, int]:
 
 def _outcomes(sol: Solution, idx: int, lam: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The sorted raw outcomes of class ``idx``'s planned move on its member
-    ``lam``: the representative's, mapped by ``lam``'s transporter (an
-    automorphism carries outcomes to outcomes, orbit ranks included)."""
+    ``lam``: the representative's, mapped by ``lam``'s transporter, looked
+    up in the hypergraph (an automorphism carries outcomes to outcomes,
+    orbit ranks included)."""
     entry = sol.h.configs[idx]
     raw = raw_fsync_outcomes(entry.rep, entry.form.orbits, sol.entries[idx].move)
     pi = sol.h.transporter(lam)
@@ -166,7 +168,8 @@ def run_fsync(
     function of the class).  Each round reads its class from the
     hypergraph's class table, which lists every placement, and a step's raw
     outcomes are those of its class representative, mapped through the
-    placement's transporter; no round canonizes.  An unsolvable start
+    placement's transporter from the hypergraph's table; no round
+    canonizes.  An unsolvable start
     records a single nil round and stops: the robots never move.
     ``max_rounds`` bounds the number of executed steps and defaults to plan
     distance + 1 when solvable, else 1, so an overrun always signals a

@@ -106,6 +106,13 @@ def test_k23_empty_orbits(k23):
     assert {frozenset(o) for o in p.orbits} == {frozenset({0, 1}), frozenset({2, 3, 4})}
 
 
+def test_empty_graph_form_is_pinned():
+    # three empty fields: n = 0, no colors, no adjacency bits
+    form = canonical_form(Graph(n=0, edges=()), ())
+    assert form.encoding.hex() == "00000004000000000000000000000000"
+    assert (form.labeling, form.generators, form.orbits.orbits) == ((), (), ())
+
+
 def test_c4_empty_single_orbit(c4_cycle):
     p = canonical_form(c4_cycle, (0, 0, 0, 0)).orbits
     assert p.orbits == ((0, 1, 2, 3),)

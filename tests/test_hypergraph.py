@@ -37,6 +37,7 @@ from bruteforce import (
     all_placements,
     arcs_by_source,
     as_brute_move,
+    brute_automorphisms,
     brute_orbits,
     complete,
     config_isomorphic,
@@ -56,7 +57,7 @@ from bruteforce import (
     raw_ssync_move_outcomes,
     relabeled,
     ssync_outcomes,
-    without_schreier,
+    without_transport,
 )
 
 
@@ -533,24 +534,29 @@ def test_transporter_carries_the_representative_onto_each_member():
                 _assert_transporters(build(g, k))
 
 
-def test_transporter_refuses_what_its_vector_cannot_reach(k23_h):
-    member = next(lam for lam, i in k23_h.class_of.items() if lam != k23_h.configs[i].rep.lam)
-    emptied = without_schreier(k23_h)
-    with pytest.raises(InternalError, match="not to its class representative"):
-        emptied.transporter(member)
-    # a vector that sends a placement and its image under an involution to
-    # each other runs in a circle
-    j, lam, image = next(
-        (j, lam, image)
-        for j, gen in enumerate(k23_h.generators) if all(gen[gen[v]] == v for v in gen)
-        for lam in k23_h.class_of if (image := operator.itemgetter(*gen)(lam)) != lam
-    )
-    circular = without_schreier(k23_h)
-    circular.schreier.update({lam: j, image: j})
-    with pytest.raises(InternalError, match="runs in a circle"):
-        circular.transporter(lam)
+def test_transporter_refuses_what_its_table_cannot_carry(k23_h):
+    # with no entry, a member besides its representative reads the
+    # identity, which carries only a representative (the damaged indices
+    # are in test_simulate.py)
+    member = next(iter(k23_h.transport))
+    with pytest.raises(InternalError, match="does not carry the representative"):
+        without_transport(k23_h).transporter(member)
     with pytest.raises(InputError, match="does not belong"):
         k23_h.transporter((0, 0, 0, 0, 3))
+
+
+def test_transporters_are_interned():
+    # each distinct automorphism once, the identity first: no more entries
+    # than |Aut(G)|, and exactly 2n on the cycles, whose largest classes
+    # have a member for every element of the dihedral group
+    for g in connected_graph_corpus(5):
+        order = len(brute_automorphisms(g, (0,) * g.n))
+        for k in (1, 2, 3):
+            table = build(g, k).transporters
+            assert table[0] == tuple(range(g.n))
+            assert len(set(table)) == len(table) <= order
+    assert len(enumerate_configurations(cycle(10), 5)[3]) == 20
+    assert len(enumerate_configurations(cycle(14), 7)[3]) == 28
 
 
 def test_class_table_matches_canonizer():
@@ -726,33 +732,34 @@ def test_check_refuses_hand_broken_layouts(k23_h, broken):
 def _broken_classes(h):
     """Copies of ``h`` with a broken class layout, each with the text its
     refusal names."""
-    # a class with a member besides its representative; its representative
-    # is given a Schreier entry, so the chain from it never ends
-    i = next(h.class_of[lam] for lam in h.schreier)
-    rep = h.configs[i].rep.lam
+    # a member of a class besides its representative
+    member = next(iter(h.transport))
+    i = h.class_of[member]
     merged = {lam: 0 if j == 1 else j for lam, j in h.class_of.items()}
     configs = list(h.configs)
     configs[0], configs[1] = configs[1], configs[0]
-    member = next(lam for lam in h.schreier if h.class_of[lam] == i)
     promoted = list(h.configs)
     promoted[i] = promoted[i]._replace(rep=Configuration(h.graph, member))
     dropped = {lam: j for lam, j in h.class_of.items() if lam != member}
     past = {**h.class_of, member: len(h.configs)}
+
+    def with_transporter(t):
+        return _relaid(h, transport={**h.transport, member: t})
+
     return {
         "representative not the least": (_relaid(h, configs=tuple(promoted)), "less than"),
         "placement dropped from the table": (_relaid(h, class_of=dropped), "placements, not C"),
         "placement of no class": (_relaid(h, class_of=past), "past the"),
-        "damaged Schreier entry": (_relaid(h, schreier={**h.schreier, rep: 0}), "circle"),
-        "Schreier entry past the generators": (
-            _relaid(h, schreier={**h.schreier, rep: len(h.generators)}), "names no generator"
-        ),
+        "transporter that does not carry": (with_transporter(0), "does not carry"),
+        "transporter past the table": (with_transporter(len(h.transporters)), "not one of the"),
+        "negative transporter": (with_transporter(-1), "not one of the"),
         "two classes merged into one index": (_relaid(h, class_of=merged), "not in it"),
         "two configs swapped": (_relaid(h, configs=tuple(configs)), "strictly increase"),
     }
 
 
 @pytest.mark.parametrize("broken", [
-    "damaged Schreier entry", "Schreier entry past the generators",
+    "transporter that does not carry", "transporter past the table", "negative transporter",
     "two classes merged into one index", "two configs swapped",
     "representative not the least", "placement dropped from the table", "placement of no class",
 ])

@@ -7,11 +7,11 @@ import pytest
 
 import oblot.canonical
 import oblot.simulate
-from bruteforce import all_placements, connected_graph_corpus, relabeled, without_schreier
+from bruteforce import all_placements, connected_graph_corpus, relabeled, without_transport
 from oblot.canonical import canonical_form
 from oblot.errors import BudgetExceededError, InputError, InternalError
 from oblot.graphs import Configuration, Graph
-from oblot.hypergraph import build, built, export
+from oblot.hypergraph import build, built, check, export
 from oblot.moves import raw_fsync_outcomes
 from oblot.problems import ProblemSpec
 from oblot.simulate import (
@@ -454,25 +454,32 @@ def test_rounds_make_no_canonizer_search(request, monkeypatch, graph, k):
     assert _solution(g, k, GATHER).h is h
 
 
-@pytest.mark.parametrize("entry", ["past-the-end", "negative"])
-def test_schreier_entry_naming_no_generator_raises(k23, entry):
-    # a damaged entry on the caller's own build: neither an IndexError nor a
-    # generator picked from the end of the list
+@pytest.mark.parametrize("entry", ["past-the-end", "negative", "identity"])
+def test_damaged_transporter_index_raises(k23, entry):
+    # a damaged index on the caller's own build: neither an IndexError nor a
+    # permutation picked from the end of the table, and never a wrong move
     h = build(k23, 2)
     sol = solution(h, GATHER)
     member = next(
-        lam for lam in h.schreier
+        lam for lam in h.transport
         if h.class_of[lam] in sol.solvable and h.class_of[lam] not in sol.final
     )
-    h.schreier[member] = len(h.generators) if entry == "past-the-end" else -1
-    refusal = re.escape(f"of placement {member}") + ".*names no generator"
+    t = {"past-the-end": len(h.transporters), "negative": -1, "identity": 0}[entry]
+    h.transport[member] = t
+    refusal = (
+        f"does not carry the representative .* onto placement {re.escape(str(member))}"
+        if entry == "identity"
+        else re.escape(f"placement {member} names transporter {t}, not one of the")
+    )
     with pytest.raises(InternalError, match=refusal):
         h.transporter(member)
+    with pytest.raises(InternalError, match=refusal):
+        check(h)
     with pytest.raises(InternalError, match=refusal):
         run_fsync(Configuration(k23, member), GATHER, WORST)
 
 
-def test_emptied_schreier_vector_raises(k23, monkeypatch):
+def test_emptied_transport_table_raises(k23, monkeypatch):
     g = Graph(n=k23.n, edges=k23.edges, name=k23.name)  # an object no other test has built from
     sol = solution(build(g, 2), GATHER)
     rep_of = {i: e.rep.lam for i, e in enumerate(sol.h.configs)}
@@ -483,7 +490,7 @@ def test_emptied_schreier_vector_raises(k23, monkeypatch):
     del sol
     gc.collect()
     monkeypatch.setattr(
-        oblot.simulate, "build", lambda *args: without_schreier(build(*args))
+        oblot.simulate, "build", lambda *args: without_transport(build(*args))
     )
-    with pytest.raises(InternalError, match="not to its class representative"):
+    with pytest.raises(InternalError, match="does not carry the representative"):
         run_fsync(Configuration(g, member), GATHER, WORST)

@@ -125,7 +125,12 @@ class Graph(Frozen):
 
 
 class Configuration(Frozen):
-    """A graph plus the number of robots sitting on each vertex."""
+    """A graph plus the number of robots sitting on each vertex.
+
+    Each count must be an integer, as :func:`is_json_int` reads it: a float,
+    a string or a boolean raises :class:`InputError` instead of being
+    truncated or read as 0 or 1.  Range and length are
+    :func:`validate_configuration`'s."""
 
     __slots__ = ("graph", "lam")
 
@@ -136,7 +141,10 @@ class Configuration(Frozen):
         # list for length 10 and, once dropped, parked in the one for its own
         # length, which nothing of that length then draws down; over many
         # builds those free lists hold hundreds of KB.
-        self._set(graph=graph, lam=tuple([int(x) for x in lam]))
+        counts = [*lam]
+        if not all(map(is_json_int, counts)):
+            raise InputError(f"robot counts must be integers, got {bounded_repr(counts)}")
+        self._set(graph=graph, lam=tuple(counts))
 
     def _key(self) -> tuple:
         return (self.graph, self.lam)

@@ -46,11 +46,11 @@ it (``entry.form.orbits``).
 The walk also carries each member's transporter: the automorphism π of G,
 ``h.transporter(λ)``, that carries the class representative onto λ.  A
 member reached as the image of another under a generator has that image of
-the other's π, one more C call.  Each distinct π is interned once in the
-table ``transporters``, the identity first, and ``transport`` maps each
-member to its π's index there; a class's founder, its representative, has
-no entry and means the identity.  The simulator maps the representative's
-outcomes through π instead of canonizing each placement it visits.
+the other's π, one more C call.  ``transport`` maps each member to its π
+itself, interned, so that one tuple serves every member with the same
+permutation; a class's founder, its representative, has no entry and means
+the identity.  The simulator maps the representative's outcomes through π
+instead of canonizing each placement it visits.
 
 Every later class question is a lookup: the Δ of a move is the set of
 classes of its outcome placements' integer codes, read from the table
@@ -165,7 +165,7 @@ class ConfigHypergraph(Frozen):
     __slots__ = (
         "graph", "k", "scheduler", "configs",
         "deltas", "arc_start", "arc_delta", "move_start", "moves",
-        "class_of", "option_sets", "transport", "transporters", "__weakref__",
+        "class_of", "option_sets", "transport", "__weakref__",
     )
 
     def __init__(
@@ -186,16 +186,15 @@ class ConfigHypergraph(Frozen):
         class_of: dict[tuple[int, ...], int],
         # Per class, the option sets whose product its move indices count in.
         option_sets: tuple[OptionSets, ...],
-        # Placement λ -> the index in ``transporters`` of its transporter;
-        # a class representative has no entry, and its transporter is the
-        # identity, entry 0 of the table of distinct transporters.
-        transport: dict[tuple[int, ...], int],
-        transporters: tuple[tuple[int, ...], ...],
+        # Placement λ -> its transporter, one interned tuple per distinct
+        # permutation; a class representative has no entry, and its
+        # transporter is the identity.
+        transport: dict[tuple[int, ...], tuple[int, ...]],
     ) -> None:
         self._set(
             graph=graph, k=k, scheduler=scheduler, configs=configs, deltas=deltas, class_of=class_of,
             arc_start=arc_start, arc_delta=arc_delta, move_start=move_start, moves=moves,
-            option_sets=option_sets, transport=transport, transporters=transporters,
+            option_sets=option_sets, transport=transport,
         )
 
     def _key(self) -> tuple:
@@ -222,24 +221,18 @@ class ConfigHypergraph(Frozen):
         """An automorphism π of G that carries the representative of ``lam``'s
         class onto ``lam``: ``lam[v] == rep.lam[π[v]]`` for every vertex v.
 
-        π is the entry of ``transporters`` that ``transport`` names for
-        ``lam``, the identity for a representative.  An index outside the
-        table, or a π that does not carry the representative onto ``lam``,
-        from a damaged build, raises.
+        π is the permutation ``transport`` holds for ``lam``, or the identity
+        for a representative, which has no entry.  A π that does not carry
+        the representative onto ``lam``, from a damaged build, raises.
         """
         try:
             rep = self.configs[self.class_of[lam]].rep.lam
         except KeyError:
             raise self._foreign() from None
-        t = self.transport.get(lam, 0)
-        if not 0 <= t < len(self.transporters):
-            raise InternalError(
-                f"placement {lam} names transporter {t}, not one of the {len(self.transporters)}"
-            )
-        pi = self.transporters[t]
+        pi = self.transport.get(lam, tuple(range(self.graph.n)))
         if tuple(map(rep.__getitem__, pi)) != lam:
             raise InternalError(
-                f"transporter {t} does not carry the representative {rep} onto placement {lam}"
+                f"the transporter does not carry the representative {rep} onto placement {lam}"
             )
         return pi
 
@@ -295,14 +288,12 @@ def _refuse_past_the_width(n: int, k: int) -> None:
 def enumerate_configurations(g: Graph, k: int) -> tuple[
     tuple[ConfigEntry, ...],
     dict[tuple[int, ...], int],
-    dict[tuple[int, ...], int],
-    tuple[tuple[int, ...], ...],
+    dict[tuple[int, ...], tuple[int, ...]],
 ]:
     """One entry per isomorphism class of k-robot placements on g, the class
-    table mapping every placement to its entry's index, and the transporters
-    as ``ConfigHypergraph`` holds them: every placement but a representative
-    mapped to an index into the table of distinct transporters, and that
-    table, the identity first.
+    table mapping every placement to its entry's index, and ``transport``
+    as ``ConfigHypergraph`` holds it: every placement but a representative
+    mapped to its transporter, one tuple per distinct permutation.
 
     The walk applies the generators G's search found, which generate
     Aut(G).  Placements are walked in ascending lexicographic order; each
@@ -325,8 +316,8 @@ def enumerate_configurations(g: Graph, k: int) -> tuple[
     by_encoding: dict[bytes, ConfigEntry] = {}
     encoding_of: dict[tuple[int, ...], bytes] = {}
     identity = tuple(range(g.n))
-    table = {identity: 0}  # each distinct transporter -> its index, in order of first use
-    transport: dict[tuple[int, ...], int] = {}
+    interned: dict[tuple[int, ...], tuple[int, ...]] = {}  # each distinct transporter, once
+    transport: dict[tuple[int, ...], tuple[int, ...]] = {}
     for lam in _weak_compositions(k, g.n):
         if lam in encoding_of:
             continue
@@ -345,12 +336,13 @@ def enumerate_configurations(g: Graph, k: int) -> tuple[
                 if (image := image_of(member)) not in encoding_of:
                     encoding_of[image] = enc
                     carried = image_of(pi)
-                    transport[image] = table.setdefault(carried, len(table))
+                    carried = interned.setdefault(carried, carried)
+                    transport[image] = carried
                     orbit.append((image, carried))
     entries = tuple(entry for _, entry in sorted(by_encoding.items()))
     index = {entry.form.encoding: i for i, entry in enumerate(entries)}
     class_of = {lam: index[enc] for lam, enc in encoding_of.items()}
-    return entries, class_of, transport, tuple(table)
+    return entries, class_of, transport
 
 
 def build(g: Graph, k: int, scheduler: str = "fsync") -> ConfigHypergraph:
@@ -367,7 +359,7 @@ def build(g: Graph, k: int, scheduler: str = "fsync") -> ConfigHypergraph:
     if scheduler not in SCHEDULERS:
         raise InputError(f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}")
     ssync = scheduler == "ssync"
-    entries, class_of, transport, table = enumerate_configurations(g, k)
+    entries, class_of, transport = enumerate_configurations(g, k)
     class_by_code = class_table_by_code(class_of, g.n, k)
     factors = []
     ids: dict[tuple[int, ...], int] = {}  # Δ -> its id, in order of first use
@@ -385,7 +377,7 @@ def build(g: Graph, k: int, scheduler: str = "fsync") -> ConfigHypergraph:
     h = ConfigHypergraph(
         graph=g, k=k, scheduler=scheduler, configs=entries, deltas=tuple(ids),
         arc_start=arc_start, arc_delta=arc_delta, move_start=move_start, moves=moves,
-        class_of=class_of, option_sets=tuple(factors), transport=transport, transporters=table,
+        class_of=class_of, option_sets=tuple(factors), transport=transport,
     )
     _built[id(g), k, scheduler] = h
     return h
@@ -406,10 +398,11 @@ def check(h: ConfigHypergraph) -> None:
 
     * the classes are sound: encodings strictly increase along
       ``h.configs``; each class's representative is its least placement;
-      every placement's ``h.transporter`` is an automorphism of G, checked
-      once per distinct permutation against G's edge set, that carries the
-      representative onto it, so each placement holds k robots; and the
-      class table holds C(n+k−1, k) of them, so every placement;
+      every placement's ``h.transporter``, the permutation ``h.transport``
+      stores for it, carries the representative onto it, so it holds k
+      robots, and is an automorphism of G, checked once per distinct
+      permutation against G's edge set; and the class table holds
+      C(n+k−1, k) of them, so every placement;
     * the starts are well formed: ``arc_start`` has one entry per class and
       one more, ``move_start`` one per arc and one more, each starts at 0,
       never decreases and ends at the length of the buffer it indexes, and
@@ -421,13 +414,13 @@ def check(h: ConfigHypergraph) -> None:
       the class's move product exactly once (index 0 is the all-nil
       function).
 
-    A lost or duplicated move, a Δ out of order or out of range, a
-    transporter index outside the table or naming a permutation that does
-    not carry the representative, and two classes merged or out of order
-    are caught.  So each class lies within one orbit of Aut(G); that no two
-    classes share an orbit still rests on the canonizer, whose distinct
-    encodings are taken as non-isomorphic.  That the Δs are the moves'
-    outcomes is taken as built.
+    A lost or duplicated move, a Δ out of order or out of range, a stored
+    permutation that does not carry the representative (``h.transporter``
+    refuses it) or is no automorphism, and two classes merged or out of
+    order are caught.  So each class lies within one orbit of Aut(G); that
+    no two classes share an orbit still rests on the canonizer, whose
+    distinct encodings are taken as non-isomorphic.  That the Δs are the
+    moves' outcomes is taken as built.
     """
     _check_classes(h)
     nc = len(h.configs)
@@ -489,8 +482,6 @@ def _check_classes(h: ConfigHypergraph) -> None:
             }:
                 raise InternalError(f"the transporter of placement {lam} is not an automorphism of G")
             automorphisms.add(pi)
-        if tuple(map(rep.__getitem__, pi)) != lam:
-            raise InternalError(f"the transporter of placement {lam} does not carry {rep} onto it")
 
 
 def _check_starts(what: str, starts: array, count: int, end: int, strict: bool) -> None:

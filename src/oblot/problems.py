@@ -31,6 +31,8 @@ class ProblemSpec(Frozen):
     pattern problem it lists λ sequences on the input graph's own vertex
     indexing, matched up to isomorphism (robots are disoriented and cannot
     tell isomorphic placements apart).  Kind ``explicit`` makes a pattern.
+    A target count that is not an integer, as :func:`is_json_int` reads it,
+    raises :class:`InputError` naming the target's index.
     """
 
     __slots__ = ("kind", "targets")
@@ -42,7 +44,11 @@ class ProblemSpec(Frozen):
             raise InputError(f"unknown problem kind {kind!r}; expected one of {KINDS}")
         if kind != "pattern" and targets:
             raise InputError(f"{kind} problem carries no targets")
-        self._set(kind=kind, targets=tuple(tuple(int(x) for x in t) for t in targets))
+        counts = [[*t] for t in targets]
+        for i, t in enumerate(counts):
+            if not all(map(is_json_int, t)):
+                raise InputError(f"target {i}: robot counts must be integers, got {bounded_repr(t)}")
+        self._set(kind=kind, targets=tuple([tuple(t) for t in counts]))
 
     def _key(self) -> tuple:
         return (self.kind, self.targets)

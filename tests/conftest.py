@@ -11,6 +11,9 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# The same with a larger budget, for one file run on its own:
+#   python -m pytest tests/test_cli_fuzz.py --hypothesis-profile=fuzz
+settings.register_profile("fuzz", settings.get_profile("suite"), max_examples=2000)
 settings.load_profile("suite")
 
 

@@ -596,13 +596,14 @@ def test_engine_errors_map_to_exit_codes(files, tmp_path, capsys, monkeypatch, e
 
 def test_canonizer_deeper_than_max_search_depth_exits_six(tmp_path):
     # refinement never splits an edgeless graph, so the search of G
-    # individualizes one vertex per level: one error line, never a traceback
+    # individualizes one vertex per level, n − 1 in all: n = 988 is the
+    # least n refused, with one error line, never a traceback
     graph = tmp_path / "edgeless.json"
-    graph.write_text(json.dumps({"n": 1500, "edges": []}))
+    graph.write_text(json.dumps({"n": 988, "edges": []}))
     r = run_cli("canon", "--graph", str(graph))
     assert (r.returncode, r.stdout) == (6, "")
     assert r.stderr.splitlines() == [
-        "error: the canonizer's search on n = 1500 vertices is deeper than MAX_SEARCH_DEPTH = 986"
+        "error: the canonizer's search on n = 988 vertices is deeper than MAX_SEARCH_DEPTH = 986"
     ]
 
 

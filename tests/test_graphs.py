@@ -63,6 +63,14 @@ def test_validate_configuration_errors(k23):
     assert len(canonical_form(k23, (0, 0, 0, 0, 0)).orbits.orbits) == 2
 
 
+@pytest.mark.parametrize("lam", [(1.9, "1", 0.4), (1.0, 1, 0), (True, 0, 1), (1, None, 1)])
+def test_configuration_refuses_counts_that_are_not_integers(p3, lam):
+    # never truncated, parsed or read as 0 or 1: (1.9, "1", 0.4) was (1, 1, 0)
+    with pytest.raises(InputError, match="robot counts must be integers"):
+        Configuration(p3, lam)
+    assert Configuration(p3, [1, 0, 1]).lam == (1, 0, 1)
+
+
 def test_total_robots(k23):
     assert total_robots(Configuration(k23, (2, 0, 1, 0, 0))) == 3
 

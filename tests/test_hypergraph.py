@@ -536,7 +536,7 @@ def test_transporter_carries_the_representative_onto_each_member():
 
 def test_transporter_refuses_what_its_table_cannot_carry(k23_h):
     # with no entry, a member besides its representative reads the
-    # identity, which carries only a representative (the damaged indices
+    # identity, which carries only a representative (the damaged entries
     # are in test_simulate.py)
     member = next(iter(k23_h.transport))
     with pytest.raises(InternalError, match="does not carry the representative"):
@@ -545,18 +545,26 @@ def test_transporter_refuses_what_its_table_cannot_carry(k23_h):
         k23_h.transporter((0, 0, 0, 0, 3))
 
 
+def _distinct_transporters(transport):
+    # one object per distinct permutation: as many objects as values
+    distinct = len(set(transport.values()))
+    assert len({id(pi) for pi in transport.values()}) == distinct
+    return distinct
+
+
 def test_transporters_are_interned():
-    # each distinct automorphism once, the identity first: no more entries
-    # than |Aut(G)|, and exactly 2n on the cycles, whose largest classes
-    # have a member for every element of the dihedral group
+    # each distinct automorphism once, and never the identity, which only a
+    # representative reads: no more than |Aut(G)| − 1, and exactly 2n − 1
+    # on the cycles, whose largest classes have a member for every element
+    # of the dihedral group
     for g in connected_graph_corpus(5):
         order = len(brute_automorphisms(g, (0,) * g.n))
         for k in (1, 2, 3):
-            table = build(g, k).transporters
-            assert table[0] == tuple(range(g.n))
-            assert len(set(table)) == len(table) <= order
-    assert len(enumerate_configurations(cycle(10), 5)[3]) == 20
-    assert len(enumerate_configurations(cycle(14), 7)[3]) == 28
+            transport = build(g, k).transport
+            assert tuple(range(g.n)) not in transport.values()
+            assert _distinct_transporters(transport) <= order - 1
+    assert _distinct_transporters(enumerate_configurations(cycle(10), 5)[2]) == 19
+    assert _distinct_transporters(enumerate_configurations(cycle(14), 7)[2]) == 27
 
 
 def test_class_table_matches_canonizer():
@@ -743,24 +751,20 @@ def _broken_classes(h):
     dropped = {lam: j for lam, j in h.class_of.items() if lam != member}
     past = {**h.class_of, member: len(h.configs)}
 
-    def with_transporter(t):
-        return _relaid(h, transport={**h.transport, member: t})
-
     return {
         "representative not the least": (_relaid(h, configs=tuple(promoted)), "less than"),
         "placement dropped from the table": (_relaid(h, class_of=dropped), "placements, not C"),
         "placement of no class": (_relaid(h, class_of=past), "past the"),
-        "transporter that does not carry": (with_transporter(0), "does not carry"),
-        "transporter past the table": (with_transporter(len(h.transporters)), "not one of the"),
-        "negative transporter": (with_transporter(-1), "not one of the"),
+        "transporter that does not carry": (
+            _relaid(h, transport={**h.transport, member: tuple(range(h.graph.n))}), "does not carry"
+        ),
         "two classes merged into one index": (_relaid(h, class_of=merged), "not in it"),
         "two configs swapped": (_relaid(h, configs=tuple(configs)), "strictly increase"),
     }
 
 
 @pytest.mark.parametrize("broken", [
-    "transporter that does not carry", "transporter past the table", "negative transporter",
-    "two classes merged into one index", "two configs swapped",
+    "transporter that does not carry", "two classes merged into one index", "two configs swapped",
     "representative not the least", "placement dropped from the table", "placement of no class",
 ])
 def test_check_refuses_broken_classes(k23_h, broken):
@@ -771,13 +775,17 @@ def test_check_refuses_broken_classes(k23_h, broken):
 
 
 @pytest.mark.parametrize("pi, refusal", [
-    ((0, 1, 2, 3, 4), "does not carry"),  # the identity, for every placement
+    ((0, 1, 2, 3, 4), "does not carry"),  # the identity
     ((2, 1, 0, 3, 4), "not an automorphism"),  # swaps a vertex of each side of K23
 ])
-def test_check_refuses_a_wrong_transporter(k23_h, monkeypatch, pi, refusal):
-    monkeypatch.setattr(ConfigHypergraph, "transporter", lambda h, lam: pi)
+def test_check_refuses_a_wrong_transporter(k23_h, pi, refusal):
+    # pi stored for every placement: the first checked, the representative
+    # (0, 0, 0, 0, 2), is carried onto itself by both, and only the
+    # automorphism test refuses the swap; the identity carries no member
+    first = next(iter(k23_h.class_of))
+    assert first == k23_h.configs[k23_h.class_of[first]].rep.lam == (0, 0, 0, 0, 2)
     with pytest.raises(InternalError, match=refusal):
-        check(k23_h)
+        check(_relaid(k23_h, transport=dict.fromkeys(k23_h.class_of, pi)))
 
 
 def test_hyperarcs_view_reads_the_layout(k23_h):

@@ -81,6 +81,17 @@ def test_target_dimension_errors(p4):
         resolve_final_set(ProblemSpec(kind="explicit", targets=((3, -1, 0, 0),)), h)
 
 
+@pytest.mark.parametrize("target", [(1.5, "1", 0), (1, 1.0, 0), (False, 1, 1), ("2", 0, 0)])
+def test_pattern_targets_refuse_counts_that_are_not_integers(p3, target):
+    # never truncated: (1.5, "1", 0) resolved as (1, 1, 0), final class 2 on P3 (k=2)
+    for kind in ("pattern", "explicit"):
+        with pytest.raises(InputError, match=r"^target 1: robot counts must be integers"):
+            ProblemSpec(kind=kind, targets=((2, 0, 0), target))
+    spec = ProblemSpec(kind="pattern", targets=([1, 1, 0],))
+    assert spec.targets == ((1, 1, 0),)
+    assert resolve_final_set(spec, build(p3, 2)) == frozenset({2})
+
+
 def test_is_final_refuses_target_kinds(p4):
     # a target kind never falls through to the visibility predicate
     c = Configuration(p4, (1, 0, 0, 1))

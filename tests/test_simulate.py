@@ -454,23 +454,20 @@ def test_rounds_make_no_canonizer_search(request, monkeypatch, graph, k):
     assert _solution(g, k, GATHER).h is h
 
 
-@pytest.mark.parametrize("entry", ["past-the-end", "negative", "identity"])
+@pytest.mark.parametrize("entry", ["identity", "another member's"])
 def test_damaged_transporter_index_raises(k23, entry):
-    # a damaged index on the caller's own build: neither an IndexError nor a
-    # permutation picked from the end of the table, and never a wrong move
+    # a damaged entry on the caller's own build, the identity or another
+    # member's transporter, an automorphism that carries the representative
+    # elsewhere: never a wrong move
     h = build(k23, 2)
     sol = solution(h, GATHER)
     member = next(
         lam for lam in h.transport
         if h.class_of[lam] in sol.solvable and h.class_of[lam] not in sol.final
     )
-    t = {"past-the-end": len(h.transporters), "negative": -1, "identity": 0}[entry]
-    h.transport[member] = t
-    refusal = (
-        f"does not carry the representative .* onto placement {re.escape(str(member))}"
-        if entry == "identity"
-        else re.escape(f"placement {member} names transporter {t}, not one of the")
-    )
+    other = next(lam for lam in h.transport if lam != member and h.class_of[lam] == h.class_of[member])
+    h.transport[member] = {"identity": tuple(range(k23.n)), "another member's": h.transport[other]}[entry]
+    refusal = f"does not carry the representative .* onto placement {re.escape(str(member))}"
     with pytest.raises(InternalError, match=refusal):
         h.transporter(member)
     with pytest.raises(InternalError, match=refusal):

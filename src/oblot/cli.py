@@ -4,7 +4,8 @@ Subcommands: canon, orbits, build, solve, move, simulate.  All JSON output is
 emitted with sorted keys and compact separators, one trailing newline, so
 identical inputs give byte-identical outputs.  Exit codes: 0 success, 2 input
 error, 3 unsolvable, 4 round budget exceeded, 5 internal error (a violated
-invariant of the engine), 6 a computation budget exceeded.  Errors print one
+invariant of the engine), 6 a computation budget exceeded or memory
+exhausted.  Errors print one
 ``error: ...`` line on stderr and no traceback.
 
 Each command is one process: it pays the interpreter's start and the
@@ -266,6 +267,10 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     except BudgetExceededError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:  # its own text is empty
+        print("error: out of memory: the instance needs more memory than this process can get",
+              file=sys.stderr)
         return EXIT_BUDGET
 
 

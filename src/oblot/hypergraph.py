@@ -34,23 +34,24 @@ and :func:`check` certifies their structure and the classes.
 Robots cannot tell automorphic placements apart, so a class is an orbit of
 Aut(G) on placements.  Class enumeration runs one canonizer search for G and
 one per class: placements are walked in lexicographic order, and each one
-not yet in the class table founds a class, whose members are found by
-applying the generators of G's search breadth-first
-(:func:`enumerate_configurations`).  Those generate Aut(G), and the
-canonizer's backjump keeps them few (11 on K12).  The result is the class
-table ``class_of``, a map from every placement λ to its class index.  Each
-class search is seeded with the generators of G's search that fix its
-founder; its form is the unseeded search's, and a class's orbits come from
-it (``entry.form.orbits``).
+not yet in the class table founds a class, its orbit under the generators of
+G's search, found breadth-first (:func:`_orbit`).  Those generate Aut(G),
+the canonizer's backjump keeps them few (11 on K12), and ``h.generators``
+keeps them.  The result is the class table ``class_of``, a map from every
+placement λ to its class index.  Each class search is seeded with the
+generators of G's search that fix its founder; its form is the unseeded
+search's, and a class's orbits come from it (``entry.form.orbits``).
 
-The walk also carries each member's transporter: the automorphism π of G,
-``h.transporter(λ)``, that carries the class representative onto λ.  A
-member reached as the image of another under a generator has that image of
-the other's π, one more C call.  ``transport`` maps each member to its π
-itself, interned, so that one tuple serves every member with the same
-permutation; a class's founder, its representative, has no entry and means
-the identity.  The simulator maps the representative's outcomes through π
-instead of canonizing each placement it visits.
+The same search gives each member's transporter: the automorphism π of G,
+``h.transporter(λ)``, that carries the class representative onto λ, the
+first product of generators that reaches λ from the representative.
+Nothing stores it: each call searches the representative's orbit again,
+O(|orbit| · |generators| · n).  The simulator maps the representative's
+outcomes through π instead of canonizing each placement it visits.  The
+generators and the classes are the certificate :func:`check` reads: each
+generator an automorphism, each class exactly its representative's orbit
+(McConnell, Mehlhorn, Näher and Schweitzer, "Certifying algorithms",
+*Computer Science Review* 5(2), 2011).
 
 Every later class question is a lookup: the Δ of a move is the set of
 classes of its outcome placements' integer codes, read from the table
@@ -157,15 +158,17 @@ class ConfigHypergraph(Frozen):
     """The configuration hypergraph of (``graph``, ``k``) under ``scheduler``.
 
     Equality reads the graph, k, the scheduler, the classes and the
-    hyperarcs' layout; the lookup tables below derive from them.  Hashing
-    reads all of those but the layout, whose arrays do not hash.  The object
-    is weakly referenceable, for the record :func:`build` keeps.
+    hyperarcs' layout; the lookup tables and G's generators below derive
+    from them, and the build keeps no automorphism per placement:
+    :meth:`transporter` searches one from the generators.  Hashing reads all
+    of those but the layout, whose arrays do not hash.  The object is weakly
+    referenceable, for the record :func:`build` keeps.
     """
 
     __slots__ = (
         "graph", "k", "scheduler", "configs",
         "deltas", "arc_start", "arc_delta", "move_start", "moves",
-        "class_of", "option_sets", "transport", "__weakref__",
+        "class_of", "option_sets", "generators", "__weakref__",
     )
 
     def __init__(
@@ -186,15 +189,14 @@ class ConfigHypergraph(Frozen):
         class_of: dict[tuple[int, ...], int],
         # Per class, the option sets whose product its move indices count in.
         option_sets: tuple[OptionSets, ...],
-        # Placement λ -> its transporter, one interned tuple per distinct
-        # permutation; a class representative has no entry, and its
-        # transporter is the identity.
-        transport: dict[tuple[int, ...], tuple[int, ...]],
+        # The generators of G's canonizer search; each class is its
+        # representative's orbit under them.
+        generators: tuple[tuple[int, ...], ...],
     ) -> None:
         self._set(
             graph=graph, k=k, scheduler=scheduler, configs=configs, deltas=deltas, class_of=class_of,
             arc_start=arc_start, arc_delta=arc_delta, move_start=move_start, moves=moves,
-            option_sets=option_sets, transport=transport,
+            option_sets=option_sets, generators=generators,
         )
 
     def _key(self) -> tuple:
@@ -221,19 +223,18 @@ class ConfigHypergraph(Frozen):
         """An automorphism π of G that carries the representative of ``lam``'s
         class onto ``lam``: ``lam[v] == rep.lam[π[v]]`` for every vertex v.
 
-        π is the permutation ``transport`` holds for ``lam``, or the identity
-        for a representative, which has no entry.  A π that does not carry
-        the representative onto ``lam``, from a damaged build, raises.
+        π is the first product of ``generators`` that reaches ``lam`` when
+        :func:`_orbit` searches the representative's orbit, the identity for
+        the representative; each call makes that search.  A ``lam`` outside
+        the orbit, from a damaged build, raises.
         """
         try:
             rep = self.configs[self.class_of[lam]].rep.lam
         except KeyError:
             raise self._foreign() from None
-        pi = self.transport.get(lam, tuple(range(self.graph.n)))
-        if tuple(map(rep.__getitem__, pi)) != lam:
-            raise InternalError(
-                f"the transporter does not carry the representative {rep} onto placement {lam}"
-            )
+        pi = _orbit(rep, self.generators).get(lam)
+        if pi is None:
+            raise InternalError(f"placement {lam} is not in the orbit of its class's representative {rep}")
         return pi
 
     def index_of(self, c: Configuration) -> int:
@@ -285,24 +286,38 @@ def _refuse_past_the_width(n: int, k: int) -> None:
         )
 
 
+def _orbit(lam: tuple[int, ...], generators) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The orbit of ``lam`` under the group ``generators`` generate, found
+    breadth-first with the generators in order: each member mapped to the
+    first product of generators that reaches it, a π with
+    ``member[v] == lam[π[v]]`` for every vertex v (the identity for ``lam``).
+    A member's image under a generator is one C call, and so is its π's."""
+    images = [operator.itemgetter(*gen) for gen in generators]
+    orbit = {lam: tuple(range(len(lam)))}
+    queue = [lam]
+    for member in queue:
+        pi = orbit[member]
+        for image_of in images:
+            if (image := image_of(member)) not in orbit:
+                orbit[image] = image_of(pi)
+                queue.append(image)
+    return orbit
+
+
 def enumerate_configurations(g: Graph, k: int) -> tuple[
     tuple[ConfigEntry, ...],
     dict[tuple[int, ...], int],
-    dict[tuple[int, ...], tuple[int, ...]],
+    tuple[tuple[int, ...], ...],
 ]:
     """One entry per isomorphism class of k-robot placements on g, the class
-    table mapping every placement to its entry's index, and ``transport``
-    as ``ConfigHypergraph`` holds it: every placement but a representative
-    mapped to its transporter, one tuple per distinct permutation.
+    table mapping every placement to its entry's index, and the generators
+    of G's canonizer search, which generate Aut(G).
 
-    The walk applies the generators G's search found, which generate
-    Aut(G).  Placements are walked in ascending lexicographic order; each
-    one not yet in the table founds a class and, as its least member,
-    represents it: it is canonized, seeded with the generators that fix it,
-    and its orbit under the generators is filled in breadth-first.  Each new
-    member is a generator's image of a known one, and its transporter is
-    that generator's image of the known one's, interned.  So every orbit is
-    a whole class, and a founder whose encoding already names a class
+    Placements are walked in ascending lexicographic order; each one not
+    yet in the table founds a class and, as its least member, represents
+    it: it is canonized, seeded with the generators that fix it, and its
+    :func:`_orbit` under the generators fills its class in.  So every orbit
+    is a whole class, and a founder whose encoding already names a class
     raises.  Entries are sorted by encoding bytes.
     """
     if k < 1:
@@ -311,13 +326,9 @@ def enumerate_configurations(g: Graph, k: int) -> tuple[
         raise InputError(f"robot count {k} needs a graph with at least one vertex")
     _refuse_past_the_width(g.n, k)
     generators = canonical_form(g, (0,) * g.n).generators
-    # the image of a placement, or of a transporter, under a generator, as one C call
-    images = [operator.itemgetter(*gen) for gen in generators]
+    images = [operator.itemgetter(*gen) for gen in generators]  # for the seeds: an image is one C call
     by_encoding: dict[bytes, ConfigEntry] = {}
     encoding_of: dict[tuple[int, ...], bytes] = {}
-    identity = tuple(range(g.n))
-    interned: dict[tuple[int, ...], tuple[int, ...]] = {}  # each distinct transporter, once
-    transport: dict[tuple[int, ...], tuple[int, ...]] = {}
     for lam in _weak_compositions(k, g.n):
         if lam in encoding_of:
             continue
@@ -329,20 +340,11 @@ def enumerate_configurations(g: Graph, k: int) -> tuple[
                 f"founder {lam} is in a known class: G's generators miss some of Aut(G)"
             )
         by_encoding[enc] = ConfigEntry(form=form, rep=Configuration(g, lam))
-        encoding_of[lam] = enc
-        orbit = [(lam, identity)]
-        for member, pi in orbit:
-            for image_of in images:
-                if (image := image_of(member)) not in encoding_of:
-                    encoding_of[image] = enc
-                    carried = image_of(pi)
-                    carried = interned.setdefault(carried, carried)
-                    transport[image] = carried
-                    orbit.append((image, carried))
+        encoding_of.update(dict.fromkeys(_orbit(lam, generators), enc))
     entries = tuple(entry for _, entry in sorted(by_encoding.items()))
     index = {entry.form.encoding: i for i, entry in enumerate(entries)}
     class_of = {lam: index[enc] for lam, enc in encoding_of.items()}
-    return entries, class_of, transport
+    return entries, class_of, generators
 
 
 def build(g: Graph, k: int, scheduler: str = "fsync") -> ConfigHypergraph:
@@ -359,7 +361,7 @@ def build(g: Graph, k: int, scheduler: str = "fsync") -> ConfigHypergraph:
     if scheduler not in SCHEDULERS:
         raise InputError(f"unknown scheduler {scheduler!r}; expected one of {SCHEDULERS}")
     ssync = scheduler == "ssync"
-    entries, class_of, transport = enumerate_configurations(g, k)
+    entries, class_of, generators = enumerate_configurations(g, k)
     class_by_code = class_table_by_code(class_of, g.n, k)
     factors = []
     ids: dict[tuple[int, ...], int] = {}  # Δ -> its id, in order of first use
@@ -377,7 +379,7 @@ def build(g: Graph, k: int, scheduler: str = "fsync") -> ConfigHypergraph:
     h = ConfigHypergraph(
         graph=g, k=k, scheduler=scheduler, configs=entries, deltas=tuple(ids),
         arc_start=arc_start, arc_delta=arc_delta, move_start=move_start, moves=moves,
-        class_of=class_of, option_sets=tuple(factors), transport=transport,
+        class_of=class_of, option_sets=tuple(factors), generators=generators,
     )
     _built[id(g), k, scheduler] = h
     return h
@@ -393,16 +395,16 @@ def built(g: Graph, k: int, scheduler: str) -> ConfigHypergraph | None:
 
 def check(h: ConfigHypergraph) -> None:
     """Certify ``h``'s classes and the structure of its hyperarc layout, or
-    raise :class:`InternalError`, in one pass over the placements and one
-    over the arcs and moves:
+    raise :class:`InternalError`, in one pass over the classes' orbits and
+    one over the arcs and moves:
 
-    * the classes are sound: encodings strictly increase along
-      ``h.configs``; each class's representative is its least placement;
-      every placement's ``h.transporter``, the permutation ``h.transport``
-      stores for it, carries the representative onto it, so it holds k
-      robots, and is an automorphism of G, checked once per distinct
-      permutation against G's edge set; and the class table holds
-      C(n+k−1, k) of them, so every placement;
+    * each class is exactly one orbit of the group ``h.generators``
+      generate: encodings strictly increase along ``h.configs``; each
+      generator is an automorphism of G, tested once against G's edge set;
+      each representative holds k robots on n vertices and is the least
+      member of its :func:`_orbit`, and every member names that class in
+      ``h.class_of``; and the orbit sizes sum to C(n+k−1, k), the length of
+      the class table, so the orbits are disjoint and hold every placement;
     * the starts are well formed: ``arc_start`` has one entry per class and
       one more, ``move_start`` one per arc and one more, each starts at 0,
       never decreases and ends at the length of the buffer it indexes, and
@@ -414,12 +416,12 @@ def check(h: ConfigHypergraph) -> None:
       the class's move product exactly once (index 0 is the all-nil
       function).
 
-    A lost or duplicated move, a Δ out of order or out of range, a stored
-    permutation that does not carry the representative (``h.transporter``
-    refuses it) or is no automorphism, and two classes merged or out of
-    order are caught.  So each class lies within one orbit of Aut(G); that
-    no two classes share an orbit still rests on the canonizer, whose
-    distinct encodings are taken as non-isomorphic.  That the Δs are the
+    A lost or duplicated move, a Δ out of order or out of range, a
+    generator that is no automorphism, a placement outside its
+    representative's orbit, a class missing, and two classes merged or out
+    of order are caught.  So the classes are the orbits of a subgroup of
+    Aut(G); that the generators generate all of it, so that no two classes
+    are isomorphic, still rests on the canonizer.  That the Δs are the
     moves' outcomes is taken as built.
     """
     _check_classes(h)
@@ -456,32 +458,29 @@ def check(h: ConfigHypergraph) -> None:
 
 
 def _check_classes(h: ConfigHypergraph) -> None:
-    g, k, nc = h.graph, h.k, len(h.configs)
+    g, k, class_of = h.graph, h.k, h.class_of
     encodings = [entry.form.encoding for entry in h.configs]
     if not all(map(operator.lt, encodings, encodings[1:])):
         raise InternalError("the class encodings do not strictly increase")
-    if len(h.class_of) != math.comb(g.n + k - 1, k):
-        raise InternalError(
-            f"the class table holds {len(h.class_of)} placements, not C(n+k−1, k) for n={g.n}, k={k}"
-        )
+    if len(class_of) != (count := math.comb(g.n + k - 1, k)):
+        raise InternalError(f"the class table holds {len(class_of)} placements, not C(n+k−1, k) = {count}")
+    edges = {*g.edges, *((b, a) for a, b in g.edges)}  # a permutation that keeps every edge keeps G
+    for gen in h.generators:
+        if sorted(gen) != list(range(g.n)) or not all((gen[a], gen[b]) in edges for a, b in g.edges):
+            raise InternalError(f"the generator {gen} is not an automorphism of G")
+    total = 0
     for i, entry in enumerate(h.configs):
-        if h.class_of.get(entry.rep.lam) != i:
-            raise InternalError(f"the representative {entry.rep.lam} of class {i} is not in it")
-    edges = set(g.edges)
-    automorphisms = set()
-    for lam, i in h.class_of.items():
-        if not 0 <= i < nc:
-            raise InternalError(f"placement {lam} names class {i}, past the {nc} classes")
-        rep = h.configs[i].rep.lam
-        if lam < rep:
-            raise InternalError(f"placement {lam} of class {i} is less than its representative {rep}")
-        pi = h.transporter(lam)
-        if pi not in automorphisms:
-            if sorted(pi) != list(range(g.n)) or edges != {
-                (pi[a], pi[b]) if pi[a] < pi[b] else (pi[b], pi[a]) for a, b in g.edges
-            }:
-                raise InternalError(f"the transporter of placement {lam} is not an automorphism of G")
-            automorphisms.add(pi)
+        rep = entry.rep.lam
+        if len(rep) != g.n or sum(rep) != k or min(rep) < 0:
+            raise InternalError(f"the representative {rep} of class {i} is not a placement of {k} robots")
+        orbit = _orbit(rep, h.generators)
+        if (least := min(orbit)) != rep:
+            raise InternalError(f"placement {least} of class {i} is less than its representative {rep}")
+        if (stray := next((m for m in orbit if class_of.get(m) != i), None)) is not None:
+            raise InternalError(f"placement {stray}, in class {i}'s orbit, names class {class_of.get(stray)}")
+        total += len(orbit)
+    if total != count:
+        raise InternalError(f"the orbits of the classes hold {total} placements, not C(n+k−1, k) = {count}")
 
 
 def _check_starts(what: str, starts: array, count: int, end: int, strict: bool) -> None:

@@ -20,9 +20,9 @@ very ``Graph`` object the start is placed on, that hypergraph is solved as it
 is; only otherwise does the simulator build one.  A round makes no canonizer
 search: it computes the raw outcomes of its class's planned move on the
 class representative and maps them onto its own placement through the
-placement's transporter, which the hypergraph stores as the permutation
-itself and hands out by one lookup.  A plan strictly descends, so one run
-never meets a class twice: the outcomes are not kept.
+placement's transporter, which the hypergraph derives from G's generators
+by one breadth-first search of the representative's orbit.  A plan strictly
+descends, so one run never meets a class twice: the outcomes are not kept.
 """
 
 from __future__ import annotations
@@ -127,9 +127,9 @@ def _start(c0: Configuration, spec: ProblemSpec) -> tuple[Solution, int]:
 
 def _outcomes(sol: Solution, idx: int, lam: tuple[int, ...]) -> list[tuple[int, ...]]:
     """The sorted raw outcomes of class ``idx``'s planned move on its member
-    ``lam``: the representative's, mapped by ``lam``'s transporter, looked
-    up in the hypergraph (an automorphism carries outcomes to outcomes,
-    orbit ranks included)."""
+    ``lam``: the representative's, mapped by ``lam``'s transporter, which
+    the hypergraph finds in the representative's orbit (an automorphism
+    carries outcomes to outcomes, orbit ranks included)."""
     entry = sol.h.configs[idx]
     raw = raw_fsync_outcomes(entry.rep, entry.form.orbits, sol.entries[idx].move)
     pi = sol.h.transporter(lam)
@@ -168,8 +168,9 @@ def run_fsync(
     function of the class).  Each round reads its class from the
     hypergraph's class table, which lists every placement, and a step's raw
     outcomes are those of its class representative, mapped through the
-    placement's transporter, the permutation the hypergraph stores for it;
-    no round canonizes.  An unsolvable start records a single nil round and
+    placement's transporter, a product of G's generators that the
+    hypergraph finds by searching the representative's orbit; no round
+    canonizes.  An unsolvable start records a single nil round and
     stops: the robots never move.
     ``max_rounds`` bounds the number of executed steps and defaults to plan
     distance + 1 when solvable, else 1, so an overrun always signals a

@@ -633,10 +633,10 @@ def arcs_by_source(h) -> dict:
     return {s: tuple(arcs) for s, arcs in out.items()}
 
 
-def without_transport(h: ConfigHypergraph) -> ConfigHypergraph:
-    """``h`` with an empty transport table, so that every placement reads the
-    identity, which carries no placement but a class's representative."""
-    return ConfigHypergraph(**{**dict(h._items()), "transport": {}})
+def without_generators(h: ConfigHypergraph) -> ConfigHypergraph:
+    """``h`` with no generators of G, so that every orbit is its
+    representative alone, and no other placement has a transporter."""
+    return ConfigHypergraph(**{**dict(h._items()), "generators": ()})
 
 
 def decoded_moves(h, arc) -> tuple[Move, ...]:

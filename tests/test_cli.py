@@ -594,6 +594,22 @@ def test_engine_errors_map_to_exit_codes(files, tmp_path, capsys, monkeypatch, e
     assert captured.err == f"error: {error}\n"
 
 
+def test_memory_exhaustion_exits_six(files, tmp_path, capsys, monkeypatch):
+    # as a build past the host's memory ends, say 2147483646 robots on P2,
+    # whose placements pass the int32 width: one error line, no traceback
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "build", exhausted)
+    argv = ["build", "--graph", files["k23"], "-k", "2", "--out", str(tmp_path / "h.json")]
+    assert cli.main(argv) == 6
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: out of memory: the instance needs more memory than this process can get"
+    ]
+
+
 def test_canonizer_deeper_than_max_search_depth_exits_six(tmp_path):
     # refinement never splits an edgeless graph, so the search of G
     # individualizes one vertex per level, n − 1 in all: n = 988 is the

@@ -6,6 +6,7 @@ import hashlib
 import json
 import operator
 import random
+import re
 import warnings
 from array import array
 from pathlib import Path
@@ -37,7 +38,6 @@ from bruteforce import (
     all_placements,
     arcs_by_source,
     as_brute_move,
-    brute_automorphisms,
     brute_orbits,
     complete,
     config_isomorphic,
@@ -57,7 +57,7 @@ from bruteforce import (
     raw_ssync_move_outcomes,
     relabeled,
     ssync_outcomes,
-    without_transport,
+    without_generators,
 )
 
 
@@ -526,45 +526,36 @@ def test_walk_refuses_generators_that_miss_part_of_aut_g(monkeypatch, tmp_path, 
 
 
 def test_transporter_carries_the_representative_onto_each_member():
-    # every placement of every class, on each graph and on a relabelling
+    # every placement of every class, on each graph and on a relabelling;
+    # on C10 (k=5), whose largest classes have a member for every element
+    # of the dihedral group, the transporters are all 20 of its elements
     rng = random.Random(3)
     for g0 in connected_graph_corpus(5):
         for g in (g0, relabeled(rng, g0)):
             for k in (1, 2, 3):
                 _assert_transporters(build(g, k))
+    h = build(cycle(10), 5)
+    assert len({h.transporter(lam) for lam in h.class_of}) == 20
 
 
 def test_transporter_refuses_what_its_table_cannot_carry(k23_h):
-    # with no entry, a member besides its representative reads the
-    # identity, which carries only a representative (the damaged entries
-    # are in test_simulate.py)
-    member = next(iter(k23_h.transport))
-    with pytest.raises(InternalError, match="does not carry the representative"):
-        without_transport(k23_h).transporter(member)
+    # with no generators, a member besides its representative lies in no
+    # representative's orbit (the damaged class tables are in
+    # test_simulate.py)
+    member = next(lam for lam, i in k23_h.class_of.items() if lam != k23_h.configs[i].rep.lam)
+    refusal = f"placement {re.escape(str(member))} is not in the orbit of its class's representative"
+    with pytest.raises(InternalError, match=refusal):
+        without_generators(k23_h).transporter(member)
     with pytest.raises(InputError, match="does not belong"):
         k23_h.transporter((0, 0, 0, 0, 3))
 
 
-def _distinct_transporters(transport):
-    # one object per distinct permutation: as many objects as values
-    distinct = len(set(transport.values()))
-    assert len({id(pi) for pi in transport.values()}) == distinct
-    return distinct
-
-
-def test_transporters_are_interned():
-    # each distinct automorphism once, and never the identity, which only a
-    # representative reads: no more than |Aut(G)| − 1, and exactly 2n − 1
-    # on the cycles, whose largest classes have a member for every element
-    # of the dihedral group
-    for g in connected_graph_corpus(5):
-        order = len(brute_automorphisms(g, (0,) * g.n))
-        for k in (1, 2, 3):
-            transport = build(g, k).transport
-            assert tuple(range(g.n)) not in transport.values()
-            assert _distinct_transporters(transport) <= order - 1
-    assert _distinct_transporters(enumerate_configurations(cycle(10), 5)[2]) == 19
-    assert _distinct_transporters(enumerate_configurations(cycle(14), 7)[2]) == 27
+def test_the_walk_stores_no_transporter():
+    # G's generators and the class table are all a build keeps of Aut(G)
+    entries, class_of, generators = enumerate_configurations(cycle(10), 5)
+    h = build(cycle(10), 5)
+    assert generators == h.generators == canonical_form(cycle(10), (0,) * 10).generators
+    assert class_of == h.class_of and not hasattr(h, "transport")
 
 
 def test_class_table_matches_canonizer():
@@ -722,13 +713,16 @@ def _broken_layouts(h):
         "Δ id past the table": (_relaid(h, arc_delta=h.arc_delta[:-1] + array("i", [99])), "past"),
         "arcs out of (source, Δ) order": (_relaid(h, arc_delta=swapped), "order"),
         "short arc starts": (_relaid(h, arc_start=h.arc_start[:-1]), "span"),
+        "option sets short of the classes": (
+            _relaid(h, option_sets=h.option_sets[:-1]), f"{len(h.configs) - 1} option sets for"
+        ),
     }
 
 
 @pytest.mark.parametrize("broken", [
     "dropped move", "duplicated move", "descending moves", "empty arc", "unsorted Δ",
     "out-of-range Δ member", "Δ id past the table", "arcs out of (source, Δ) order",
-    "short arc starts",
+    "short arc starts", "option sets short of the classes",
 ])
 def test_check_refuses_hand_broken_layouts(k23_h, broken):
     check(k23_h)
@@ -740,9 +734,10 @@ def test_check_refuses_hand_broken_layouts(k23_h, broken):
 def _broken_classes(h):
     """Copies of ``h`` with a broken class layout, each with the text its
     refusal names."""
-    # a member of a class besides its representative
-    member = next(iter(h.transport))
+    # a member of a class besides its representative, and another class
+    member = next(lam for lam, i in h.class_of.items() if lam != h.configs[i].rep.lam)
     i = h.class_of[member]
+    other = (i + 1) % len(h.configs)
     merged = {lam: 0 if j == 1 else j for lam, j in h.class_of.items()}
     configs = list(h.configs)
     configs[0], configs[1] = configs[1], configs[0]
@@ -754,18 +749,31 @@ def _broken_classes(h):
     return {
         "representative not the least": (_relaid(h, configs=tuple(promoted)), "less than"),
         "placement dropped from the table": (_relaid(h, class_of=dropped), "placements, not C"),
-        "placement of no class": (_relaid(h, class_of=past), "past the"),
-        "transporter that does not carry": (
-            _relaid(h, transport={**h.transport, member: tuple(range(h.graph.n))}), "does not carry"
+        "placement of no class": (_relaid(h, class_of=past), f"names class {len(h.configs)}"),
+        "placement outside its representative's orbit": (
+            _relaid(h, class_of={**h.class_of, member: other}),
+            f"{re.escape(str(member))}, in class {i}'s orbit",
         ),
-        "two classes merged into one index": (_relaid(h, class_of=merged), "not in it"),
+        # on K23, whose sides are {0, 1} and {2, 3, 4}, a swap across the sides
+        "generator that is no automorphism": (
+            _relaid(h, generators=(*h.generators, (2, 1, 0, 3, 4))), "not an automorphism"
+        ),
+        "class dropped": (_relaid(h, configs=h.configs[:-1]), "orbits of the classes hold"),
+        "representative of no placement": (
+            _relaid(h, configs=(h.configs[0]._replace(rep=Configuration(h.graph, (0,) * h.graph.n)),
+                                *h.configs[1:])),
+            "not a placement",
+        ),
+        "two classes merged into one index": (_relaid(h, class_of=merged), "names class 0"),
         "two configs swapped": (_relaid(h, configs=tuple(configs)), "strictly increase"),
     }
 
 
 @pytest.mark.parametrize("broken", [
-    "transporter that does not carry", "two classes merged into one index", "two configs swapped",
-    "representative not the least", "placement dropped from the table", "placement of no class",
+    "placement outside its representative's orbit", "generator that is no automorphism",
+    "class dropped", "representative of no placement", "two classes merged into one index",
+    "two configs swapped", "representative not the least", "placement dropped from the table",
+    "placement of no class",
 ])
 def test_check_refuses_broken_classes(k23_h, broken):
     check(k23_h)
@@ -775,17 +783,15 @@ def test_check_refuses_broken_classes(k23_h, broken):
 
 
 @pytest.mark.parametrize("pi, refusal", [
-    ((0, 1, 2, 3, 4), "does not carry"),  # the identity
+    ((0, 1, 2, 3, 3), "not an automorphism"),  # no permutation
     ((2, 1, 0, 3, 4), "not an automorphism"),  # swaps a vertex of each side of K23
 ])
 def test_check_refuses_a_wrong_transporter(k23_h, pi, refusal):
-    # pi stored for every placement: the first checked, the representative
-    # (0, 0, 0, 0, 2), is carried onto itself by both, and only the
-    # automorphism test refuses the swap; the identity carries no member
-    first = next(iter(k23_h.class_of))
-    assert first == k23_h.configs[k23_h.class_of[first]].rep.lam == (0, 0, 0, 0, 2)
+    # pi planted among G's generators, whose products are the transporters:
+    # the swap merges K23's classes into larger orbits, but check tests each
+    # generator before it searches an orbit, and refuses pi as itself
     with pytest.raises(InternalError, match=refusal):
-        check(_relaid(k23_h, transport=dict.fromkeys(k23_h.class_of, pi)))
+        check(_relaid(k23_h, generators=(*k23_h.generators, pi)))
 
 
 def test_hyperarcs_view_reads_the_layout(k23_h):

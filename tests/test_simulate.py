@@ -7,7 +7,7 @@ import pytest
 
 import oblot.canonical
 import oblot.simulate
-from bruteforce import all_placements, connected_graph_corpus, relabeled, without_transport
+from bruteforce import all_placements, connected_graph_corpus, relabeled, without_generators
 from oblot.canonical import canonical_form
 from oblot.errors import BudgetExceededError, InputError, InternalError
 from oblot.graphs import Configuration, Graph
@@ -454,20 +454,22 @@ def test_rounds_make_no_canonizer_search(request, monkeypatch, graph, k):
     assert _solution(g, k, GATHER).h is h
 
 
-@pytest.mark.parametrize("entry", ["identity", "another member's"])
-def test_damaged_transporter_index_raises(k23, entry):
-    # a damaged entry on the caller's own build, the identity or another
-    # member's transporter, an automorphism that carries the representative
-    # elsewhere: never a wrong move
+@pytest.mark.parametrize("damage", ["moved into another class", "swapped with a member of another class"])
+def test_damaged_class_table_raises(k23, damage):
+    # the caller's own build, its class table damaged in place: a member of
+    # a final class named in the one class that steps, alone or swapped with
+    # a member of that class, lies outside the orbit of the representative
+    # whose outcomes it would be given: never a wrong move
     h = build(k23, 2)
     sol = solution(h, GATHER)
-    member = next(
-        lam for lam in h.transport
-        if h.class_of[lam] in sol.solvable and h.class_of[lam] not in sol.final
-    )
-    other = next(lam for lam in h.transport if lam != member and h.class_of[lam] == h.class_of[member])
-    h.transport[member] = {"identity": tuple(range(k23.n)), "another member's": h.transport[other]}[entry]
-    refusal = f"does not carry the representative .* onto placement {re.escape(str(member))}"
+    (step,) = (i for i in sol.solvable if i not in sol.final)
+    rep_of = {i: e.rep.lam for i, e in enumerate(h.configs)}
+    member = next(lam for lam, i in h.class_of.items() if i < step and i in sol.final and lam != rep_of[i])
+    other = next(lam for lam, i in h.class_of.items() if i == step and lam != rep_of[i])
+    if damage == "swapped with a member of another class":
+        h.class_of[other] = h.class_of[member]
+    h.class_of[member] = step
+    refusal = f"placement {re.escape(str(member))}.* orbit"
     with pytest.raises(InternalError, match=refusal):
         h.transporter(member)
     with pytest.raises(InternalError, match=refusal):
@@ -476,7 +478,7 @@ def test_damaged_transporter_index_raises(k23, entry):
         run_fsync(Configuration(k23, member), GATHER, WORST)
 
 
-def test_emptied_transport_table_raises(k23, monkeypatch):
+def test_build_without_generators_raises(k23, monkeypatch):
     g = Graph(n=k23.n, edges=k23.edges, name=k23.name)  # an object no other test has built from
     sol = solution(build(g, 2), GATHER)
     rep_of = {i: e.rep.lam for i, e in enumerate(sol.h.configs)}
@@ -487,7 +489,8 @@ def test_emptied_transport_table_raises(k23, monkeypatch):
     del sol
     gc.collect()
     monkeypatch.setattr(
-        oblot.simulate, "build", lambda *args: without_transport(build(*args))
+        oblot.simulate, "build", lambda *args: without_generators(build(*args))
     )
-    with pytest.raises(InternalError, match="does not carry the representative"):
+    refusal = f"placement {re.escape(str(member))} is not in the orbit of its class's representative"
+    with pytest.raises(InternalError, match=refusal):
         run_fsync(Configuration(g, member), GATHER, WORST)

@@ -338,6 +338,30 @@ def test_check_certifies_the_plans(name):
         check(solution(h, spec))
 
 
+@pytest.mark.parametrize("fault", ["no move", "distance 0"])
+def test_solution_refuses_a_step_without_a_planned_move(k23, fault):
+    sol = solution(build(k23, 2), GATHER)
+    (step,) = sol.solvable - sol.final
+    e = sol.entries[step]
+    broken = e._replace(move=None) if fault == "no move" else e._replace(distance=0)
+    with pytest.raises(InternalError, match=f"non-final solvable class {step} has no planned move"):
+        Solution(sol.h, sol.final, sol.solvable, {**sol.entries, step: broken})
+
+
+def test_check_refuses_a_solvable_class_with_no_arc_into_the_solvable_set(k23):
+    # K23's class of one robot on each of the two vertices of the smaller
+    # side, marked solvable with a made-up entry: its one arc leads into
+    # the unsolvable spread class (0, 0, 0, 1, 1)
+    sol = solution(build(k23, 2), GATHER)
+    h = sol.h
+    pair = h.index_of(Configuration(k23, (1, 1, 0, 0, 0)))
+    assert pair not in sol.solvable and [a.delta for a in h.hyperarcs if a.source == pair] == [(1, 4)]
+    made_up = PlanEntry(9, h.move(pair, 1), (1, 4))
+    mutant = Solution(h, sol.final, sol.solvable | {pair}, {**sol.entries, pair: made_up})
+    with pytest.raises(InternalError, match=f"solvable class {pair} has no arc into the solvable set"):
+        check(mutant)
+
+
 def test_check_rejects_wrong_plans():
     sol = solution(build(cycle(10), 5), GATHER)
     h, final, solvable, entries = sol.h, sol.final, sol.solvable, sol.entries
